@@ -174,7 +174,7 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     reports = []
     for g in range(cfg.model.groups.m):
         marginal = law.marginal(g)
-        ks = ks_statistic(sample.normalized[:, g], marginal.cdf1)
+        ks = ks_statistic(sample.normalized[:, g], marginal.cdf)
         reports.append(
             make_report(cfg.experiment, f"ks-group-{g}", ks, threshold, seed=cfg.seed,
                         details={"n": cfg.n, "count": cfg.count, "law": marginal.kind})

@@ -71,42 +71,42 @@ class LimitLaw:
             return LimitLaw(self.kind, 1, gauss, base, (0,))
         return LimitLaw("gaussian" if gauss[0] else self.kind, 1, gauss, None, ())
 
-    def cdf1(self, x: float, tol: float = 1e-12) -> float:
-        """Exact CDF for one-dimensional laws.
+    def cdf(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Exact CDF of a one-dimensional law, elementwise on an array.
 
         With Gaussian noise this is the mixture E_Y Phi(x - Y): an exact
-        sum over atoms, or node-doubled quadrature for continuous bases.
-        The mixture integrand y -> Phi(x - y) has derivatives bounded by
-        the normal density's uniformly in x, so the node set stabilized at
-        the first evaluation point is reused for later ones.
+        sum over atoms, or Gauss-Legendre nodes for a continuous base,
+        doubled until no entry of the whole array moves by more than
+        ``tol``.
         """
         if self.dim != 1:
-            raise ConfigError("cdf1 is defined for 1-D laws; use limit_cdf for multi-D")
+            raise ConfigError("cdf is defined for 1-D laws; use limit_cdf for multi-D")
+        x = np.asarray(x, dtype=float)
         if not self.gauss_mask[0]:
-            return self.base.cdf1(x)
+            return self.base.cdf(x)
         if self.base is None:
-            return float(ndtr(x))
-        points, weights = self._convolution_nodes(x, tol)
-        return float(weights @ ndtr(x - points[:, 0]))
-
-    def _convolution_nodes(self, x: float, tol: float):
-        cached = getattr(self, "_conv_nodes", None)
-        if cached is not None:
-            return cached
+            return ndtr(x)
         if _is_atomic(self.base):
-            nodes = self.base.quad_nodes(0)
-        else:
-            level_box = {}
+            return _smoothed_cdf(x, *self.base.quad_nodes(0))
+        values, _ = refine_until_stable(
+            lambda level: _smoothed_cdf(x, *self.base.quad_nodes(level)), tol=tol
+        )
+        return values
 
-            def at_level(level: int) -> np.ndarray:
-                level_box["nodes"] = self.base.quad_nodes(level)
-                points, weights = level_box["nodes"]
-                return np.array([float(weights @ ndtr(x - points[:, 0]))])
 
-            refine_until_stable(at_level, tol=tol)
-            nodes = level_box["nodes"]
-        object.__setattr__(self, "_conv_nodes", nodes)
-        return nodes
+#: elements of one block of the (points x nodes) matrix in _smoothed_cdf
+CDF_BLOCK = 1 << 18
+
+
+def _smoothed_cdf(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j * Phi(x - points_j), in row blocks of bounded size."""
+    flat = x.reshape(-1)
+    nodes = points[:, 0]
+    out = np.empty(flat.size)
+    rows = max(1, CDF_BLOCK // nodes.size)
+    for start in range(0, flat.size, rows):
+        out[start : start + rows] = ndtr(flat[start : start + rows, None] - nodes) @ weights
+    return out.reshape(x.shape)
 
 
 def limit_for(model: DeFinettiModel) -> LimitLaw:
@@ -154,7 +154,7 @@ def limit_cdf(law: LimitLaw, x, count: int = 1_000_000, seed: int = 0) -> float:
     """CDF of the limit law: exact in 1-D, sampling-based in multi-D."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if law.dim == 1:
-        return law.cdf1(float(x[0]))
+        return float(law.cdf(x[:1])[0])
     value, _ = limit_cdf_mc(law, x, count=count, seed=seed)
     return value
 

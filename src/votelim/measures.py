@@ -56,8 +56,9 @@ class BaseMeasure:
 
     Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)``,
     ``contract(eps)``, ``negate()``, ``mass_in_box(lower, upper)``,
-    ``quad_nodes(level)``, ``marginal(coords)``, ``cdf1(x)`` (1-D only),
-    and a canonical ``_key()`` used for structural comparisons.
+    ``quad_nodes(level)``, ``marginal(coords)``, ``cdf(x)`` (1-D only,
+    evaluated elementwise on an array), and a canonical ``_key()`` used for
+    structural comparisons.
     """
 
     dim: int
@@ -67,7 +68,7 @@ class BaseMeasure:
         """True if the measure is invariant under x -> -x (structural check)."""
         return self._key() == self.negate()._key()
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedMeasureError(
             f"1-D CDF undefined for {type(self).__name__} of dimension {self.dim}"
         )
@@ -120,9 +121,13 @@ class PointMassMixture(BaseMeasure):
         coords = list(coords)
         return PointMassMixture(list(zip(self.locations[:, coords], self.weights)))
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         self._require_dim1()
-        return float(self.weights[self.locations[:, 0] <= x].sum())
+        order = np.argsort(self.locations[:, 0], kind="stable")
+        atoms = self.locations[order, 0]
+        cumulative = np.concatenate(([0.0], np.cumsum(self.weights[order])))
+        # side="right" counts atoms equal to x: the CDF is right-continuous
+        return cumulative[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
 
     def _key(self):
         items = sorted(
@@ -179,10 +184,10 @@ class UniformBox(BaseMeasure):
         coords = list(coords)
         return UniformBox(self.lower[coords], self.upper[coords])
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         self._require_dim1()
         lo, hi = float(self.lower[0]), float(self.upper[0])
-        return float(np.clip((x - lo) / (hi - lo), 0.0, 1.0))
+        return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
     def _key(self):
         return ("box", tuple(self.lower), tuple(self.upper))
@@ -270,12 +275,14 @@ class Gaussian(BaseMeasure):
         coords = list(coords)
         return Gaussian(self.mean[coords], self.covariance[np.ix_(coords, coords)])
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         self._require_dim1()
+        x = np.asarray(x, dtype=float)
+        mean = float(self.mean[0])
         sigma = math.sqrt(float(self.covariance[0, 0]))
         if sigma == 0.0:
-            return 1.0 if x >= float(self.mean[0]) else 0.0
-        return float(ndtr((x - float(self.mean[0])) / sigma))
+            return np.where(x >= mean, 1.0, 0.0)
+        return ndtr((x - mean) / sigma)
 
     def _key(self):
         return ("gauss", tuple(self.mean), tuple(self.covariance.reshape(-1)))
@@ -332,9 +339,9 @@ class Product(BaseMeasure):
             return self.factors[coords[0]]
         return Product([self.factors[k] for k in coords])
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         self._require_dim1()
-        return self.factors[0].cdf1(x)
+        return self.factors[0].cdf(x)
 
     def _key(self):
         return ("prod", tuple(f._key() for f in self.factors))
@@ -391,11 +398,9 @@ class Mixture(BaseMeasure):
     def marginal(self, coords) -> "Mixture":
         return Mixture([(c.marginal(coords), w) for c, w in zip(self.components, self.weights)])
 
-    def cdf1(self, x: float) -> float:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         self._require_dim1()
-        return float(
-            sum(w * c.cdf1(x) for c, w in zip(self.components, self.weights))
-        )
+        return sum(w * c.cdf(x) for c, w in zip(self.components, self.weights))
 
     def _key(self):
         items = sorted((c._key(), float(w)) for c, w in zip(self.components, self.weights))

@@ -99,14 +99,20 @@ def write_reports_csv(reports, path) -> None:
 def ks_statistic(sample, cdf) -> float:
     """Two-sided KS statistic sup_x |F_hat(x) - F(x)| against a 1-D CDF.
 
-    Evaluated at the sorted sample points with both one-sided gaps, which
-    attains the supremum for right-continuous empirical CDFs.
+    ``cdf`` maps an array to the array of its CDF values; it is called
+    once, on the sorted sample, and the gaps are taken at those points on
+    both sides, which attains the supremum for right-continuous empirical
+    CDFs.
     """
     sample = np.sort(np.asarray(sample, dtype=float).reshape(-1))
     if sample.size == 0:
         raise DataError("KS statistic needs a nonempty sample")
     count = sample.size
-    f_vals = np.asarray([cdf(x) for x in sample], dtype=float)
+    f_vals = np.asarray(cdf(sample), dtype=float)
+    if f_vals.shape != sample.shape:
+        raise DataError(
+            f"the CDF returned shape {f_vals.shape} for a sample of shape {sample.shape}"
+        )
     upper = np.arange(1, count + 1) / count - f_vals
     lower = f_vals - np.arange(0, count) / count
     return float(max(upper.max(), lower.max(), 0.0))

@@ -142,7 +142,7 @@ def test_criterion_4_fast_regime_gaussian():
     sample = sample_margins(model, 10**4, 10**5, 42)
     law = limit_for(model)
     ks_values = [
-        ks_statistic(sample.normalized[:, g], law.marginal(g).cdf1) for g in range(2)
+        ks_statistic(sample.normalized[:, g], law.marginal(g).cdf) for g in range(2)
     ]
     rho = abs(float(np.corrcoef(sample.normalized, rowvar=False)[0, 1]))
     elapsed = time.monotonic() - start
@@ -159,7 +159,7 @@ def test_criterion_5_critical_convolution():
     base = PointMassMixture([([-2.0], 0.5), ([2.0], 0.5)])
     model = _contracted(base, 0.5, GROUPS_1, CLAMP)  # h = 1
     sample = sample_margins(model, 10**4, 10**5, 42)
-    mixture_cdf = lambda x: 0.5 * float(ndtr(x + 2.0)) + 0.5 * float(ndtr(x - 2.0))
+    mixture_cdf = lambda x: 0.5 * ndtr(x + 2.0) + 0.5 * ndtr(x - 2.0)
     ks = ks_statistic(sample.normalized[:, 0], mixture_cdf)
     elapsed = time.monotonic() - start
     record(5, "critical contraction: Gaussian-mixture limit", ks < 0.01 and elapsed < 60.0,
@@ -171,7 +171,7 @@ def test_criterion_6_subcritical_base_limit_and_alpha():
     model = _contracted(UniformBox([-1.0], [1.0]), 0.15, GROUPS_1, CLAMP)
     sample = sample_margins(model, 10**6, 10**5, 42)
     assert sample.gamma[0] == pytest.approx((10**6) ** 0.85)
-    uniform_cdf = lambda x: float(np.clip((x + 1.0) / 2.0, 0.0, 1.0))
+    uniform_cdf = lambda x: np.clip((x + 1.0) / 2.0, 0.0, 1.0)
     ks = ks_statistic(sample.normalized[:, 0], uniform_cdf)
     points = []
     for n in (10**3, 10**4, 10**5, 10**6):
@@ -196,7 +196,7 @@ def test_criterion_7_three_cluster_limit():
     sample = sample_margins(model, 30000, 10**5, 42)
     law = limit_for(model)
     assert law.kind == "cluster"
-    ks = ks_statistic(sample.normalized[:, 0], law.marginal(0).cdf1)
+    ks = ks_statistic(sample.normalized[:, 0], law.marginal(0).cdf)
     cross = cf_factorization_discrepancy(sample.normalized, [0], [1, 2])
     elapsed = time.monotonic() - start
     record(
@@ -247,7 +247,7 @@ def test_criterion_10_negative_controls():
 
     subcritical = _contracted(UniformBox([-1.0], [1.0]), 0.15, GROUPS_1, CLAMP)
     sample = sample_margins(subcritical, 10**6, 10**5, 42)
-    ks = ks_statistic(sample.normalized[:, 0], lambda x: float(ndtr(x)))
+    ks = ks_statistic(sample.normalized[:, 0], ndtr)
     control_b = ks > 0.1
     elapsed = time.monotonic() - start
     record(

@@ -292,7 +292,7 @@ def test_sampler_beta_zero_matches_binomial():
     from votelim.verify import ks_statistic
 
     root = math.sqrt(n)
-    cdf = lambda x: float(binom.cdf(round((x * root + n) / 2), n, 0.5))
+    cdf = lambda x: binom.cdf(np.round((x * root + n) / 2), n, 0.5)
     assert ks_statistic(sample.normalized[:, 0], cdf) < 0.01
 
 

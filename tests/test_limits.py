@@ -8,10 +8,20 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from votelim import (
+    CLAMP,
     ConfigError,
+    ContractedSequence,
+    DeFinettiModel,
     ExplicitSchedule,
+    Gaussian,
+    GroupStructure,
     LimitLaw,
+    Mixture,
+    PointMassMixture,
+    PowerLawSchedule,
     Product,
+    UniformBox,
+    UnsupportedMeasureError,
     conditional_cf,
     limit_cdf,
     limit_cf,
@@ -45,14 +55,14 @@ def test_critical_dispatch_with_point_mass_is_gaussian():
     gauss = LimitLaw.standard_gaussian(1)
     for t in np.linspace(-3, 3, 13):
         assert law.cf([t]) == pytest.approx(gauss.cf([t]), abs=1e-14)
-    assert law.cdf1(0.7) == pytest.approx(float(ndtr(0.7)), abs=1e-12)
+    assert law.cdf(np.array([0.7]))[0] == pytest.approx(float(ndtr(0.7)), abs=1e-12)
 
 
 def test_subcritical_dispatch_returns_base_measure():
     model = contracted(UNIFORM_1, 0.15)
     law = limit_for(model)
     assert law.kind == "base"
-    assert law.cdf1(0.0) == 0.5
+    assert law.cdf(np.array([0.0]))[0] == 0.5
     gamma, regimes = model.normalization(10**4)
     assert regimes == ("subcritical",)
     assert gamma[0] == pytest.approx((10**4) ** 0.85)
@@ -140,28 +150,129 @@ def test_gaussian_cdf_at_origin():
 
 def test_convolution_with_symmetric_atoms_at_origin():
     law = LimitLaw.convolution(TWO_ATOM_2)
-    assert law.cdf1(0.0) == pytest.approx(0.5, abs=1e-14)
+    assert law.cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_convolution_cdf_closed_form():
     law = LimitLaw.convolution(TWO_ATOM_2)
     expected = 0.5 * ndtr(4.0) + 0.5 * ndtr(0.0)
-    assert law.cdf1(2.0) == pytest.approx(float(expected), abs=1e-13)
+    assert law.cdf(np.array([2.0]))[0] == pytest.approx(float(expected), abs=1e-13)
 
 
 def test_convolution_cdf_with_uniform_base_matches_quadrature_oracle():
     law = LimitLaw.convolution(UNIFORM_1)
     x = 0.8
     expected, _ = quad(lambda y: ndtr(x - y) / 2.0, -1, 1, epsabs=1e-13)
-    assert law.cdf1(x) == pytest.approx(expected, abs=1e-11)
+    assert law.cdf(np.array([x]))[0] == pytest.approx(expected, abs=1e-11)
 
 
 def test_cdf_monotone_with_correct_limits():
     law = LimitLaw.convolution(UNIFORM_1)
     grid = np.linspace(-8, 8, 33)
-    values = [law.cdf1(x) for x in grid]
+    values = law.cdf(grid)
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[0] < 1e-8 and values[-1] > 1 - 1e-8
+
+
+# -- array CDFs against per-point references ---------------------------------------
+
+def _phi(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def reference_cdf(dist, x):
+    """CDF of a 1-D measure or limit law at one point, written out per kind."""
+    if isinstance(dist, LimitLaw):
+        if not dist.gauss_mask[0]:
+            return reference_cdf(dist.base, x)
+        if dist.base is None:
+            return _phi(x)
+        if isinstance(dist.base, PointMassMixture):
+            return sum(w * _phi(x - a) for (a,), w in zip(dist.base.locations, dist.base.weights))
+        lo, hi = float(dist.base.lower[0]), float(dist.base.upper[0])
+        value, _ = quad(lambda y: _phi(x - y), lo, hi, epsabs=1e-14)
+        return value / (hi - lo)
+    if isinstance(dist, PointMassMixture):
+        return sum(w for (a,), w in zip(dist.locations, dist.weights) if a <= x)
+    if isinstance(dist, UniformBox):
+        lo, hi = float(dist.lower[0]), float(dist.upper[0])
+        return min(max((x - lo) / (hi - lo), 0.0), 1.0)
+    if isinstance(dist, Gaussian):
+        mean, var = float(dist.mean[0]), float(dist.covariance[0, 0])
+        if var == 0.0:
+            return 1.0 if x >= mean else 0.0
+        return _phi((x - mean) / math.sqrt(var))
+    if isinstance(dist, Product):
+        return reference_cdf(dist.factors[0], x)
+    return sum(w * reference_cdf(c, x) for c, w in zip(dist.components, dist.weights))
+
+
+# atoms listed out of order, one location repeated
+SCRAMBLED_ATOMS = PointMassMixture([([1.5], 0.2), ([-2.0], 0.3), ([0.3], 0.1), ([1.5], 0.4)])
+DEGENERATE_GAUSS = Gaussian([0.3], [[0.0]])
+BOX_MIX = Mixture([(UniformBox([-1.0], [3.0]), 0.4), (SCRAMBLED_ATOMS, 0.6)])
+THREE_REGIMES = limit_for(
+    DeFinettiModel(
+        GroupStructure(3, [1 / 3, 1 / 3, 1 / 3]),
+        ContractedSequence(
+            Product([SCRAMBLED_ATOMS, UniformBox([-1.0], [2.0]), BOX_MIX]),
+            PowerLawSchedule([1.0, 0.8, 1.0], [0.75, 0.5, 0.15]),
+        ),
+        CLAMP,
+    )
+)
+
+ARRAY_CDF_CASES = {
+    "atoms": SCRAMBLED_ATOMS,
+    "box": UniformBox([-1.0], [3.0]),
+    "gauss": Gaussian([0.5], [[2.0]]),
+    "gauss-degenerate": DEGENERATE_GAUSS,
+    "product": Product([Gaussian([-0.2], [[0.5]])]),
+    "mixture": Mixture([(BOX_MIX, 0.5), (DEGENERATE_GAUSS, 0.5)]),
+    "law-gaussian": LimitLaw.standard_gaussian(1),
+    "law-conv-atoms": LimitLaw.convolution(SCRAMBLED_ATOMS),
+    "law-conv-uniform": LimitLaw.convolution(UniformBox([-1.0], [2.0])),
+    "law-base": LimitLaw.base_limit(BOX_MIX),
+    "law-cluster-fast": THREE_REGIMES.marginal(0),
+    "law-cluster-critical": THREE_REGIMES.marginal(1),
+    "law-cluster-subcritical": THREE_REGIMES.marginal(2),
+}
+
+
+@pytest.mark.parametrize("dist", ARRAY_CDF_CASES.values(), ids=ARRAY_CDF_CASES.keys())
+def test_array_cdf_matches_per_point_reference(dist):
+    # unsorted, with duplicates, atoms (-2, 0.3, 1.5) and box ends (-1, 3) hit exactly
+    xs = np.array([0.3, -2.0, 10.0, 1.5, -2.0, 0.0, -3.0, 0.3, 3.0, -1.0, 2.9, -0.7, 1.5])
+    values = dist.cdf(xs)
+    assert values.shape == xs.shape
+    expected = [reference_cdf(dist, float(x)) for x in xs]
+    assert values == pytest.approx(expected, abs=1e-12)
+
+
+def test_array_cdf_rejects_multivariate_measure():
+    with pytest.raises(UnsupportedMeasureError):
+        UniformBox([-1.0, -1.0], [1.0, 1.0]).cdf(np.zeros(3))
+
+
+def test_convolution_cdf_matches_quadrature_oracle_on_grid():
+    law = LimitLaw.convolution(UNIFORM_1)
+    grid = np.linspace(-8, 8, 33)
+    expected = [quad(lambda y: ndtr(x - y) / 2.0, -1, 1, epsabs=1e-13)[0] for x in grid]
+    assert law.cdf(grid) == pytest.approx(expected, abs=1e-11)
+
+
+def test_convolution_cdf_refines_over_every_point():
+    # nodes that suffice at the leftmost point (where Phi(x - y) vanishes on
+    # the whole box) are far too coarse at the centre of a wide box
+    half = 100.0
+    law = LimitLaw.convolution(UniformBox([-half], [half]))
+    grid = np.linspace(-1.5 * half, 1.5 * half, 61)
+
+    def antiderivative(z):  # of Phi: z Phi(z) + phi(z)
+        return z * ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    expected = (antiderivative(grid + half) - antiderivative(grid - half)) / (2.0 * half)
+    assert law.cdf(grid) == pytest.approx(expected, abs=1e-11)
 
 
 def test_multid_cdf_sampling_backend():
@@ -213,8 +324,9 @@ def gil_pelaez_cdf(cf, x, t_max=40.0, nodes=3000):
     ids=["gaussian", "conv-atoms", "conv-uniform"],
 )
 def test_cf_inversion_reproduces_cdf(law):
-    for x in np.linspace(-3.5, 3.5, 8):
-        assert gil_pelaez_cdf(law.cf, x) == pytest.approx(law.cdf1(x), abs=1e-6)
+    grid = np.linspace(-3.5, 3.5, 8)
+    for x, value in zip(grid, law.cdf(grid)):
+        assert gil_pelaez_cdf(law.cf, x) == pytest.approx(value, abs=1e-6)
 
 
 # -- single-voter conditional CF ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -25,6 +27,7 @@ from votelim import (
     pair_correlation,
     sample_margins,
 )
+from votelim.models import CSV_CHUNK
 from conftest import (
     GAUSS_1,
     GROUPS_1,
@@ -250,6 +253,30 @@ def test_margin_sample_csv_roundtrip(tmp_path):
     idx, group, raw, norm = lines[1].split(",")
     assert (int(idx), int(group)) == (0, 0)
     assert float(norm) == pytest.approx(int(raw) / s.gamma[0])
+
+
+def _reference_csv_bytes(sample) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sample_index", "group", "raw_margin", "normalized_margin"])
+    for i in range(sample.count):
+        for g in range(len(sample.group_sizes)):
+            writer.writerow([i, g, int(sample.raw[i, g]), repr(float(sample.normalized[i, g]))])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("count", [37, CSV_CHUNK, 2 * CSV_CHUNK + 5])
+def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
+    # chunk edges: fewer samples than one chunk, exactly one, and a ragged tail
+    groups = GroupStructure(m, [1.0 / m] * m)
+    base = UniformBox([-1.0] * m, [1.0] * m)
+    model = DeFinettiModel(groups, StaticSequence(base), CLAMP)
+    sample = sample_margins(model, 30 * m, count, 11)
+    assert (sample.normalized < 0).any() and (sample.normalized > 0).any()
+    path = tmp_path / "margins.csv"
+    sample.to_csv(path)
+    assert path.read_bytes() == _reference_csv_bytes(sample)
 
 
 # -- summary statistics --------------------------------------------------------------------

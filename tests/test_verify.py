@@ -34,21 +34,29 @@ from conftest import UNIFORM_1, contracted, static_delta0, GROUPS_1
 def test_ks_on_stratified_quantiles_is_tiny():
     n = 1000
     sample = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    assert ks_statistic(sample, lambda x: float(ndtr(x))) <= 1.0 / (2 * n) + 1e-12
+    assert ks_statistic(sample, ndtr) <= 1.0 / (2 * n) + 1e-12
 
 
 def test_ks_constant_sample_against_normal():
-    assert ks_statistic(np.zeros(100), lambda x: float(ndtr(x))) == pytest.approx(0.5)
+    assert ks_statistic(np.zeros(100), ndtr) == pytest.approx(0.5)
 
 
 def test_ks_separated_supports_approach_one():
     sample = np.full(1000, -50.0)
-    assert ks_statistic(sample, lambda x: float(ndtr(x))) > 0.999
+    assert ks_statistic(sample, ndtr) > 0.999
 
 
 def test_ks_rejects_empty_sample():
     with pytest.raises(DataError):
         ks_statistic([], lambda x: 0.5)
+
+
+def test_ks_rejects_cdf_of_wrong_shape():
+    # a scalar would broadcast against the sample into a plausible statistic
+    with pytest.raises(DataError, match="shape"):
+        ks_statistic(np.linspace(-1.0, 1.0, 50), lambda x: 0.5)
+    with pytest.raises(DataError, match="shape"):
+        ks_statistic(np.linspace(-1.0, 1.0, 50), lambda x: ndtr(x)[:-1])
 
 
 @given(
@@ -59,7 +67,7 @@ def test_ks_rejects_empty_sample():
 @settings(max_examples=40)
 def test_ks_affine_equivariance(values, scale, shift):
     sample = np.asarray(values)
-    base_cdf = lambda x: float(ndtr(x))
+    base_cdf = ndtr
     direct = ks_statistic(sample, base_cdf)
     transformed = ks_statistic(
         scale * sample + shift, lambda x: base_cdf((x - shift) / scale)
@@ -231,6 +239,6 @@ def test_baseline_model_passes_all_three_statistics():
     model = static_delta0()
     sample = sample_margins(model, 10**4, 10**5, 42)
     law = LimitLaw.standard_gaussian(1)
-    assert ks_statistic(sample.normalized[:, 0], law.cdf1) < 0.01
+    assert ks_statistic(sample.normalized[:, 0], law.cdf) < 0.01
     assert ecf_distance(sample.normalized[:, 0], law) < 0.02
     assert llt_sup_error(model, 10**4) < 0.01

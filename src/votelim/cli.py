@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("resource guard: the run ran out of memory", file=sys.stderr)
+        return 3
     except VotelimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

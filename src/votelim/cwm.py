@@ -356,22 +356,13 @@ class CompactMixingDensity:
                     lower[g], upper[g] = delta, 1.0
                 else:
                     lower[g], upper[g] = -1.0, -delta
-                total += self._refine_relative(lower, upper, rtol=rtol)
+                value, _ = refine_until_stable(
+                    lambda level: np.array([self._box_integral(lower, upper, level)]),
+                    tol=1e-300,
+                    rtol=rtol,
+                )
+                total += float(value[0])
         return total
-
-    def _refine_relative(self, lower, upper, start=64, cap=4096, rtol=1e-9) -> float:
-        prev = self._box_integral(lower, upper, start)
-        level = 2 * start
-        while level <= cap:
-            cur = self._box_integral(lower, upper, level)
-            if abs(cur - prev) <= max(1e-300, rtol * abs(cur)):
-                return cur
-            prev = cur
-            level *= 2
-        raise QuadratureError(
-            f"tail integral over [{lower}, {upper}] did not stabilize "
-            f"(last change {abs(cur - prev):g})"
-        )
 
 
 def compact_representation(

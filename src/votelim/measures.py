@@ -481,7 +481,11 @@ def bias_map(name: str):
 
 
 def apply_bias_map(bmap, m):
-    """Apply a bias map to a latent bias vector; result lies in [-1, 1]^M."""
+    """Apply a bias map to a latent bias vector; result lies in [-1, 1]^M.
+
+    Every bias map acts componentwise, so it keeps independent coordinates
+    independent (the exact layer relies on this).
+    """
     return bmap(np.asarray(m, dtype=float))
 
 

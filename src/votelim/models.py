@@ -11,6 +11,7 @@ oracle, and a seeded block-parallel Monte Carlo sampler.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,16 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigError, ResourceError
-from .measures import BaseMeasure, apply_bias_map
+from .measures import (
+    CLAMP,
+    BaseMeasure,
+    Gaussian,
+    Mixture,
+    PointMassMixture,
+    Product,
+    UniformBox,
+    apply_bias_map,
+)
 from .quadrature import refine_until_stable
 
 LATTICE_GUARD = 10**7
@@ -240,19 +250,24 @@ def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     return stats.binom.pmf(np.arange(n_g + 1), n_g, p[:, None])
 
 
+def _mix_tables(weights: np.ndarray, tables) -> np.ndarray:
+    """sum_q weights[q] * prod_g tables[g][q, j_g], an array over (j_1, ..., j_M)."""
+    letters = "".join(chr(ord("a") + g) for g in range(len(tables)))
+    subs = ",".join(["q"] + ["q" + c for c in letters]) + "->" + letters
+    return np.einsum(subs, weights, *tables, optimize=True)
+
+
 def _pmf_from_nodes(points, weights, sizes, bmap, chunk_target=2_000_000) -> np.ndarray:
     """Mix conditional binomial laws over weighted bias nodes."""
     m_bar = apply_bias_map(bmap, points)
     p = 0.5 * (1.0 + m_bar)
     shape = tuple(s + 1 for s in sizes)
     acc = np.zeros(shape)
-    letters = [chr(ord("a") + g) for g in range(len(sizes))]
-    subs = ",".join(["q"] + ["q" + c for c in letters]) + "->" + "".join(letters)
     chunk = max(1, chunk_target // max(shape))
     for start in range(0, len(weights), chunk):
         sl = slice(start, start + chunk)
         tables = [_binom_table(s, p[sl, g]) for g, s in enumerate(sizes)]
-        acc += np.einsum(subs, np.asarray(weights)[sl], *tables, optimize=True)
+        acc += _mix_tables(np.asarray(weights)[sl], tables)
     return acc
 
 
@@ -269,15 +284,9 @@ def conditional_margin_pmf(m, groups: GroupStructure, n: int) -> MarginPmf:
         raise ConfigError("conditional bias must lie in [-1, 1] per component")
     sizes = groups.sizes(n)
     _guard_lattice(sizes)
-    probs = _pmf_from_nodes(m[None, :], np.array([1.0]), sizes, _IdentityBias())
+    # CLAMP is the identity on the [-1, 1] checked above
+    probs = _pmf_from_nodes(m[None, :], np.array([1.0]), sizes, CLAMP)
     return MarginPmf(sizes, probs)
-
-
-class _IdentityBias:
-    name = "identity"
-
-    def __call__(self, m):
-        return m
 
 
 def _guard_lattice(sizes) -> None:
@@ -288,8 +297,6 @@ def _guard_lattice(sizes) -> None:
 
 
 def _is_atomic(measure: BaseMeasure) -> bool:
-    from .measures import Mixture, PointMassMixture, Product
-
     if isinstance(measure, PointMassMixture):
         return True
     if isinstance(measure, Product):
@@ -299,12 +306,34 @@ def _is_atomic(measure: BaseMeasure) -> bool:
     return False
 
 
+def _factorizes(measure: BaseMeasure) -> bool:
+    """True if the measure's type makes its coordinates independent."""
+    if isinstance(measure, (Product, UniformBox)):
+        return True
+    if isinstance(measure, Gaussian):
+        cov = measure.covariance
+        return not np.any(cov[~np.eye(measure.dim, dtype=bool)])
+    return False
+
+
+def _integrate(measure: BaseMeasure, integrand, tol: float) -> np.ndarray:
+    """``integrand(points, weights)`` on mu's nodes: summed once if atomic, else refined."""
+    if _is_atomic(measure):
+        return integrand(*measure.quad_nodes(0))
+    values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)), tol=tol)
+    return values
+
+
 def exact_margin_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
     """Exact margin law: the conditional binomial law mixed over mu_n.
 
     Atomic mixing measures are summed exactly; continuous ones use
     Gauss-Legendre nodes doubled until no pmf entry moves by more than
-    ``tol``.  Guarded by the lattice-size resource limit.
+    ``tol``.  When mu_n has independent coordinates (a ``Product``, a
+    ``UniformBox`` or a diagonal ``Gaussian``), the bias map, which acts
+    componentwise, keeps them independent: the law is the outer product of
+    one 1-D mixed binomial law per group.  Any other measure is integrated
+    on its joint tensor grid.  Guarded by the lattice-size resource limit.
     """
     sizes = model.groups.sizes(n)
     _guard_lattice(sizes)
@@ -313,64 +342,64 @@ def exact_margin_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margi
 
         return cwm.definetti_margin_pmf(model.sequence.coupling, model.groups, n, tol=tol)
     measure = model.mixing_measure(n)
-    if _is_atomic(measure):
-        points, weights = measure.quad_nodes(0)
-        probs = _pmf_from_nodes(points, weights, sizes, model.bias_map)
-        return MarginPmf(sizes, probs)
 
-    def at_level(level: int) -> np.ndarray:
-        points, weights = measure.quad_nodes(level)
-        return _pmf_from_nodes(points, weights, sizes, model.bias_map)
+    def mixed_law(mu: BaseMeasure, lattice) -> np.ndarray:
+        def integrand(points, weights):
+            return _pmf_from_nodes(points, weights, lattice, model.bias_map)
 
-    probs, _ = refine_until_stable(at_level, tol=tol)
-    return MarginPmf(sizes, probs)
+        return _integrate(mu, integrand, tol)
+
+    if _factorizes(measure):
+        laws = [mixed_law(measure.marginal([g]), (s,)) for g, s in enumerate(sizes)]
+        return MarginPmf(sizes, functools.reduce(np.multiply.outer, laws))
+    return MarginPmf(sizes, mixed_law(measure, sizes))
+
+
+def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
+    """Row q sums the probabilities of all 2^n_g vote vectors of one group by +1 count.
+
+    Each vote vector's probability is built voter by voter as a product of
+    factors p[q] (a +1 vote) and 1 - p[q] (a -1 vote), so the count
+    distribution arises from enumeration alone, with no binomial coefficients.
+    """
+    prob = np.empty((len(p), 1 << n_g))
+    prob[:, 0] = 1.0
+    plus = np.zeros(1 << n_g, dtype=np.int64)
+    for voter in range(n_g):
+        # vectors h..2h-1 extend vectors 0..h-1 with a +1 vote of this voter
+        h = 1 << voter
+        np.multiply(prob[:, :h], p[:, None], out=prob[:, h : 2 * h])
+        prob[:, :h] *= (1.0 - p)[:, None]
+        plus[h : 2 * h] = plus[:h] + 1
+    return prob @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
 
 
 def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
     """Independent oracle: enumerate every one of the 2^n vote configurations.
 
-    Each configuration's probability is the product of per-voter factors
-    integrated against mu_n; no binomial coefficients enter.  Intended to
-    cross-check exact_margin_pmf on small instances.
+    Voters are independent given the bias vector, across groups as well as
+    within them, so the 2^n configurations are enumerated group by group:
+    at every joint quadrature node of mu_n, each of the 2^{n_g} vote
+    vectors of group g gets the product of its per-voter factors
+    p_g^plus (1 - p_g)^minus, and these are binned into a table over the
+    group's +1 count.  The per-node tables are multiplied across groups and
+    summed with the node weights.  No binomial coefficients enter.
+    Intended to cross-check exact_margin_pmf on small instances.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")
     sizes = model.groups.sizes(n)
-    m_groups = model.groups.m
-
-    n_configs = 1 << n
-    bits = (np.arange(n_configs, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    indicator = np.zeros((n, m_groups))
-    start = 0
-    for g, s in enumerate(sizes):
-        indicator[start : start + s, g] = 1.0
-        start += s
-    plus_counts = (bits @ indicator).astype(np.int64)  # +1 votes per group
-    minus_counts = np.asarray(sizes, dtype=np.int64) - plus_counts
-    strides = np.cumprod([1] + [s + 1 for s in sizes[::-1]][:-1])[::-1].astype(np.int64)
-    flat_idx = plus_counts @ strides
+    chunk = max(1, 4_000_000 // 2 ** max(sizes))
 
     def accumulate(points, weights) -> np.ndarray:
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, points))
-        total = np.zeros(n_configs)
-        interior = np.all((p > 0.0) & (p < 1.0), axis=1)
-        if np.any(interior):
-            logp = np.log(p[interior])
-            log1mp = np.log1p(-p[interior])
-            w_int = np.asarray(weights)[interior]
-            chunk = max(1, 4_000_000 // n_configs)
-            for s0 in range(0, len(w_int), chunk):
-                sl = slice(s0, s0 + chunk)
-                logw = plus_counts @ logp[sl].T + minus_counts @ log1mp[sl].T
-                total += np.exp(logw) @ w_int[sl]
-        for q in np.nonzero(~interior)[0]:
-            factor = np.ones(n_configs)
-            for g in range(m_groups):
-                factor *= p[q, g] ** plus_counts[:, g]
-                factor *= (1.0 - p[q, g]) ** minus_counts[:, g]
-            total += weights[q] * factor
-        probs = np.bincount(flat_idx, weights=total, minlength=math.prod(s + 1 for s in sizes))
-        return probs.reshape(tuple(s + 1 for s in sizes))
+        weights = np.asarray(weights)
+        acc = np.zeros(tuple(s + 1 for s in sizes))
+        for start in range(0, len(weights), chunk):
+            sl = slice(start, start + chunk)
+            tables = [_enumerated_count_table(s, p[sl, g]) for g, s in enumerate(sizes)]
+            acc += _mix_tables(weights[sl], tables)
+        return acc
 
     if model.sequence.kind == "curie-weiss":
         from . import cwm
@@ -384,17 +413,7 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
         probs, _ = refine_until_stable(at_level, tol=tol)
         return MarginPmf(sizes, probs)
 
-    measure = model.mixing_measure(n)
-    if _is_atomic(measure):
-        points, weights = measure.quad_nodes(0)
-        return MarginPmf(sizes, accumulate(points, weights))
-
-    def at_level(level: int) -> np.ndarray:
-        points, weights = measure.quad_nodes(level)
-        return accumulate(points, weights)
-
-    probs, _ = refine_until_stable(at_level, tol=tol)
-    return MarginPmf(sizes, probs)
+    return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate, tol))
 
 
 # -- sampling -------------------------------------------------------------------
@@ -551,6 +570,8 @@ def pair_correlation(model: DeFinettiModel, n: int, tol: float = 1e-12) -> np.nd
     """E[m_bar_g^2] per group, which equals the within-group pair correlation.
 
     Under the conditional product law, E X_g1 X_g2 = E[(E_m X)^2] = E[m_bar^2].
+    The moment of group g depends only on coordinate g's marginal of mu_n,
+    so it is integrated in one dimension for every measure.
     """
     if model.sequence.kind == "curie-weiss":
         from . import cwm
@@ -562,9 +583,6 @@ def pair_correlation(model: DeFinettiModel, n: int, tol: float = 1e-12) -> np.nd
         m_bar = apply_bias_map(model.bias_map, points)
         return np.asarray(weights) @ (m_bar**2)
 
-    if _is_atomic(measure):
-        return second_moment(*measure.quad_nodes(0))
-    values, _ = refine_until_stable(
-        lambda level: second_moment(*measure.quad_nodes(level)), tol=tol
+    return np.concatenate(
+        [_integrate(measure.marginal([g]), second_moment, tol) for g in range(measure.dim)]
     )
-    return values

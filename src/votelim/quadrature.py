@@ -14,11 +14,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, ResourceError
 
 DEFAULT_START = 64
 DEFAULT_CAP = 4096
 DEFAULT_TOL = 1e-12
+
+#: most nodes one tensor rule may have: level**dim above this raises
+#: ResourceError before any allocation (64**4 nodes in 4-D would need 512 MiB
+#: of points alone).  Every rule the package needs in practice stays below it.
+NODE_GUARD = 2**22
 
 
 @functools.lru_cache(maxsize=64)
@@ -42,10 +47,16 @@ def tensor_rule(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns points of shape (n**d, d) and the matching weight vector, so
     that sum(w * f(points)) approximates the integral of f over the box.
+    Raises ResourceError when n**d exceeds ``NODE_GUARD``.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     dim = lower.size
+    if n**dim > NODE_GUARD:
+        raise ResourceError(
+            f"tensor rule with {n} nodes in each of {dim} dimensions exceeds "
+            f"the budget of {NODE_GUARD} nodes"
+        )
     axes = [interval_rule(lower[k], upper[k], n) for k in range(dim)]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -58,24 +69,27 @@ def refine_until_stable(
     start: int = DEFAULT_START,
     cap: int = DEFAULT_CAP,
     tol: float = DEFAULT_TOL,
+    rtol: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Evaluate at doubling node counts until the result stabilizes.
 
     ``evaluate(level)`` must return an array that approaches a limit as the
     per-dimension node count ``level`` grows.  Accepts the finer result once
-    the max-abs difference between consecutive levels is at most ``tol``.
-    Raises QuadratureError with diagnostics if the cap is exhausted.
+    every entry moved by at most ``max(tol, rtol * |finer entry|)`` between
+    consecutive levels, and returns it with the max-abs change.  Raises
+    QuadratureError with diagnostics if the cap is exhausted.
     """
     prev = np.asarray(evaluate(start))
     level = 2 * start
     while level <= cap:
         cur = np.asarray(evaluate(level))
-        delta = float(np.max(np.abs(cur - prev))) if cur.size else 0.0
-        if delta <= tol:
+        change = np.abs(cur - prev)
+        delta = float(np.max(change)) if cur.size else 0.0
+        if np.all(change <= np.maximum(tol, rtol * np.abs(cur))):
             return cur, delta
         prev = cur
         level *= 2
     raise QuadratureError(
-        f"quadrature did not stabilize to {tol:g}: last doubling "
-        f"({level // 2} nodes/dim) still changed entries by {delta:g}"
+        f"quadrature did not stabilize to tol={tol:g}, rtol={rtol:g}: last "
+        f"doubling ({level // 2} nodes/dim) still changed entries by {delta:g}"
     )

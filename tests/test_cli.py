@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+import votelim.cli as cli
 from votelim import ConfigError, DataError
 from votelim.cli import ingest_margins, main, run
 from votelim.config import canonical_json, config_from_dict, config_hash, load_config
@@ -94,6 +95,17 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["verify-llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_memory_error_maps_to_resource_exit_code(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc()))
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_subcommand_must_match_config(tmp_path):

@@ -15,8 +15,12 @@ from votelim import (
     ContractedSequence,
     DeFinettiModel,
     ExplicitSchedule,
+    Gaussian,
     GroupStructure,
+    Mixture,
     PointMassMixture,
+    PowerLawSchedule,
+    Product,
     ResourceError,
     StaticSequence,
     UniformBox,
@@ -27,7 +31,9 @@ from votelim import (
     pair_correlation,
     sample_margins,
 )
+from votelim import models
 from votelim.models import CSV_CHUNK
+from votelim.quadrature import refine_until_stable
 from conftest import (
     GAUSS_1,
     GROUPS_1,
@@ -325,8 +331,6 @@ def test_pair_correlation_decreases_toward_zero():
 # -- mixed and multi-group edge paths -------------------------------------------------
 
 def test_mixed_atomic_continuous_mixture_both_routes():
-    from votelim import Mixture
-
     mix = Mixture(
         [
             (PointMassMixture([([0.0], 1.0)]), 0.4),
@@ -350,3 +354,175 @@ def test_two_group_conditional_pmf_matches_enumeration():
         oracle[key] = oracle.get(key, 0.0) + prob
     worst = max(abs(pmf.prob(list(k)) - p) for k, p in oracle.items())
     assert worst < 1e-14
+
+
+# -- group-factored exact layer ----------------------------------------------------------
+
+GROUPS_3 = GroupStructure(3, [1 / 3, 1 / 3, 1 / 3])
+MIXED_REGIMES = PowerLawSchedule([1.0, 1.0, 1.0], [0.75, 0.5, 0.15])
+
+
+def _joint(model):
+    """The same model with mu wrapped in a one-component Mixture, a type that
+    never factorizes, so its law is integrated on the joint tensor grid."""
+    seq = model.sequence
+    wrapped = Mixture([(seq.base, 1.0)])
+    if seq.kind == "static":
+        return DeFinettiModel(model.groups, StaticSequence(wrapped), model.bias_map)
+    return DeFinettiModel(
+        model.groups, ContractedSequence(wrapped, seq.schedule), model.bias_map
+    )
+
+
+def _route_dims(monkeypatch, model, n):
+    """Lattice dimensions of every binomial mixing pass exact_margin_pmf makes."""
+    dims = []
+    real = models._pmf_from_nodes
+
+    def spy(points, weights, sizes, bmap):
+        dims.append(len(sizes))
+        return real(points, weights, sizes, bmap)
+
+    monkeypatch.setattr(models, "_pmf_from_nodes", spy)
+    pmf = exact_margin_pmf(model, n)
+    monkeypatch.undo()
+    return pmf, dims
+
+
+PRODUCT_FORM_CASES = {
+    "box-m2": (contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75), 10),
+    "box-m3": (
+        DeFinettiModel(
+            GROUPS_3, ContractedSequence(UniformBox([-1.0] * 3, [1.0] * 3), MIXED_REGIMES), CLAMP
+        ),
+        7,
+    ),
+    "diag-gaussian-tanh": (
+        contracted(Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]]), 0.5, bias=TANH),
+        10,
+    ),
+    "mixed-product": (
+        DeFinettiModel(
+            GROUPS_3,
+            ContractedSequence(
+                Product([UNIFORM_1, GAUSS_1, PointMassMixture([([-0.8], 0.5), ([0.8], 0.5)])]),
+                MIXED_REGIMES,
+            ),
+            TANH,
+        ),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_FORM_CASES))
+def test_product_form_law_matches_joint_tensor_route(monkeypatch, case):
+    model, n = PRODUCT_FORM_CASES[case]
+    pmf, dims = _route_dims(monkeypatch, model, n)
+    assert dims and set(dims) == {1}
+    joint, joint_dims = _route_dims(monkeypatch, _joint(model), n)
+    assert set(joint_dims) == {model.groups.m}
+    assert pmf.max_abs_diff(joint) < 1e-12
+    assert abs(pmf.total() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "base, bias",
+    [
+        (PointMassMixture([([-2.0, -2.0], 0.5), ([2.0, 2.0], 0.5)]), CLAMP),
+        (Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]]), TANH),
+        (Mixture([(UniformBox([-1.0, -1.0], [1.0, 1.0]), 1.0)]), CLAMP),
+    ],
+    ids=["correlated-two-atom", "correlated-gaussian", "mixture"],
+)
+def test_dependent_measures_keep_the_joint_route(monkeypatch, base, bias):
+    model = contracted(base, 0.5, bias=bias)
+    pmf, dims = _route_dims(monkeypatch, model, 8)
+    assert set(dims) == {2}
+    assert pmf.max_abs_diff(brute_force_pmf(model, 8)) < 1e-10
+
+
+def _literal_enumeration(model, n):
+    """Sum the probability of each of the 2^n vote vectors, one at a time."""
+    sizes = model.groups.sizes(n)
+    points, weights = model.mixing_measure(n).quad_nodes(0)
+    p = 0.5 * (1.0 + model.bias_map(points))
+    group_of = np.repeat(np.arange(len(sizes)), sizes)
+    probs = np.zeros(tuple(s + 1 for s in sizes))
+    for votes in itertools.product((0, 1), repeat=n):
+        votes = np.array(votes)
+        per_voter = np.where(votes == 1, p[:, group_of], 1.0 - p[:, group_of])
+        counts = np.bincount(group_of, weights=votes, minlength=len(sizes)).astype(int)
+        probs[tuple(counts)] += weights @ per_voter.prod(axis=1)
+    return probs, p
+
+
+BRUTE_FORCE_CASES = {
+    "m1": (
+        DeFinettiModel(
+            GROUPS_1,
+            StaticSequence(PointMassMixture([([-0.3], 0.3), ([0.3], 0.3), ([0.0], 0.4)])),
+            CLAMP,
+        ),
+        7,
+    ),
+    "m2-unequal": (
+        DeFinettiModel(
+            GroupStructure(2, [0.3, 0.7]),
+            StaticSequence(PointMassMixture([([-0.4, 0.7], 0.5), ([0.4, -0.7], 0.5)])),
+            TANH,
+        ),
+        8,
+    ),
+    "m2-two-atom-clamped": (
+        contracted(PointMassMixture([([-2.0, -2.0], 0.5), ([2.0, 2.0], 0.5)]), 0.15), 8
+    ),
+    "m3-unequal-boundary": (
+        DeFinettiModel(
+            GroupStructure(3, [0.2, 0.3, 0.5]),
+            StaticSequence(
+                PointMassMixture(
+                    [([0.2, -0.6, 1.0], 0.25), ([-0.2, 0.6, -1.0], 0.25), ([0.0, 0.0, 0.0], 0.5)]
+                )
+            ),
+            CLAMP,
+        ),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
+def test_group_factored_brute_force_matches_literal_enumeration(case):
+    model, n = BRUTE_FORCE_CASES[case]
+    reference, p = _literal_enumeration(model, n)
+    if case.endswith("boundary") or case.endswith("clamped"):
+        assert np.any((p == 0.0) | (p == 1.0))
+    if case.endswith("unequal") or case.endswith("boundary"):
+        assert len(set(model.groups.sizes(n))) > 1
+    pmf = brute_force_pmf(model, n)
+    assert np.max(np.abs(pmf.probs - reference)) < 1e-15
+    assert pmf.max_abs_diff(exact_margin_pmf(model, n)) < 1e-14
+
+
+def test_pair_correlation_of_correlated_gaussian_matches_joint_route():
+    model = contracted(Gaussian([0.0, 0.0], [[1.0, 0.7], [0.7, 2.0]]), 0.5, bias=TANH)
+    n = 50
+    measure = model.mixing_measure(n)
+
+    def joint(level):
+        points, weights = measure.quad_nodes(level)
+        return weights @ np.tanh(points) ** 2
+
+    reference, _ = refine_until_stable(joint)
+    got = pair_correlation(model, n)
+    assert got.shape == (2,)
+    assert np.max(np.abs(got - reference)) < 1e-12
+
+
+def test_correlated_four_group_gaussian_hits_the_node_budget():
+    cov = 0.5 * np.eye(4) + 0.5
+    groups = GroupStructure(4, [0.25] * 4)
+    model = DeFinettiModel(groups, StaticSequence(Gaussian(np.zeros(4), cov)), TANH)
+    with pytest.raises(ResourceError, match="budget"):
+        exact_margin_pmf(model, 8)

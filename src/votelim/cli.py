@@ -17,10 +17,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .config import EXPERIMENT_KINDS, ExperimentConfig, config_from_dict, _yaml_line_map
+from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config
 from .cwm import concentration_profile, representation_equivalence_check
 from .errors import ConfigError, DataError, ResourceError, VotelimError
 from .limits import LimitLaw, limit_for
@@ -35,21 +34,6 @@ from .verify import (
     write_reports_csv,
     write_reports_jsonl,
 )
-
-
-def _load_effective_config(path: str, overrides: dict) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse {path}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    return config_from_dict(doc, _yaml_line_map(text))
 
 
 def ingest_margins(path) -> list[tuple]:
@@ -214,9 +198,8 @@ def _run_verify_cwm(cfg: ExperimentConfig, out_dir: Path) -> int:
         reports.append(
             make_report(cfg.experiment, f"representation-equivalence-n{n}", disc, eq_threshold)
         )
-    conc_grid = cfg.raw.get("concentration_grid")
-    if cfg.delta is not None and conc_grid:
-        profile = concentration_profile(spec, groups, conc_grid, cfg.delta)
+    if cfg.delta is not None and cfg.concentration_grid:
+        profile = concentration_profile(spec, groups, cfg.concentration_grid, cfg.delta)
         tails = [p.tail_mass for p in profile]
         ns = [p.n for p in profile]
         if any(t <= 0 for t in tails):
@@ -310,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_effective_config(
+        cfg = load_config(
             args.config,
             {"seed": args.seed, "workers": args.workers, "out": args.out},
         )

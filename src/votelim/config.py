@@ -44,6 +44,16 @@ EXPERIMENT_KINDS = (
     "correlation-decay",
 )
 
+#: the keys a config document may carry; any other key is an error
+TOP_LEVEL_KEYS = (
+    "experiment", "seed", "model", "n", "n_grid", "count", "workers", "out",
+    "thresholds", "input", "points", "delta", "concentration_grid",
+)
+THRESHOLD_KEYS = (
+    "target_law", "ks", "cross_correlation", "llt", "equivalence", "r2",
+    "alpha_range", "correlation",
+)
+
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -210,6 +220,7 @@ class ExperimentConfig:
     thresholds: dict = field(default_factory=dict)
     input_path: str | None = None
     delta: float | None = None
+    concentration_grid: tuple[int, ...] | None = None
 
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -220,8 +231,31 @@ _NEEDS_COUNT = {"simulate", "verify-clt"}
 _NEEDS_GRID = {"verify-llt", "correlation-decay"}
 
 
+def _reject_unknown_keys(node: _Doc, known) -> None:
+    for key in node.doc:
+        if key not in known:
+            node.error(f"unknown key {key!r}; expected one of {tuple(known)}", key)
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     root = _Doc(doc, lines)
+    _reject_unknown_keys(root, TOP_LEVEL_KEYS)
+    thresholds = doc.get("thresholds") or {}
+    if not isinstance(thresholds, dict):
+        root.error("expected a mapping of threshold names to values", "thresholds")
+    _reject_unknown_keys(_Doc(thresholds, lines, "thresholds"), THRESHOLD_KEYS)
+    delta = doc.get("delta")
+    if delta is not None and not (_is_number(delta) and 0 < delta < float("inf")):
+        root.error("delta must be a positive number", "delta")
+    grid = doc.get("concentration_grid")
+    if grid is not None and not (
+        isinstance(grid, list) and all(_is_number(x, int) and x > 0 for x in grid)
+    ):
+        root.error("concentration_grid must be a list of positive integers", "concentration_grid")
     experiment = root.require("experiment")
     if experiment not in EXPERIMENT_KINDS:
         root.error(f"unknown experiment kind {experiment!r}; expected one of {EXPERIMENT_KINDS}", "experiment")
@@ -247,9 +281,10 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         count=int(doc["count"]) if doc.get("count") is not None else None,
         workers=int(doc.get("workers", 1)),
         out=doc.get("out"),
-        thresholds=doc.get("thresholds", {}) or {},
+        thresholds=thresholds,
         input_path=doc.get("input"),
-        delta=doc.get("delta"),
+        delta=delta,
+        concentration_grid=tuple(grid) if grid is not None else None,
     )
     if experiment in _NEEDS_COUNT and not cfg.count:
         root.error("this experiment needs a sample count", "count")
@@ -266,7 +301,11 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load and validate a YAML config; non-None ``overrides`` replace its top-level keys.
+
+    Errors in keys read from the file cite their line.
+    """
     with open(path) as fh:
         text = fh.read()
     try:
@@ -275,4 +314,5 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"could not parse {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    doc.update({key: value for key, value in (overrides or {}).items() if value is not None})
     return config_from_dict(doc, _yaml_line_map(text))

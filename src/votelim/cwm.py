@@ -15,8 +15,8 @@ free energy is convex with its unique minimum at the origin.
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +29,16 @@ from .models import (
     MarginSample,
     _guard_lattice,
     _pmf_from_nodes,
+    _sample_blocks,
     binomial_margins,
-    block_rng,
-    _block_sizes,
 )
 from .quadrature import refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
 REPRESENTATION_MAX_N = 16
 
-#: Metropolis settings for the latent-bias chain in dimension >= 2.  The
-#: chain count is fixed so output does not depend on the worker count.
-N_CHAINS = 8
-BURN_IN = 10_000
-THINNING = 10
+#: free-energy surfaces kept by free_energy_surface, least recently used first out
+SURFACE_CACHE_SIZE = 128
 
 #: minimum acceptable acceptance rate of the rejection envelope
 MIN_ENVELOPE_ACCEPTANCE = 0.01
@@ -194,17 +190,18 @@ class FreeEnergySurface:
         return self._normalizer
 
 
-_SURFACE_CACHE: dict = {}
-
-
 def free_energy_surface(spec: CouplingSpec, groups: GroupStructure, n: int) -> FreeEnergySurface:
-    """Shared, cached surface so normalizers are computed once per (spec, groups, n)."""
-    key = (spec._key(), groups._key(), int(n))
-    surface = _SURFACE_CACHE.get(key)
-    if surface is None:
-        surface = FreeEnergySurface(spec, groups, n)
-        _SURFACE_CACHE[key] = surface
-    return surface
+    """Shared surface, so a normalizer is computed once per (spec, groups, n).
+
+    The ``SURFACE_CACHE_SIZE`` most recently used surfaces are kept.
+    """
+    return _cached_surface((spec._key(), groups._key(), int(n)))
+
+
+@functools.lru_cache(maxsize=SURFACE_CACHE_SIZE)
+def _cached_surface(key) -> FreeEnergySurface:
+    (_, j), (_, m, proportions), n = key
+    return FreeEnergySurface(CouplingSpec(j), GroupStructure(m, proportions), n)
 
 
 def definetti_density(spec: CouplingSpec, groups: GroupStructure, n: int, x) -> float:
@@ -414,12 +411,15 @@ def sample_cwm_margins(
 ) -> MarginSample:
     """Two-stage seeded sampler for the mean-field model.
 
-    Latent biases come from exp(-n F): for one group by rejection against
-    the Gaussian envelope matching F's quadratic lower bound (the ratio
-    exp(n(ln cosh x - x^2/2)) never exceeds 1), for several groups by
-    random-walk Metropolis chains with fixed burn-in and thinning.  Vote
-    margins are then binomial given tanh of the bias.  Only validated in
-    the high-temperature regime.
+    Latent biases are i.i.d. draws from exp(-n F), by rejection against the
+    Gaussian N(0, P0^-1) that matches F's quadratic part.  Since
+    -n F(x) = -x' P0 x / 2 + n sum_g alpha_g (ln cosh x_g - x_g^2 / 2) and the
+    second term is never positive, the acceptance ratio never exceeds 1, in
+    any dimension.  Vote margins are then binomial given tanh of the bias.
+    Blocks are seeded as in ``sample_margins``, so the output is bitwise
+    identical for any worker count.  Only validated in the high-temperature
+    regime; a coupling so close to criticality that fewer than 1% of
+    proposals are accepted raises ConfigError.
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
@@ -428,31 +428,18 @@ def sample_cwm_margins(
     sizes = np.asarray(groups.sizes(n), dtype=np.int64)
 
     if spec.is_zero:
-        parts = [
-            _fair_coin_block(block_rng(seed, j), sizes, c)
-            for j, c in enumerate(_block_sizes(count))
-        ]
-        raw = np.vstack(parts)
-    elif spec.m == 1:
-        surface = free_energy_surface(spec, groups, n)
-        jobs = list(enumerate(_block_sizes(count)))
-
-        def draw(args):
-            j, c = args
-            return _rejection_block(block_rng(seed, j), surface, sizes, c)
-
-        raw = np.vstack(_run_jobs(draw, jobs, workers))
+        # J is singular and the voters are fair coins
+        def draw(rng, c):
+            return binomial_margins(rng, sizes, np.full((c, len(sizes)), 0.5))
     else:
         surface = free_energy_surface(spec, groups, n)
-        needs = [count // N_CHAINS + (1 if c < count % N_CHAINS else 0) for c in range(N_CHAINS)]
-        jobs = [(c, need) for c, need in enumerate(needs) if need > 0]
+        # x = z L' with L L' = P0^-1; P0 is positive definite in high temperature
+        scale = np.linalg.cholesky(np.linalg.inv(surface._precision0)).T
 
-        def draw(args):
-            c, need = args
-            return _metropolis_block(block_rng(seed, c), surface, sizes, need)
+        def draw(rng, c):
+            return _rejection_block(rng, surface, scale, sizes, c)
 
-        raw = np.vstack(_run_jobs(draw, jobs, workers))
-
+    raw = _sample_blocks(draw, seed, count, workers)
     gamma = np.sqrt(sizes.astype(float))
     return MarginSample(
         n=n,
@@ -465,62 +452,25 @@ def sample_cwm_margins(
     )
 
 
-def _run_jobs(draw, jobs, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(draw, jobs))
-    return [draw(job) for job in jobs]
-
-
-def _fair_coin_block(rng, sizes, count):
-    p = np.full((count, len(sizes)), 0.5)
-    return binomial_margins(rng, sizes, p)
-
-
-def _rejection_block(rng, surface: FreeEnergySurface, sizes, count):
-    sigma_env = float(surface.curvature_sigmas()[0])
+def _rejection_block(rng, surface: FreeEnergySurface, scale, sizes, count):
     n = surface.n
-    out = np.empty(count)
+    out = np.empty((count, surface.m))
     filled = proposed = accepted = 0
     while filled < count:
-        x = rng.normal(0.0, sigma_env, size=count)
-        log_ratio = n * (_log_cosh(x) - 0.5 * x**2)
+        x = rng.standard_normal((count, surface.m)) @ scale
+        log_ratio = n * ((_log_cosh(x) - 0.5 * x**2) @ surface.alpha)
         keep = x[np.log(rng.random(count)) < log_ratio]
-        take = min(keep.size, count - filled)
+        take = min(len(keep), count - filled)
         out[filled : filled + take] = keep[:take]
         filled += take
         proposed += count
-        accepted += keep.size
+        accepted += len(keep)
         if proposed >= 10_000 and accepted < MIN_ENVELOPE_ACCEPTANCE * proposed:
             raise ConfigError(
                 f"rejection envelope acceptance rate {accepted / proposed:.2%} "
                 "is below 1%; review the coupling parameters"
             )
-    p = 0.5 * (1.0 + np.tanh(out[:, None]))
-    return binomial_margins(rng, sizes, p)
-
-
-def _metropolis_block(rng, surface: FreeEnergySurface, sizes, need):
-    m = surface.m
-    n = surface.n
-    step = 2.4 / math.sqrt(m) * surface.curvature_sigmas()
-    total = BURN_IN + THINNING * need
-    increments = rng.standard_normal((total, m)) * step
-    log_u = np.log(rng.random(total))
-    x = np.zeros(m)
-    log_cur = 0.0  # -n F(0)
-    kept = np.empty((need, m))
-    k = 0
-    for t in range(total):
-        proposal = x + increments[t]
-        log_prop = -n * surface.value(proposal)
-        if log_u[t] < log_prop - log_cur:
-            x = proposal
-            log_cur = log_prop
-        if t >= BURN_IN and (t - BURN_IN) % THINNING == THINNING - 1:
-            kept[k] = x
-            k += 1
-    p = 0.5 * (1.0 + np.tanh(kept))
+    p = 0.5 * (1.0 + np.tanh(out))
     return binomial_margins(rng, sizes, p)
 
 

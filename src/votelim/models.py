@@ -480,6 +480,24 @@ def binomial_margins(rng: np.random.Generator, sizes: np.ndarray, p: np.ndarray)
     return 2 * rng.binomial(sizes[None, :], p) - sizes[None, :]
 
 
+def _sample_blocks(draw, seed: int, count: int, workers: int) -> np.ndarray:
+    """Stack ``draw(block_rng(seed, j), size_j)`` over the fixed blocks of ``count``.
+
+    Blocks may run on a thread pool; each depends only on its own stream,
+    so the stacked result is the same for every worker count.
+    """
+
+    def job(args) -> np.ndarray:
+        block, block_count = args
+        return draw(block_rng(seed, block), block_count)
+
+    jobs = list(enumerate(_block_sizes(count)))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.vstack(list(pool.map(job, jobs)))
+    return np.vstack([job(j) for j in jobs])
+
+
 def sample_margins(
     model: DeFinettiModel, n: int, count: int, seed: int, workers: int = 1
 ) -> MarginSample:
@@ -500,20 +518,12 @@ def sample_margins(
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
     measure = model.mixing_measure(n)
 
-    def draw(args) -> np.ndarray:
-        block, block_count = args
-        rng = block_rng(seed, block)
+    def draw(rng, block_count) -> np.ndarray:
         m_vals = measure.sample(rng, block_count)
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
         return binomial_margins(rng, sizes, p)
 
-    jobs = list(enumerate(_block_sizes(count)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(draw, jobs))
-    else:
-        parts = [draw(job) for job in jobs]
-    raw = np.vstack(parts)
+    raw = _sample_blocks(draw, seed, count, workers)
     gamma, regimes = model.normalization(n)
     return MarginSample(
         n=n,

@@ -114,6 +114,61 @@ def test_subcommand_must_match_config(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def _line_of(text, fragment):
+    return next(i + 1 for i, ln in enumerate(text.splitlines()) if fragment in ln)
+
+
+def test_misspelled_top_level_key_is_an_anchored_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.yaml"
+    text = yaml.safe_dump(small_clt_doc(), sort_keys=False).replace("thresholds:", "thresholdz:")
+    cfg.write_text(text)
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'thresholdz'" in err
+    assert f"line {_line_of(text, 'thresholdz')}" in err
+
+
+def test_unknown_threshold_name_is_an_anchored_error(tmp_path):
+    cfg = tmp_path / "typo.yaml"
+    text = yaml.safe_dump(small_clt_doc(thresholds={"ks": 0.08, "kss": 0.01}), sort_keys=False)
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=f"line {_line_of(text, 'kss')}: thresholds.kss: unknown key"):
+        load_config(cfg)
+    with pytest.raises(ConfigError, match="thresholds: expected a mapping"):
+        config_from_dict(small_clt_doc(thresholds=[0.08]))
+
+
+@pytest.mark.parametrize("delta", [0, -0.5, "0.5", True, float("inf")])
+def test_delta_must_be_a_positive_number(delta):
+    with pytest.raises(ConfigError, match="delta must be a positive number"):
+        config_from_dict(small_clt_doc(delta=delta))
+
+
+@pytest.mark.parametrize("grid", [[20, 0], [20, 40.5], [True], "20", 20])
+def test_concentration_grid_must_hold_positive_integers(grid):
+    with pytest.raises(ConfigError, match="concentration_grid must be a list of positive integers"):
+        config_from_dict(small_clt_doc(concentration_grid=grid))
+
+
+def test_load_config_applies_overrides_and_keeps_line_anchors(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    text = yaml.safe_dump(small_clt_doc(), sort_keys=False)
+    cfg.write_text(text)
+    loaded = load_config(cfg, {"seed": 7, "workers": 2, "out": None})
+    assert (loaded.seed, loaded.workers, loaded.out) == (7, 2, None)
+    assert loaded.hash() == config_hash({**small_clt_doc(), "seed": 7, "workers": 2})
+    cfg.write_text(text.replace("exponent: 0.75", "exponent: -0.75"))
+    with pytest.raises(ConfigError, match=f"line {_line_of(text, 'schedule')}"):
+        load_config(cfg, {"seed": 7})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_load_strictly(path):
+    overrides = {"count": 4000, "workers": 2, "thresholds": {"cross_correlation": 0.1}}
+    cfg = load_config(path, overrides)
+    assert (cfg.workers, cfg.thresholds) == (2, {"cross_correlation": 0.1})
+
+
 # -- experiment runs ---------------------------------------------------------------
 
 def test_simulate_writes_artifacts(tmp_path):

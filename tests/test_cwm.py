@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from votelim import (
     CouplingSpec,
     CurieWeissSequence,
     DeFinettiModel,
+    GroupStructure,
     ResourceError,
     TANH,
     brute_force_pmf,
@@ -25,7 +27,9 @@ from votelim import (
     sample_margins,
     single_group_free_energy,
 )
-from votelim.cwm import empirical_margin_covariance
+from votelim import cwm
+from votelim.cwm import SURFACE_CACHE_SIZE, definetti_margin_pmf, empirical_margin_covariance
+from votelim.models import SAMPLE_BLOCK
 from votelim.quadrature import tensor_rule
 from conftest import GROUPS_1, GROUPS_2
 
@@ -162,6 +166,13 @@ def test_density_needs_positive_definite_coupling():
         free_energy_surface(CouplingSpec.single_group(0.0), GROUPS_1, 8)
 
 
+def test_surface_cache_is_bounded():
+    for n in range(10, 10 + SURFACE_CACHE_SIZE + 5):
+        free_energy_surface(BETA_HALF, GROUPS_1, n)
+    info = cwm._cached_surface.cache_info()
+    assert info.currsize == info.maxsize == SURFACE_CACHE_SIZE
+
+
 def test_normalizer_cached_and_stable():
     surface = free_energy_surface(BETA_HALF, GROUPS_1, 10)
     assert surface is free_energy_surface(BETA_HALF, GROUPS_1, 10)
@@ -296,12 +307,28 @@ def test_sampler_beta_zero_matches_binomial():
     assert ks_statistic(sample.normalized[:, 0], cdf) < 0.01
 
 
+J_THREE = CouplingSpec([[0.5, 0.2, 0.1], [0.2, 0.5, 0.2], [0.1, 0.2, 0.5]])
+GROUPS_3 = GroupStructure(3, [0.5, 0.25, 0.25])
+
+
 def test_sampler_deterministic_and_worker_invariant():
-    one = sample_cwm_margins(J_TWO, GROUPS_2, 100, 400, 3, workers=1)
-    many = sample_cwm_margins(J_TWO, GROUPS_2, 100, 400, 3, workers=4)
-    assert np.array_equal(one.raw, many.raw)
-    again = sample_cwm_margins(J_TWO, GROUPS_2, 100, 400, 3)
-    assert np.array_equal(one.raw, again.raw)
+    # three blocks, the last one partial
+    count = 2 * SAMPLE_BLOCK + 100
+    for spec, groups in [(J_TWO, GROUPS_2), (J_THREE, GROUPS_3)]:
+        one = sample_cwm_margins(spec, groups, 100, count, 3, workers=1)
+        for workers in (2, 4):
+            many = sample_cwm_margins(spec, groups, 100, count, 3, workers=workers)
+            assert np.array_equal(one.raw, many.raw)
+        again = sample_cwm_margins(spec, groups, 100, count, 3)
+        assert np.array_equal(one.raw, again.raw)
+
+
+def test_single_group_sample_bits_pinned():
+    # seeded output is reproducible across releases: any change to the
+    # one-group sampler's use of its RNG stream changes this digest
+    sample = sample_cwm_margins(BETA_HALF, GROUPS_1, 101, 2000, 2)
+    digest = hashlib.sha256(sample.raw.astype("<i8").tobytes()).hexdigest()
+    assert digest == "61bc6ae22873f2660daaf36e1151a819b3d7110b0f6c144d77ffbb28cd950700"
 
 
 def test_sampler_routes_through_model_interface():
@@ -327,6 +354,49 @@ def test_sampler_requires_high_temperature():
 def test_envelope_acceptance_guard_near_criticality():
     with pytest.raises(ConfigError, match="acceptance rate"):
         sample_cwm_margins(CouplingSpec.single_group(0.99999), GROUPS_1, 10, 5000, 1)
+
+
+def _sample_tv(sample, pmf) -> float:
+    """Total variation between a sample's joint margin histogram and an exact law."""
+    index = tuple((sample.raw[:, g] + s) // 2 for g, s in enumerate(pmf.group_sizes))
+    counts = np.zeros(pmf.probs.shape)
+    np.add.at(counts, index, 1.0)
+    return 0.5 * float(np.abs(counts / sample.count - pmf.probs).sum())
+
+
+def _multinomial_tv_quantile(pmf, count, q=0.999, draws=2000) -> float:
+    """Quantile of the TV of ``count`` i.i.d. draws from the exact law itself."""
+    probs = pmf.probs.ravel() / pmf.probs.sum()
+    counts = np.random.default_rng(0).multinomial(count, probs, size=draws)
+    return float(np.quantile(0.5 * np.abs(counts / count - probs).sum(axis=1), q))
+
+
+@pytest.mark.parametrize(
+    "j, proportions",
+    [
+        ([[0.5, 0.2], [0.2, 0.5]], [0.5, 0.5]),
+        ([[0.6, 0.3], [0.3, 0.4]], [0.25, 0.75]),
+    ],
+    ids=["equal-groups", "unequal-groups"],
+)
+def test_sampler_matches_exact_law_m2(j, proportions):
+    # the joint margin histogram must be as close to the mixing-density law
+    # as i.i.d. draws from that law are: above the band's 99.9% quantile a
+    # sampler is biased or its draws are correlated
+    spec = CouplingSpec(j)
+    groups = GroupStructure(2, proportions)
+    n, count = 16, 20_000
+    pmf = definetti_margin_pmf(spec, groups, n)
+    sample = sample_cwm_margins(spec, groups, n, count, 17)
+    assert _sample_tv(sample, pmf) < _multinomial_tv_quantile(pmf, count)
+
+
+def test_envelope_acceptance_guard_near_criticality_m2():
+    # I - J is positive definite, but barely along (1, 1)
+    spec = CouplingSpec([[0.5, 0.49999], [0.49999, 0.5]])
+    assert spec.is_high_temperature
+    with pytest.raises(ConfigError, match="acceptance rate"):
+        sample_cwm_margins(spec, GROUPS_2, 10, 5000, 1)
 
 
 def test_margin_parity():

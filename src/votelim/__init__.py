@@ -23,8 +23,6 @@ from .measures import (
     UniformBox,
     apply_bias_map,
     bias_map,
-    characteristic_function,
-    contract,
     mass_in_box,
     sample,
 )
@@ -55,7 +53,7 @@ from .cwm import (
     sample_cwm_margins,
     single_group_free_energy,
 )
-from .limits import LimitLaw, conditional_cf, limit_cdf, limit_cf, limit_for
+from .limits import LimitLaw, conditional_cf, limit_cdf, limit_for
 from .verify import (
     AlphaEstimate,
     VerificationReport,

@@ -110,6 +110,13 @@ class _Doc:
             self.error(f"expected a list with at least {idx + 1} entries")
         return _Doc(self.doc[idx], self.lines, f"{self.path}[{idx}]")
 
+    def entries(self, key):
+        """The items of the list under ``key``, each anchored to its own line."""
+        items = self.child(key)
+        if not isinstance(items.doc, list):
+            items.error("expected a list")
+        return [items.item(i) for i in range(len(items.doc))]
+
     def get(self, key, default=None):
         if not isinstance(self.doc, dict):
             self.error("expected a mapping")
@@ -131,24 +138,28 @@ class _Doc:
 def _build_measure(node: _Doc):
     variant = node.require("variant")
     if variant == "point-mass-mixture":
-        atoms = node.require("atoms")
-        return node.wrap(
-            lambda: PointMassMixture([(a["location"], a["weight"]) for a in atoms]),
-            "atoms",
-        )
+        _reject_unknown_keys(node, ("variant", "atoms"))
+        atoms = []
+        for atom in node.entries("atoms"):
+            _reject_unknown_keys(atom, ("location", "weight"))
+            atoms.append((atom.require("location"), atom.require("weight")))
+        return node.wrap(lambda: PointMassMixture(atoms), "atoms")
     if variant == "uniform-box":
+        _reject_unknown_keys(node, ("variant", "lower", "upper"))
         return node.wrap(lambda: UniformBox(node.require("lower"), node.require("upper")))
     if variant == "gaussian":
+        _reject_unknown_keys(node, ("variant", "mean", "covariance"))
         return node.wrap(lambda: Gaussian(node.require("mean"), node.require("covariance")))
     if variant == "product":
-        factors = [_build_measure(node.child("factors").item(i)) for i in range(len(node.require("factors")))]
+        _reject_unknown_keys(node, ("variant", "factors"))
+        factors = [_build_measure(factor) for factor in node.entries("factors")]
         return node.wrap(lambda: Product(factors), "factors")
     if variant == "mixture":
-        components = node.require("components")
-        built = [
-            (_build_measure(node.child("components").item(i).child("measure")), components[i]["weight"])
-            for i in range(len(components))
-        ]
+        _reject_unknown_keys(node, ("variant", "components"))
+        built = []
+        for component in node.entries("components"):
+            _reject_unknown_keys(component, ("measure", "weight"))
+            built.append((_build_measure(component.child("measure")), component.require("weight")))
         return node.wrap(lambda: Mixture(built), "components")
     node.error(f"unknown measure variant {variant!r}", "variant")
 
@@ -156,10 +167,12 @@ def _build_measure(node: _Doc):
 def _build_schedule(node: _Doc):
     kind = node.require("kind")
     if kind == "power-law":
+        _reject_unknown_keys(node, ("kind", "coefficient", "exponent"))
         return node.wrap(
             lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"))
         )
     if kind == "explicit":
+        _reject_unknown_keys(node, ("kind", "table", "regimes", "h"))
         return node.wrap(
             lambda: ExplicitSchedule(
                 node.require("table"), node.require("regimes"), node.get("h")
@@ -169,6 +182,9 @@ def _build_schedule(node: _Doc):
 
 
 def _build_coupling(node: _Doc) -> CouplingSpec:
+    _reject_unknown_keys(node, ("beta", "j"))
+    if "beta" in node.doc and "j" in node.doc:
+        node.error("coupling takes either 'beta' or a matrix 'j', not both")
     if "beta" in node.doc:
         return node.wrap(lambda: CouplingSpec.single_group(node.doc["beta"]), "beta")
     if "j" in node.doc:
@@ -177,7 +193,9 @@ def _build_coupling(node: _Doc) -> CouplingSpec:
 
 
 def build_model(node: _Doc) -> DeFinettiModel:
+    _reject_unknown_keys(node, ("groups", "bias_map", "sequence"))
     groups_node = node.child("groups")
+    _reject_unknown_keys(groups_node, ("m", "proportions"))
     groups = groups_node.wrap(
         lambda: GroupStructure(groups_node.require("m"), groups_node.require("proportions"))
     )
@@ -185,10 +203,11 @@ def build_model(node: _Doc) -> DeFinettiModel:
     seq_node = node.child("sequence")
     kind = seq_node.require("kind")
     if kind == "static":
-        sequence = seq_node.wrap(
-            lambda: StaticSequence(_build_measure(seq_node.child("base"))), "base"
-        )
+        _reject_unknown_keys(seq_node, ("kind", "base"))
+        base = _build_measure(seq_node.child("base"))
+        sequence = seq_node.wrap(lambda: StaticSequence(base), "base")
     elif kind == "contracted":
+        _reject_unknown_keys(seq_node, ("kind", "base", "schedule"))
         base = _build_measure(seq_node.child("base"))
         schedule = _build_schedule(seq_node.child("schedule"))
         m = groups.m
@@ -198,6 +217,7 @@ def build_model(node: _Doc) -> DeFinettiModel:
             )
         sequence = ContractedSequence(base, schedule)
     elif kind == "curie-weiss":
+        _reject_unknown_keys(seq_node, ("kind", "coupling"))
         sequence = CurieWeissSequence(_build_coupling(seq_node.child("coupling")))
     else:
         seq_node.error(f"unknown sequence kind {kind!r}", "kind")
@@ -232,6 +252,8 @@ _NEEDS_GRID = {"verify-llt", "correlation-decay"}
 
 
 def _reject_unknown_keys(node: _Doc, known) -> None:
+    if not isinstance(node.doc, dict):
+        node.error("expected a mapping")
     for key in node.doc:
         if key not in known:
             node.error(f"unknown key {key!r}; expected one of {tuple(known)}", key)

@@ -169,11 +169,6 @@ def limit_cdf_mc(law: LimitLaw, x, count: int = 1_000_000, seed: int = 0) -> tup
     return p, se
 
 
-def limit_cf(law: LimitLaw, t) -> complex:
-    """Characteristic function of the limit law, exact by the product rule."""
-    return law.cf(t)
-
-
 def conditional_cf(m: float, t: float) -> complex:
     """Single-voter characteristic function at bias m: cos t + i m sin t."""
     if abs(m) > 1.0:

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import multivariate_normal
 
 from .errors import ConfigError, UnsupportedMeasureError
 from .quadrature import tensor_rule
@@ -254,6 +253,8 @@ class Gaussian(BaseMeasure):
                     total *= ndtr(z_hi) - ndtr(z_lo)
             return float(total)
         # correlated case: Genz quasi-Monte Carlo rectangle probability
+        from scipy.stats import multivariate_normal
+
         dist = multivariate_normal(mean=self.mean, cov=self.covariance, allow_singular=True)
         return float(np.clip(dist.cdf(upper, lower_limit=lower), 0.0, 1.0))
 
@@ -268,6 +269,8 @@ class Gaussian(BaseMeasure):
             self.mean + GAUSSIAN_BOX_SIGMAS * sigma,
             level,
         )
+        from scipy.stats import multivariate_normal
+
         dist = multivariate_normal(mean=self.mean, cov=self.covariance)
         return points, weights * dist.pdf(points.reshape(-1, self.dim))
 
@@ -424,16 +427,6 @@ def sample(measure: BaseMeasure, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ConfigError("count must be at least 1")
     return measure.sample(np.random.default_rng(seed), count)
-
-
-def characteristic_function(measure: BaseMeasure, t) -> complex:
-    """E exp(i t.X), exact for every member of the algebra."""
-    return measure.cf(t)
-
-
-def contract(measure: BaseMeasure, eps) -> BaseMeasure:
-    """Pushforward of the measure under componentwise scaling x -> eps o x."""
-    return measure.contract(eps)
 
 
 def mass_in_box(measure: BaseMeasure, lower, upper) -> float:

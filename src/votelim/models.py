@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, ResourceError
 from .measures import (
@@ -247,6 +246,8 @@ class MarginPmf:
 
 def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     """Row q is the Binomial(n_g, p[q]) pmf over 0..n_g counts."""
+    from scipy import stats
+
     return stats.binom.pmf(np.arange(n_g + 1), n_g, p[:, None])
 
 
@@ -439,19 +440,25 @@ class MarginSample:
 
         One row per (sample, group), in sample-major order, with CRLF line
         ends and ``repr`` floats (the bytes of ``csv.writer``); written
-        ``CSV_CHUNK`` samples at a time so memory stays bounded.
+        ``CSV_CHUNK`` samples at a time so memory stays bounded.  Within a
+        chunk each distinct float64 bit pattern of ``normalized`` is
+        ``repr``-ed once: margins live on a lattice, so a chunk of a large
+        group repeats few values.
         """
         m = len(self.group_sizes)
         with open(path, "w", newline="") as fh:
             fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
             for start in range(0, self.count, CSV_CHUNK):
                 stop = min(start + CSV_CHUNK, self.count)
+                chunk = np.ascontiguousarray(self.normalized[start:stop], dtype=np.float64)
+                keys, inverse = np.unique(chunk.reshape(-1).view(np.int64), return_inverse=True)
+                texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
                 fh.write("".join(map(
-                    "{},{},{},{!r}\r\n".format,
+                    "{},{},{},{}\r\n".format,
                     np.repeat(np.arange(start, stop), m).tolist(),
                     np.tile(np.arange(m), stop - start).tolist(),
                     self.raw[start:stop].astype(np.int64).reshape(-1).tolist(),
-                    self.normalized[start:stop].reshape(-1).tolist(),
+                    texts[inverse].tolist(),
                 )))
 
     def manifest(self) -> dict:

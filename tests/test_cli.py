@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,131 @@ def test_shipped_configs_load_strictly(path):
     overrides = {"count": 4000, "workers": 2, "thresholds": {"cross_correlation": 0.1}}
     cfg = load_config(path, overrides)
     assert (cfg.workers, cfg.thresholds) == (2, {"cross_correlation": 0.1})
+
+
+def _model_doc(m, bias, sequence):
+    doc = small_clt_doc(experiment="simulate")
+    doc["model"] = {
+        "groups": {"m": m, "proportions": [1.0 / m] * m},
+        "bias_map": bias,
+        "sequence": sequence,
+    }
+    return doc
+
+
+def _static(base, m=1, bias="clamp"):
+    return _model_doc(m, bias, {"kind": "static", "base": base})
+
+
+def _contracted(schedule):
+    return _model_doc(1, "clamp", {"kind": "contracted", "base": _UNIFORM, "schedule": schedule})
+
+
+_UNIFORM = {"variant": "uniform-box", "lower": [-1], "upper": [1]}
+_ATOMS = {"variant": "point-mass-mixture",
+          "atoms": [{"location": [-0.5], "weight": 0.5}, {"location": [0.5], "weight": 0.5}]}
+_GAUSSIAN = {"variant": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
+_PRODUCT = {"variant": "product", "factors": [_UNIFORM, _ATOMS]}
+_MIXTURE = {"variant": "mixture",
+            "components": [{"measure": _UNIFORM, "weight": 0.5}, {"measure": _ATOMS, "weight": 0.5}]}
+_POWER = {"kind": "power-law", "coefficient": 1.0, "exponent": 0.75}
+_EXPLICIT = {"kind": "explicit", "table": {400: [0.1], 800: [0.05]}, "regimes": ["subcritical"]}
+_CW_BETA = _model_doc(1, "tanh", {"kind": "curie-weiss", "coupling": {"beta": 0.5}})
+_CW_J = _model_doc(2, "tanh", {"kind": "curie-weiss", "coupling": {"j": [[0.5, 0.1], [0.1, 0.5]]}})
+
+#: case -> (a document that loads, the path of the node a test edits);
+#: tests edit a YAML round trip, never these shared dicts
+_STRICT_CASES = {
+    "model": (_static(_UNIFORM), "model"),
+    "groups": (_static(_UNIFORM), "model.groups"),
+    "static": (_static(_UNIFORM), "model.sequence"),
+    "contracted": (_contracted(_POWER), "model.sequence"),
+    "curie-weiss": (_CW_BETA, "model.sequence"),
+    "uniform-box": (_static(_UNIFORM), "model.sequence.base"),
+    "gaussian": (_static(_GAUSSIAN, bias="tanh"), "model.sequence.base"),
+    "point-mass-mixture": (_static(_ATOMS), "model.sequence.base"),
+    "atom": (_static(_ATOMS), "model.sequence.base.atoms[1]"),
+    "product": (_static(_PRODUCT, m=2), "model.sequence.base"),
+    "product-factor": (_static(_PRODUCT, m=2), "model.sequence.base.factors[1].atoms[0]"),
+    "mixture": (_static(_MIXTURE), "model.sequence.base"),
+    "mixture-component": (_static(_MIXTURE), "model.sequence.base.components[1]"),
+    "mixture-measure": (_static(_MIXTURE), "model.sequence.base.components[0].measure"),
+    "power-law": (_contracted(_POWER), "model.sequence.schedule"),
+    "explicit": (_contracted(_EXPLICIT), "model.sequence.schedule"),
+    "coupling-beta": (_CW_BETA, "model.sequence.coupling"),
+    "coupling-j": (_CW_J, "model.sequence.coupling"),
+}
+
+
+def _node_at(doc, path):
+    node = doc
+    for part in path.replace("]", "").replace("[", ".").split("."):
+        node = node[int(part)] if part.isdigit() else node[part]
+    return node
+
+
+@pytest.mark.parametrize("case", list(_STRICT_CASES))
+def test_unknown_key_inside_model_is_line_anchored(tmp_path, case):
+    doc, path = _STRICT_CASES[case]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    load_config(cfg)
+    doc = yaml.safe_load(cfg.read_text())
+    _node_at(doc, path)["typo"] = 1
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value).startswith(f"line {_line_of(text, 'typo:')}: {path}.typo: unknown key 'typo'")
+
+
+@pytest.mark.parametrize("case, path", [
+    ("atom", "model.sequence.base.atoms[1]"),
+    ("mixture-component", "model.sequence.base.components[1]"),
+])
+def test_missing_weight_is_line_anchored(tmp_path, case, path):
+    doc = yaml.safe_load(yaml.safe_dump(_STRICT_CASES[case][0]))
+    del _node_at(doc, path)["weight"]
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(ConfigError, match=rf"^line \d+: {re.escape(path)}: missing required key 'weight'"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("case, path, key", [
+    ("atom", "model.sequence.base", "atoms"),
+    ("product", "model.sequence.base", "factors"),
+    ("mixture", "model.sequence.base", "components"),
+])
+def test_scalar_in_place_of_a_list_is_line_anchored(tmp_path, case, path, key):
+    doc = yaml.safe_load(yaml.safe_dump(_STRICT_CASES[case][0]))
+    _node_at(doc, path)[key] = 5
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    with pytest.raises(ConfigError, match=rf"^line \d+: {re.escape(path)}.{key}: expected a list"):
+        load_config(cfg)
+
+
+def test_coupling_with_beta_and_j_is_rejected():
+    doc = yaml.safe_load(yaml.safe_dump(_STRICT_CASES["coupling-beta"][0]))
+    doc["model"]["sequence"]["coupling"]["j"] = [[0.9]]
+    with pytest.raises(ConfigError, match="model.sequence.coupling: coupling takes either 'beta' or a matrix 'j', not both"):
+        config_from_dict(doc)
+
+
+def test_model_typos_exit_2(tmp_path, capsys):
+    text = (CONFIGS / "cwm_equivalence.yaml").read_text()
+    cases = [
+        (text.replace("{beta: 0.5}", "{beta: 0.5, betta: 0.9}"), "betta"),
+        (text.replace("    coupling:", "    schedulez: {kind: power-law}\n    coupling:"), "schedulez"),
+    ]
+    for bad, key in cases:
+        assert bad != text
+        cfg = tmp_path / "cwm.yaml"
+        cfg.write_text(bad)
+        assert main(["verify-cwm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"line {_line_of(bad, key)}:" in err and f"unknown key {key!r}" in err
 
 
 # -- experiment runs ---------------------------------------------------------------

@@ -24,7 +24,6 @@ from votelim import (
     UnsupportedMeasureError,
     conditional_cf,
     limit_cdf,
-    limit_cf,
     limit_for,
 )
 from votelim.limits import limit_cdf_mc
@@ -287,15 +286,15 @@ def test_multid_cdf_sampling_backend():
 def test_gaussian_cf_formula():
     law = LimitLaw.standard_gaussian(3)
     t = np.array([0.5, -1.0, 2.0])
-    assert limit_cf(law, t) == pytest.approx(math.exp(-float(t @ t) / 2), abs=1e-14)
+    assert law.cf(t) == pytest.approx(math.exp(-float(t @ t) / 2), abs=1e-14)
 
 
 def test_convolution_cf_product_rule_with_quadrature_oracle():
     law = LimitLaw.convolution(UNIFORM_1)  # h = 1
     t = 2.0
     base_cf, _ = quad(lambda y: math.cos(t * y) / 2.0, -1, 1, epsabs=1e-13)
-    assert limit_cf(law, [t]) == pytest.approx(math.exp(-2.0) * base_cf, abs=1e-12)
-    assert limit_cf(law, [t]).real == pytest.approx(
+    assert law.cf([t]) == pytest.approx(math.exp(-2.0) * base_cf, abs=1e-12)
+    assert law.cf([t]).real == pytest.approx(
         math.exp(-2.0) * math.sin(2.0) / 2.0, abs=1e-13
     )
 
@@ -303,7 +302,7 @@ def test_convolution_cf_product_rule_with_quadrature_oracle():
 def test_cf_modulus_bounded():
     law = LimitLaw.convolution(TWO_ATOM_2)
     for t in np.linspace(-10, 10, 41):
-        assert abs(limit_cf(law, [t])) <= 1.0 + 1e-12
+        assert abs(law.cf([t])) <= 1.0 + 1e-12
 
 
 # -- CF/CDF consistency via inversion ---------------------------------------------------

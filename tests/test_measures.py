@@ -18,8 +18,6 @@ from votelim import (
     Product,
     UniformBox,
     apply_bias_map,
-    characteristic_function,
-    contract,
     mass_in_box,
     sample,
 )
@@ -29,11 +27,11 @@ from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measure
 # -- characteristic functions -------------------------------------------------
 
 def test_cf_point_mass_at_origin():
-    assert characteristic_function(DELTA_0, [3.7]) == 1.0
+    assert DELTA_0.cf([3.7]) == 1.0
 
 
 def test_cf_standard_gaussian():
-    assert characteristic_function(GAUSS_1, [1.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert GAUSS_1.cf([1.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_cf_uniform_matches_quadrature_oracle():
@@ -41,7 +39,7 @@ def test_cf_uniform_matches_quadrature_oracle():
     t = 2.0
     re, _ = quad(lambda x: math.cos(t * x) / 2.0, -1, 1, epsabs=1e-13)
     im, _ = quad(lambda x: math.sin(t * x) / 2.0, -1, 1, epsabs=1e-13)
-    got = characteristic_function(UNIFORM_1, [t])
+    got = UNIFORM_1.cf([t])
     assert got == pytest.approx(complex(re, im), abs=1e-12)
     assert got.real == pytest.approx(math.sin(2.0) / 2.0, abs=1e-14)
 
@@ -76,18 +74,18 @@ def test_cf_product_and_mixture_rules():
 # -- contraction ---------------------------------------------------------------
 
 def test_contract_box():
-    c = contract(UNIFORM_1, 0.1)
+    c = UNIFORM_1.contract(0.1)
     assert np.allclose(c.lower, [-0.1]) and np.allclose(c.upper, [0.1])
 
 
 def test_contract_atoms():
     two = PointMassMixture([([-1.0], 0.5), ([1.0], 0.5)])
-    c = contract(two, 0.2)
+    c = two.contract(0.2)
     assert sorted(c.locations[:, 0]) == [-0.2, 0.2]
 
 
 def test_contract_gaussian_scales_variance():
-    c = contract(GAUSS_1, 0.5)
+    c = GAUSS_1.contract(0.5)
     assert c.covariance[0, 0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -95,7 +93,7 @@ def test_contract_gaussian_scales_variance():
 @settings(max_examples=60, deadline=None)
 def test_pushforward_consistency(measure, eps, a, width):
     b = a + width
-    direct = mass_in_box(contract(measure, eps), [a], [b])
+    direct = mass_in_box(measure.contract(eps), [a], [b])
     pulled = mass_in_box(measure, [a / eps], [b / eps])
     assert direct == pytest.approx(pulled, abs=1e-12)
 

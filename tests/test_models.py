@@ -32,7 +32,7 @@ from votelim import (
     sample_margins,
 )
 from votelim import models
-from votelim.models import CSV_CHUNK
+from votelim.models import CSV_CHUNK, MarginSample
 from votelim.quadrature import refine_until_stable
 from conftest import (
     GAUSS_1,
@@ -283,6 +283,17 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
     path = tmp_path / "margins.csv"
     sample.to_csv(path)
     assert path.read_bytes() == _reference_csv_bytes(sample)
+    # hand-built: repeated values, -0.0 beside 0.0, and a column-major
+    # ``normalized`` that is not raw / gamma
+    rng = np.random.default_rng(count + m)
+    pool = np.array([0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 0.1 + 0.2, 0.3, 5e-324, -1e300, 2.5, np.inf, np.nan])
+    normalized = np.asfortranarray(pool[rng.integers(0, len(pool), size=(count, m))])
+    raw = rng.integers(-1000, 1001, size=(count, m))
+    built = MarginSample(30 * m, sample.group_sizes, raw, normalized, sample.gamma, sample.regimes, 11)
+    built.to_csv(path)
+    text = path.read_bytes()
+    assert text == _reference_csv_bytes(built)
+    assert b",-0.0\r\n" in text and b",0.0\r\n" in text
 
 
 # -- summary statistics --------------------------------------------------------------------

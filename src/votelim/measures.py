@@ -214,6 +214,7 @@ class Gaussian(BaseMeasure):
         self.covariance = _readonly(cov)
         # factor A with A A^T = covariance, used for deterministic sampling
         self._factor = _readonly(eigvecs * np.sqrt(eigvals))
+        self._eigvecs = _readonly(eigvecs)
         self._eigvals = _readonly(eigvals)
 
     @property
@@ -269,10 +270,14 @@ class Gaussian(BaseMeasure):
             self.mean + GAUSSIAN_BOX_SIGMAS * sigma,
             level,
         )
-        from scipy.stats import multivariate_normal
-
-        dist = multivariate_normal(mean=self.mean, cov=self.covariance)
-        return points, weights * dist.pdf(points.reshape(-1, self.dim))
+        # the normal density in scipy.stats.multivariate_normal's order of
+        # operations: -(d log 2 pi + log det + |(x - mean) W|^2) / 2 with
+        # whitening W = eigvecs / sqrt(eigvals)
+        whiten = self._eigvecs * np.sqrt(1.0 / self._eigvals)
+        maha = np.sum(np.square((points - self.mean) @ whiten), axis=-1)
+        log_det = np.sum(np.log(self._eigvals))
+        density = np.exp(-0.5 * (self.dim * math.log(2.0 * math.pi) + log_det + maha))
+        return points, weights * density
 
     def marginal(self, coords) -> "Gaussian":
         coords = list(coords)

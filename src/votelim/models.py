@@ -15,7 +15,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -188,8 +187,9 @@ class MarginPmf:
     """Exact joint law of the group margins on their parity lattice.
 
     Internally an array over count indices j (margin k_g = 2 j_g - n_g);
-    behaves as a mapping from integer margin vectors to probabilities,
-    with off-lattice vectors mapped to probability 0.
+    ``prob(k)`` (or ``pmf[k]``) takes an integer margin vector of length M
+    and gives probability 0 off the lattice.  Any other ``k`` is a
+    ConfigError.
     """
 
     def __init__(self, group_sizes, probs: np.ndarray):
@@ -208,7 +208,14 @@ class MarginPmf:
         return 2 * np.arange(n_g + 1) - n_g
 
     def prob(self, k) -> float:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
+        k = np.atleast_1d(np.asarray(k))
+        if k.shape != (self.m,):
+            raise ConfigError(f"margin vector must have length {self.m}, got shape {k.shape}")
+        integral = k.dtype.kind in "iu" or (
+            k.dtype.kind == "f" and bool(np.all(np.isfinite(k) & (k == np.floor(k))))
+        )
+        if not integral:
+            raise ConfigError(f"margin vector entries must be integers, got {k.tolist()}")
         idx = []
         for g, n_g in enumerate(self.group_sizes):
             if abs(int(k[g])) > n_g or (int(k[g]) + n_g) % 2 != 0:
@@ -218,14 +225,6 @@ class MarginPmf:
 
     def __getitem__(self, k) -> float:
         return self.prob(k)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        for idx in np.ndindex(self.probs.shape):
-            k = tuple(2 * j - n_g for j, n_g in zip(idx, self.group_sizes))
-            yield k, float(self.probs[idx])
-
-    def to_dict(self) -> dict:
-        return dict(self.items())
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -258,6 +257,23 @@ def _mix_tables(weights: np.ndarray, tables) -> np.ndarray:
     return np.einsum(subs, weights, *tables, optimize=True)
 
 
+def _node_tables(table, sizes, p: np.ndarray) -> list[np.ndarray]:
+    """Per group g, ``table(n_g, p[:, g])``, built once per distinct value of p[:, g].
+
+    On a joint tensor grid of ``level**M`` nodes coordinate g takes only
+    ``level`` distinct values, so each row is computed once and gathered
+    back to every node that shares it.  Binomial rows are computed
+    elementwise, so they equal the per-node rows bit for bit; enumerated
+    rows are binned by one matrix product, whose rounding may depend on the
+    row count at the 1e-16 level.
+    """
+    tables = []
+    for g, s in enumerate(sizes):
+        values, inverse = np.unique(p[:, g], return_inverse=True)
+        tables.append(table(s, values)[inverse])
+    return tables
+
+
 def _pmf_from_nodes(points, weights, sizes, bmap, chunk_target=2_000_000) -> np.ndarray:
     """Mix conditional binomial laws over weighted bias nodes."""
     m_bar = apply_bias_map(bmap, points)
@@ -267,8 +283,7 @@ def _pmf_from_nodes(points, weights, sizes, bmap, chunk_target=2_000_000) -> np.
     chunk = max(1, chunk_target // max(shape))
     for start in range(0, len(weights), chunk):
         sl = slice(start, start + chunk)
-        tables = [_binom_table(s, p[sl, g]) for g, s in enumerate(sizes)]
-        acc += _mix_tables(np.asarray(weights)[sl], tables)
+        acc += _mix_tables(np.asarray(weights)[sl], _node_tables(_binom_table, sizes, p[sl]))
     return acc
 
 
@@ -362,17 +377,19 @@ def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     Each vote vector's probability is built voter by voter as a product of
     factors p[q] (a +1 vote) and 1 - p[q] (a -1 vote), so the count
     distribution arises from enumeration alone, with no binomial coefficients.
+    The working array is vote-vector-major, (2^n_g, len(p)), so each voter's
+    extension is one contiguous block.
     """
-    prob = np.empty((len(p), 1 << n_g))
-    prob[:, 0] = 1.0
+    prob = np.empty((1 << n_g, len(p)))
+    prob[0] = 1.0
     plus = np.zeros(1 << n_g, dtype=np.int64)
     for voter in range(n_g):
         # vectors h..2h-1 extend vectors 0..h-1 with a +1 vote of this voter
         h = 1 << voter
-        np.multiply(prob[:, :h], p[:, None], out=prob[:, h : 2 * h])
-        prob[:, :h] *= (1.0 - p)[:, None]
+        np.multiply(prob[:h], p, out=prob[h : 2 * h])
+        prob[:h] *= 1.0 - p
         plus[h : 2 * h] = plus[:h] + 1
-    return prob @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
+    return prob.T @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
 
 
 def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
@@ -385,7 +402,13 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
     p_g^plus (1 - p_g)^minus, and these are binned into a table over the
     group's +1 count.  The per-node tables are multiplied across groups and
     summed with the node weights.  No binomial coefficients enter.
-    Intended to cross-check exact_margin_pmf on small instances.
+
+    Nodes that share a value of p_g share group g's table, so each table is
+    enumerated once per distinct p_g and gathered back to its nodes (the
+    helper the binomial route uses too).  That skips only repeats: every
+    table still comes from all 2^{n_g} vote-vector products, so the oracle
+    stays independent of the binomial route.  Intended to cross-check
+    exact_margin_pmf on small instances.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")
@@ -398,8 +421,7 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
         acc = np.zeros(tuple(s + 1 for s in sizes))
         for start in range(0, len(weights), chunk):
             sl = slice(start, start + chunk)
-            tables = [_enumerated_count_table(s, p[sl, g]) for g, s in enumerate(sizes)]
-            acc += _mix_tables(weights[sl], tables)
+            acc += _mix_tables(weights[sl], _node_tables(_enumerated_count_table, sizes, p[sl]))
         return acc
 
     if model.sequence.kind == "curie-weiss":

@@ -1,11 +1,12 @@
 """scipy.stats stays off the import path and the verify-clt path.
 
 Importing scipy.stats costs about a second, several times what a verify-clt
-run spends on its work, and only the exact layer and Gaussian quadrature
-use it.  The checks run in a fresh interpreter, since this test process
-has long since loaded scipy.stats.  That interpreter refuses every import
-of scipy.stats, so the first caller that tries one is named without paying
-for the load.
+run spends on its work.  Only the exact layer (binomial tables) and the box
+probability of a correlated Gaussian use it; Gaussian quadrature nodes
+compute their density in numpy.  The checks run in a fresh interpreter,
+since this test process has long since loaded scipy.stats.  That
+interpreter refuses every import of scipy.stats, so the first caller that
+tries one is named without paying for the load.
 """
 
 import json
@@ -35,7 +36,7 @@ stages = {}
 import votelim, votelim.cli
 stages["import"] = loaded()
 
-from votelim import (CLAMP, ContractedSequence, DeFinettiModel, GroupStructure,
+from votelim import (CLAMP, ContractedSequence, DeFinettiModel, Gaussian, GroupStructure,
                      PowerLawSchedule, UniformBox, exact_margin_pmf, ks_statistic,
                      limit_for, sample_margins)
 
@@ -54,6 +55,12 @@ for g in range(2):
     kinds.append([marginal.gauss_mask[0], marginal.base is not None])
     ks_statistic(sample.normalized[:, g], marginal.cdf)
 stages["verify-clt"] = loaded()
+
+try:
+    Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]]).quad_nodes(64)
+    stages["gaussian-nodes"] = loaded()
+except ImportError as exc:
+    stages["gaussian-nodes"] = str(exc)
 
 try:
     exact_margin_pmf(model, 6)
@@ -76,5 +83,6 @@ def test_scipy_stats_loads_only_with_the_exact_layer():
     assert result["stages"] == {
         "import": False,
         "verify-clt": False,
+        "gaussian-nodes": False,
         "exact": "import of scipy.stats refused",
     }

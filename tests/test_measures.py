@@ -21,6 +21,8 @@ from votelim import (
     mass_in_box,
     sample,
 )
+from votelim.measures import GAUSSIAN_BOX_SIGMAS
+from votelim.quadrature import tensor_rule
 from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measures_1d
 
 
@@ -125,6 +127,25 @@ def test_mass_correlated_gaussian_agrees_with_sampling():
     draws = sample(g, 5, 200_000)
     hit = np.all(np.abs(draws) <= 1.0, axis=1).mean()
     assert p == pytest.approx(hit, abs=4 * math.sqrt(0.25 / 200_000))
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]]), ([0.2, -0.1], [[1.0, 0.6], [0.6, 1.0]])],
+    ids=["diagonal", "correlated"],
+)
+def test_gaussian_quad_nodes_weight_the_normal_density(mean, cov):
+    from scipy.stats import multivariate_normal
+
+    g = Gaussian(mean, cov)
+    points, weights = g.quad_nodes(64)
+    sigma = np.sqrt(np.diag(g.covariance))
+    box_points, box_weights = tensor_rule(
+        g.mean - GAUSSIAN_BOX_SIGMAS * sigma, g.mean + GAUSSIAN_BOX_SIGMAS * sigma, 64
+    )
+    assert np.array_equal(points, box_points)
+    expected = box_weights * multivariate_normal(mean=mean, cov=cov).pdf(points)
+    assert np.max(np.abs(weights / expected - 1.0)) <= 1e-14
 
 
 def test_mass_in_box_rejects_inverted_bounds():

@@ -113,6 +113,13 @@ def test_conditional_pmf_sums_to_one():
     assert pmf.total() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [[1, 1, 7], [1.5, 1], [1]], ids=["long", "fractional", "short"])
+def test_margin_pmf_rejects_malformed_margin_vectors(k):
+    pmf = conditional_margin_pmf([0.3, -0.6], GROUPS_2, 10)
+    with pytest.raises(ConfigError):
+        pmf.prob(k)
+
+
 def test_conditional_pmf_rejects_bias_outside_range():
     with pytest.raises(ConfigError):
         conditional_margin_pmf([1.5], GROUPS_1, 4)
@@ -488,6 +495,26 @@ BRUTE_FORCE_CASES = {
     "m2-two-atom-clamped": (
         contracted(PointMassMixture([([-2.0, -2.0], 0.5), ([2.0, 2.0], 0.5)]), 0.15), 8
     ),
+    # six atoms on a 3x2 grid: each coordinate value is shared by several atoms
+    "m2-grid-unequal": (
+        DeFinettiModel(
+            GroupStructure(2, [0.4, 0.6]),
+            StaticSequence(
+                PointMassMixture(
+                    [
+                        ([-0.5, -0.3], 0.1),
+                        ([0.5, 0.3], 0.1),
+                        ([-0.5, 0.3], 0.15),
+                        ([0.5, -0.3], 0.15),
+                        ([0.0, -0.3], 0.25),
+                        ([0.0, 0.3], 0.25),
+                    ]
+                )
+            ),
+            CLAMP,
+        ),
+        8,
+    ),
     "m3-unequal-boundary": (
         DeFinettiModel(
             GroupStructure(3, [0.2, 0.3, 0.5]),
@@ -511,9 +538,40 @@ def test_group_factored_brute_force_matches_literal_enumeration(case):
         assert np.any((p == 0.0) | (p == 1.0))
     if case.endswith("unequal") or case.endswith("boundary"):
         assert len(set(model.groups.sizes(n))) > 1
+    if "grid" in case:
+        assert all(len(np.unique(p[:, g])) < len(p) for g in range(p.shape[1]))
     pmf = brute_force_pmf(model, n)
     assert np.max(np.abs(pmf.probs - reference)) < 1e-15
     assert pmf.max_abs_diff(exact_margin_pmf(model, n)) < 1e-14
+
+
+def test_tables_are_built_once_per_distinct_node_coordinate(monkeypatch):
+    """On a level x level tensor grid each group's coordinate takes ``level``
+    values, so no table call may see more rows than that."""
+    model = contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75)
+    levels, rows = [], []
+    real_nodes = UniformBox.quad_nodes
+
+    def nodes(self, level):
+        levels.append(level)
+        return real_nodes(self, level)
+
+    def spy(real):
+        def table(n_g, p):
+            rows.append((levels[-1], len(p)))
+            return real(n_g, p)
+
+        return table
+
+    monkeypatch.setattr(UniformBox, "quad_nodes", nodes)
+    monkeypatch.setattr(models, "_binom_table", spy(models._binom_table))
+    monkeypatch.setattr(models, "_enumerated_count_table", spy(models._enumerated_count_table))
+    joint = exact_margin_pmf(_joint(model), 8)
+    brute = brute_force_pmf(model, 8)
+    monkeypatch.undo()
+    assert len(rows) >= 8  # both groups, at least two levels, both routes
+    assert all(count <= level for level, count in rows)
+    assert joint.max_abs_diff(brute) < 1e-12
 
 
 def test_pair_correlation_of_correlated_gaussian_matches_joint_route():

@@ -250,41 +250,43 @@ def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     return stats.binom.pmf(np.arange(n_g + 1), n_g, p[:, None])
 
 
-def _mix_tables(weights: np.ndarray, tables) -> np.ndarray:
-    """sum_q weights[q] * prod_g tables[g][q, j_g], an array over (j_1, ..., j_M)."""
-    letters = "".join(chr(ord("a") + g) for g in range(len(tables)))
-    subs = ",".join(["q"] + ["q" + c for c in letters]) + "->" + letters
-    return np.einsum(subs, weights, *tables, optimize=True)
+#: most elements one exact-layer contraction may hold at once: its dense
+#: weight array, a partial contraction or a group's table.  Larger node sets
+#: are halved until each part fits; a single node always proceeds.
+MIX_BUDGET = 2_000_000
 
 
-def _node_tables(table, sizes, p: np.ndarray) -> list[np.ndarray]:
-    """Per group g, ``table(n_g, p[:, g])``, built once per distinct value of p[:, g].
+def _mix(table, sizes, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_q weights[q] * prod_g table(n_g, p[q, g])[j_g], an array over (j_1, ..., j_M).
 
-    On a joint tensor grid of ``level**M`` nodes coordinate g takes only
-    ``level`` distinct values, so each row is computed once and gathered
-    back to every node that shares it.  Binomial rows are computed
-    elementwise, so they equal the per-node rows bit for bit; enumerated
-    rows are binned by one matrix product, whose rounding may depend on the
-    row count at the 1e-16 level.
+    Nodes that share every coordinate have equal table products, so their
+    weights are binned first into a dense array over the distinct values of
+    each coordinate (with M = 1 each node is its own cell).  That array is
+    contracted with one table per group, built once per distinct value.
+    Against the per-node sum only the summation order changes.
     """
-    tables = []
-    for g, s in enumerate(sizes):
-        values, inverse = np.unique(p[:, g], return_inverse=True)
-        tables.append(table(s, values)[inverse])
-    return tables
+    rows = [s + 1 for s in sizes]
+    many = len(sizes) > 1
+    cells = [np.unique(c, return_inverse=True) if many else (c, None) for c in p.T]
+    dims = [len(values) for values, _ in cells]
+    arrays = [math.prod(dims[: g + 1] + rows[g + 1 :]) for g in range(len(dims))]
+    if len(weights) > 1 and max(arrays + [k * r for k, r in zip(dims, rows)]) > MIX_BUDGET:
+        h = len(weights) // 2
+        return _mix(table, sizes, p[:h], weights[:h]) + _mix(table, sizes, p[h:], weights[h:])
+    dense = weights
+    if many:
+        index = np.ravel_multi_index([inverse for _, inverse in cells], dims)
+        dense = np.bincount(index, weights=weights, minlength=math.prod(dims)).reshape(dims)
+    for g in reversed(range(len(sizes))):
+        # the last cell axis contracts without a copy; count axes come out reversed
+        dense = np.tensordot(dense, table(sizes[g], cells[g][0]), axes=(g, 0))
+    return np.ascontiguousarray(dense.transpose())
 
 
-def _pmf_from_nodes(points, weights, sizes, bmap, chunk_target=2_000_000) -> np.ndarray:
+def _pmf_from_nodes(points, weights, sizes, bmap) -> np.ndarray:
     """Mix conditional binomial laws over weighted bias nodes."""
-    m_bar = apply_bias_map(bmap, points)
-    p = 0.5 * (1.0 + m_bar)
-    shape = tuple(s + 1 for s in sizes)
-    acc = np.zeros(shape)
-    chunk = max(1, chunk_target // max(shape))
-    for start in range(0, len(weights), chunk):
-        sl = slice(start, start + chunk)
-        acc += _mix_tables(np.asarray(weights)[sl], _node_tables(_binom_table, sizes, p[sl]))
-    return acc
+    p = 0.5 * (1.0 + apply_bias_map(bmap, points))
+    return _mix(_binom_table, sizes, p, np.asarray(weights, dtype=float))
 
 
 def conditional_margin_pmf(m, groups: GroupStructure, n: int) -> MarginPmf:
@@ -377,9 +379,12 @@ def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     Each vote vector's probability is built voter by voter as a product of
     factors p[q] (a +1 vote) and 1 - p[q] (a -1 vote), so the count
     distribution arises from enumeration alone, with no binomial coefficients.
-    The working array is vote-vector-major, (2^n_g, len(p)), so each voter's
-    extension is one contiguous block.
+    The working array is vote-vector-major, (2^n_g, a block of p) with at most
+    4e6 elements, so each voter's extension is one contiguous block.
     """
+    block = max(1, 4_000_000 >> n_g)
+    if len(p) > block:
+        return np.vstack([_enumerated_count_table(n_g, p[i : i + block]) for i in range(0, len(p), block)])
     prob = np.empty((1 << n_g, len(p)))
     prob[0] = 1.0
     plus = np.zeros(1 << n_g, dtype=np.int64)
@@ -400,12 +405,13 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
     at every joint quadrature node of mu_n, each of the 2^{n_g} vote
     vectors of group g gets the product of its per-voter factors
     p_g^plus (1 - p_g)^minus, and these are binned into a table over the
-    group's +1 count.  The per-node tables are multiplied across groups and
-    summed with the node weights.  No binomial coefficients enter.
+    group's +1 count.  The tables are multiplied across groups and summed
+    with the node weights.  No binomial coefficients enter.
 
-    Nodes that share a value of p_g share group g's table, so each table is
-    enumerated once per distinct p_g and gathered back to its nodes (the
-    helper the binomial route uses too).  That skips only repeats: every
+    Nodes that share every coordinate share every table, so their weights
+    are binned first into a dense array over each group's distinct values
+    of p_g, and that array is contracted with one table per group (the
+    step the binomial route uses too).  Only repeats are skipped: every
     table still comes from all 2^{n_g} vote-vector products, so the oracle
     stays independent of the binomial route.  Intended to cross-check
     exact_margin_pmf on small instances.
@@ -413,16 +419,10 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")
     sizes = model.groups.sizes(n)
-    chunk = max(1, 4_000_000 // 2 ** max(sizes))
 
     def accumulate(points, weights) -> np.ndarray:
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, points))
-        weights = np.asarray(weights)
-        acc = np.zeros(tuple(s + 1 for s in sizes))
-        for start in range(0, len(weights), chunk):
-            sl = slice(start, start + chunk)
-            acc += _mix_tables(weights[sl], _node_tables(_enumerated_count_table, sizes, p[sl]))
-        return acc
+        return _mix(_enumerated_count_table, sizes, p, np.asarray(weights, dtype=float))
 
     if model.sequence.kind == "curie-weiss":
         from . import cwm

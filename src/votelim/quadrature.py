@@ -66,22 +66,21 @@ def tensor_rule(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def refine_until_stable(
     evaluate: Callable[[int], np.ndarray],
-    start: int = DEFAULT_START,
-    cap: int = DEFAULT_CAP,
     tol: float = DEFAULT_TOL,
     rtol: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Evaluate at doubling node counts until the result stabilizes.
 
     ``evaluate(level)`` must return an array that approaches a limit as the
-    per-dimension node count ``level`` grows.  Accepts the finer result once
-    every entry moved by at most ``max(tol, rtol * |finer entry|)`` between
-    consecutive levels, and returns it with the max-abs change.  Raises
-    QuadratureError with diagnostics if the cap is exhausted.
+    per-dimension node count ``level`` grows from ``DEFAULT_START``.  Accepts
+    the finer result once every entry moved by at most
+    ``max(tol, rtol * |finer entry|)`` between consecutive levels, and
+    returns it with the max-abs change.  Raises QuadratureError with
+    diagnostics if ``DEFAULT_CAP`` nodes per dimension are exhausted.
     """
-    prev = np.asarray(evaluate(start))
-    level = 2 * start
-    while level <= cap:
+    prev = np.asarray(evaluate(DEFAULT_START))
+    level = 2 * DEFAULT_START
+    while level <= DEFAULT_CAP:
         cur = np.asarray(evaluate(level))
         change = np.abs(cur - prev)
         delta = float(np.max(change)) if cur.size else 0.0

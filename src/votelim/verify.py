@@ -153,6 +153,8 @@ def empirical_cf(sample: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         raise DataError(
             f"sample dimension {sample.shape[1]} != grid dimension {t_grid.shape[1]}"
         )
+    if sample.shape[0] == 0:
+        raise DataError("the empirical characteristic function needs a nonempty sample")
     out = np.zeros(t_grid.shape[0], dtype=complex)
     chunk = max(1, 4_000_000 // max(1, t_grid.shape[0]))
     for start in range(0, sample.shape[0], chunk):

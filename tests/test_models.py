@@ -1,7 +1,9 @@
 import csv
+import functools
 import io
 import itertools
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -32,6 +34,7 @@ from votelim import (
     sample_margins,
 )
 from votelim import models
+from votelim.measures import apply_bias_map
 from votelim.models import CSV_CHUNK, MarginSample
 from votelim.quadrature import refine_until_stable
 from conftest import (
@@ -572,6 +575,73 @@ def test_tables_are_built_once_per_distinct_node_coordinate(monkeypatch):
     assert len(rows) >= 8  # both groups, at least two levels, both routes
     assert all(count <= level for level, count in rows)
     assert joint.max_abs_diff(brute) < 1e-12
+
+
+def _per_node_mix(table, sizes, p, weights):
+    """The literal per-node sum: one table product per node, weighted and added."""
+    out = np.zeros(tuple(s + 1 for s in sizes))
+    for q, w in enumerate(weights):
+        rows = [table(s, p[q : q + 1, g])[0] for g, s in enumerate(sizes)]
+        out += w * functools.reduce(np.multiply.outer, rows)
+    return out
+
+
+_REPEATED_ATOMS = PointMassMixture(
+    [([-0.5, 0.3], 0.1), ([0.5, -0.3], 0.1), ([-0.5, -2.0], 0.15), ([0.5, 2.0], 0.15),
+     ([2.0, 0.3], 0.25), ([-2.0, -0.3], 0.25)]
+)
+
+MIX_CASES = {
+    "grid-m1": (UniformBox([-1.0], [1.0]), 16, (9,)),
+    "grid-m2": (UniformBox([-1.0, -0.5], [1.0, 0.5]), 8, (5, 7)),
+    "grid-m3": (UniformBox([-1.0] * 3, [1.0] * 3), 6, (3, 4, 5)),
+    # repeated coordinates, and clamped coordinates at p = 0 and p = 1
+    "repeated-atoms-m2": (_REPEATED_ATOMS, 0, (6, 4)),
+    "atoms-and-box-m2": (
+        Mixture([(_REPEATED_ATOMS, 0.4), (UniformBox([-1.0] * 2, [1.0] * 2), 0.6)]), 8, (4, 6)
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [models.MIX_BUDGET, 10], ids=["whole", "split"])
+@pytest.mark.parametrize("case", sorted(MIX_CASES))
+def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
+    """Binning the weights by distinct coordinates changes only the summation
+    order, so both tables must match the literal per-node sum to 1e-15."""
+    measure, level, sizes = MIX_CASES[case]
+    points, weights = measure.quad_nodes(level)
+    p = 0.5 * (1.0 + apply_bias_map(CLAMP, points))
+    if "atoms" in case:
+        assert np.any(p == 0.0) and np.any(p == 1.0)
+        assert all(len(np.unique(p[:, g])) < len(p) for g in range(p.shape[1]))
+    monkeypatch.setattr(models, "MIX_BUDGET", budget)
+    calls = []
+    real_mix = models._mix
+    monkeypatch.setattr(models, "_mix", lambda *args: calls.append(1) or real_mix(*args))
+    for table in (models._binom_table, models._enumerated_count_table):
+        got = models._mix(table, sizes, p, weights)
+        assert np.max(np.abs(got - _per_node_mix(table, sizes, p, weights))) < 1e-15
+    assert (len(calls) > 2) == (budget == 10)
+
+
+def test_scattered_atoms_are_split_to_fit_the_memory_budget():
+    """600 scattered atoms in M = 3 have 600^3 distinct-coordinate cells; the
+    halving keeps every dense array within the budget."""
+    rng = np.random.default_rng(7)
+    locations = rng.uniform(-1.0, 1.0, size=(300, 3))
+    atoms = [(loc, 1.0 / 600) for loc in locations] + [(-loc, 1.0 / 600) for loc in locations]
+    model = DeFinettiModel(
+        GroupStructure(3, [1 / 3] * 3), StaticSequence(PointMassMixture(atoms)), CLAMP
+    )
+    tracemalloc.start()
+    try:
+        exact = exact_margin_pmf(model, 9)
+        brute = brute_force_pmf(model, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact.max_abs_diff(brute) < 1e-14
+    assert peak < 64 * 2**20
 
 
 def test_pair_correlation_of_correlated_gaussian_matches_joint_route():

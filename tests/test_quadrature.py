@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from votelim import QuadratureError, ResourceError
-from votelim.quadrature import NODE_GUARD, refine_until_stable, tensor_rule
+from votelim.quadrature import (
+    DEFAULT_CAP,
+    DEFAULT_START,
+    NODE_GUARD,
+    refine_until_stable,
+    tensor_rule,
+)
 
 
 def test_tensor_rule_refuses_rules_above_the_node_budget():
@@ -36,3 +42,16 @@ def test_absolute_tolerance_is_the_default_rule():
     assert delta <= 1e-12
     assert levels == [64, 128]
     assert value[0] == 1.0
+
+
+def test_refinement_runs_from_the_default_start_to_the_default_cap():
+    levels = []
+
+    def evaluate(level):
+        levels.append(level)
+        return np.array([float(level)])
+
+    with pytest.raises(QuadratureError, match=f"{DEFAULT_CAP} nodes/dim"):
+        refine_until_stable(evaluate)
+    assert levels[0] == DEFAULT_START and levels[-1] == DEFAULT_CAP
+    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))

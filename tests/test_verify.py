@@ -100,6 +100,14 @@ def test_ecf_point_mass_against_gaussian():
     assert disc == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
 
 
+def test_ecf_of_an_empty_sample_is_a_data_error():
+    law = LimitLaw.standard_gaussian(1)
+    with pytest.raises(DataError, match="nonempty"):
+        ecf_distance(np.zeros(0), law)
+    with pytest.raises(DataError, match="nonempty"):
+        empirical_cf(np.zeros((0, 2)), default_cf_grid(2))
+
+
 def test_default_grid_shape():
     grid = default_cf_grid(3)
     assert grid.shape == (63, 3)

@@ -28,7 +28,6 @@ from .measures import (
 )
 from .models import (
     ContractedSequence,
-    CurieWeissSequence,
     DeFinettiModel,
     GroupStructure,
     MarginPmf,
@@ -43,17 +42,15 @@ from .models import (
 )
 from .cwm import (
     CouplingSpec,
+    CurieWeissSequence,
     FreeEnergySurface,
-    compact_representation,
     concentration_profile,
-    definetti_density,
     free_energy_surface,
     gibbs_pmf,
     representation_equivalence_check,
-    sample_cwm_margins,
     single_group_free_energy,
 )
-from .limits import LimitLaw, conditional_cf, limit_cdf, limit_for
+from .limits import LimitLaw, limit_cdf, limit_for
 from .verify import (
     AlphaEstimate,
     VerificationReport,

@@ -120,13 +120,8 @@ def _finish(out_dir: Path, cfg: ExperimentConfig, reports, outputs, extra=None) 
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sampled_margins(cfg: ExperimentConfig):
-    sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    return sample
-
-
 def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sample = _sampled_margins(cfg)
+    sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
     _write_manifest(out_dir, cfg, ["margins.csv"], {"margins": sample.manifest()})
     return 0
@@ -151,7 +146,7 @@ def _target_law(cfg: ExperimentConfig) -> LimitLaw:
 
 
 def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sample = _sampled_margins(cfg)
+    sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
     law = _target_law(cfg)
     threshold = float(cfg.thresholds.get("ks", ks_threshold(cfg.count)))

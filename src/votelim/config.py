@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .cwm import CouplingSpec
+from .cwm import CouplingSpec, CurieWeissSequence
 from .errors import ConfigError
 from .measures import (
     ExplicitSchedule,
@@ -27,13 +27,7 @@ from .measures import (
     UniformBox,
     bias_map,
 )
-from .models import (
-    ContractedSequence,
-    CurieWeissSequence,
-    DeFinettiModel,
-    GroupStructure,
-    StaticSequence,
-)
+from .models import ContractedSequence, DeFinettiModel, GroupStructure, StaticSequence
 
 EXPERIMENT_KINDS = (
     "simulate",

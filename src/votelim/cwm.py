@@ -2,11 +2,14 @@
 
 The model exists in two equivalent forms: the Gibbs measure on spin
 configurations with quadratic interaction energy, and a mixture of
-conditional product measures whose mixing density is exp(-n * F) for the
-free-energy surface F built from the inverse coupling matrix.  Both forms
-are implemented here, each computable independently, so they can serve as
-mutual oracles.  A tanh change of variables gives a third, compactly
-supported form on (-1, 1)^M used for concentration-of-measure profiles.
+conditional product measures whose mixing measure mu_n has density
+exp(-n * F) / Z for the free-energy surface F built from the inverse
+coupling matrix.  ``CurieWeissSequence`` hands mu_n to the generic model
+layer, so the mixture form's exact law, 2^n oracle, pair correlation and
+sampler are the ones every model uses; the Gibbs form is enumerated here,
+independently, so the two serve as mutual oracles.  A tanh change of
+variables gives a third, compactly supported form on (-1, 1)^M used for
+concentration-of-measure profiles.
 
 Samplers and quadrature boxes are validated in the high-temperature
 regime only (identity minus coupling positive definite), where the
@@ -22,16 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ResourceError
-from .measures import TANH
-from .models import (
-    GroupStructure,
-    MarginPmf,
-    MarginSample,
-    _guard_lattice,
-    _pmf_from_nodes,
-    _sample_blocks,
-    binomial_margins,
-)
+from .measures import TANH, PointMassMixture
+from .models import DeFinettiModel, GroupStructure, MarginPmf, exact_margin_pmf
 from .quadrature import refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
@@ -204,10 +199,84 @@ def _cached_surface(key) -> FreeEnergySurface:
     return FreeEnergySurface(CouplingSpec(j), GroupStructure(m, proportions), n)
 
 
-def definetti_density(spec: CouplingSpec, groups: GroupStructure, n: int, x) -> float:
-    """Unnormalized mixing density exp(-n F(x)) at a single point."""
-    surface = free_energy_surface(spec, groups, n)
-    return float(surface.density(np.asarray(x, dtype=float)))
+# -- the mixing measure -------------------------------------------------------------
+
+class MeanFieldMixing:
+    """mu_n with density exp(-n F) / Z on the coordinates ``coords`` of the latent bias.
+
+    Quadrature nodes are the surface's grid with weights divided by their
+    sum, so every level is a probability measure; a marginal keeps the
+    joint grid and projects its points.
+    """
+
+    def __init__(self, surface: FreeEnergySurface, coords=None):
+        self.surface = surface
+        self.coords = list(range(surface.m)) if coords is None else list(coords)
+        self.dim = len(self.coords)
+
+    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        points, weights = self.surface.quad_nodes(level)
+        return points[:, self.coords], weights / weights.sum()
+
+    def marginal(self, coords) -> "MeanFieldMixing":
+        return MeanFieldMixing(self.surface, [self.coords[c] for c in coords])
+
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """I.i.d. latent biases by rejection against N(0, P0^-1).
+
+        P0 matches F's quadratic part.  Since -n F(x) = -x' P0 x / 2 +
+        n sum_g alpha_g (ln cosh x_g - x_g^2 / 2) and the second term is
+        never positive, the acceptance ratio never exceeds 1, in any
+        dimension.  Only validated in the high-temperature regime; a
+        coupling so close to criticality that fewer than 1% of proposals
+        are accepted raises ConfigError.
+        """
+        surface = self.surface
+        if not surface.spec.is_high_temperature:
+            raise ConfigError("the sampler is validated in the high-temperature regime only")
+        # x = z L' with L L' = P0^-1; P0 is positive definite in high temperature
+        scale = np.linalg.cholesky(np.linalg.inv(surface._precision0)).T
+        out = np.empty((count, surface.m))
+        filled = proposed = accepted = 0
+        while filled < count:
+            x = rng.standard_normal((count, surface.m)) @ scale
+            log_ratio = surface.n * ((_log_cosh(x) - 0.5 * x**2) @ surface.alpha)
+            keep = x[np.log(rng.random(count)) < log_ratio]
+            take = min(len(keep), count - filled)
+            out[filled : filled + take] = keep[:take]
+            filled += take
+            proposed += count
+            accepted += len(keep)
+            if proposed >= 10_000 and accepted < MIN_ENVELOPE_ACCEPTANCE * proposed:
+                raise ConfigError(
+                    f"rejection envelope acceptance rate {accepted / proposed:.2%} "
+                    "is below 1%; review the coupling parameters"
+                )
+        return out[:, self.coords]
+
+
+@dataclass(frozen=True)
+class CurieWeissSequence:
+    """Mean-field coupling; mu_n has density exp(-n F) / Z."""
+
+    coupling: CouplingSpec
+
+    kind = "curie-weiss"
+
+    def validate(self, groups: GroupStructure, bias_map) -> None:
+        if self.coupling.m != groups.m:
+            raise ConfigError("coupling matrix size does not match the group count")
+        if getattr(bias_map, "name", None) != "tanh":
+            raise ConfigError("the mean-field model requires the tanh bias map")
+
+    def mixing_measure(self, groups: GroupStructure, n: int):
+        """Zero coupling decouples the voters: mu_n is the point mass at the origin."""
+        if self.coupling.is_zero:
+            return PointMassMixture([(np.zeros(groups.m), 1.0)])
+        return MeanFieldMixing(free_energy_surface(self.coupling, groups, n))
+
+    def _key(self):
+        return ("curie-weiss", self.coupling._key())
 
 
 # -- Gibbs form -----------------------------------------------------------------
@@ -243,42 +312,18 @@ def gibbs_pmf(spec: CouplingSpec, groups: GroupStructure, n: int) -> MarginPmf:
     return MarginPmf(sizes, probs)
 
 
-# -- mixing-density form ----------------------------------------------------------
-
-def definetti_margin_pmf(
-    spec: CouplingSpec, groups: GroupStructure, n: int, tol: float = 1e-12
-) -> MarginPmf:
-    """Margin law via quadrature of the conditional law against exp(-n F).
-
-    Zero coupling decouples the voters: the mixing measure degenerates to
-    the point mass at the origin and the law is a product of fair coins.
-    """
-    sizes = groups.sizes(n)
-    _guard_lattice(sizes)
-    if spec.is_zero:
-        origin = np.zeros((1, groups.m))
-        return MarginPmf(sizes, _pmf_from_nodes(origin, np.array([1.0]), sizes, TANH))
-    surface = free_energy_surface(spec, groups, n)
-
-    def at_level(level: int) -> np.ndarray:
-        points, weights = surface.quad_nodes(level)
-        return _pmf_from_nodes(points, weights / weights.sum(), sizes, TANH)
-
-    probs, _ = refine_until_stable(at_level, tol=tol)
-    return MarginPmf(sizes, probs)
-
-
 def representation_equivalence_check(
     spec: CouplingSpec, groups: GroupStructure, n: int
 ) -> float:
     """Max abs difference between the Gibbs and mixing-density margin laws.
 
-    The two computations are independent (enumeration vs quadrature); the
-    contract is a discrepancy below 1e-8.
+    The two computations are independent (enumeration vs the model's exact
+    law, quadrature against mu_n); the contract is a discrepancy below 1e-8.
     """
     if n > REPRESENTATION_MAX_N:
         raise ResourceError(f"equivalence check guard: n={n} > {REPRESENTATION_MAX_N}")
-    return gibbs_pmf(spec, groups, n).max_abs_diff(definetti_margin_pmf(spec, groups, n))
+    model = DeFinettiModel(groups, CurieWeissSequence(spec), TANH)
+    return gibbs_pmf(spec, groups, n).max_abs_diff(exact_margin_pmf(model, n))
 
 
 # -- compact (tanh-transformed) form ----------------------------------------------
@@ -362,13 +407,6 @@ class CompactMixingDensity:
         return total
 
 
-def compact_representation(
-    spec: CouplingSpec, groups: GroupStructure, n: int
-) -> CompactMixingDensity:
-    """The tanh-transformed mixing density on (-1, 1)^M."""
-    return CompactMixingDensity(spec, groups, n)
-
-
 @dataclass(frozen=True)
 class ConcentrationPoint:
     n: int
@@ -394,102 +432,6 @@ def concentration_profile(
         if delta >= 1.0:
             out.append(ConcentrationPoint(int(n), 0.0, False))
             continue
-        tail = compact_representation(spec, groups, int(n)).mass_outside_symmetric_box(delta)
+        tail = CompactMixingDensity(spec, groups, int(n)).mass_outside_symmetric_box(delta)
         out.append(ConcentrationPoint(int(n), tail, tail == 0.0))
     return out
-
-
-# -- sampling ----------------------------------------------------------------------
-
-def sample_cwm_margins(
-    spec: CouplingSpec,
-    groups: GroupStructure,
-    n: int,
-    count: int,
-    seed: int,
-    workers: int = 1,
-) -> MarginSample:
-    """Two-stage seeded sampler for the mean-field model.
-
-    Latent biases are i.i.d. draws from exp(-n F), by rejection against the
-    Gaussian N(0, P0^-1) that matches F's quadratic part.  Since
-    -n F(x) = -x' P0 x / 2 + n sum_g alpha_g (ln cosh x_g - x_g^2 / 2) and the
-    second term is never positive, the acceptance ratio never exceeds 1, in
-    any dimension.  Vote margins are then binomial given tanh of the bias.
-    Blocks are seeded as in ``sample_margins``, so the output is bitwise
-    identical for any worker count.  Only validated in the high-temperature
-    regime; a coupling so close to criticality that fewer than 1% of
-    proposals are accepted raises ConfigError.
-    """
-    if count < 1:
-        raise ConfigError("sample count must be at least 1")
-    if not spec.is_high_temperature:
-        raise ConfigError("the sampler is validated in the high-temperature regime only")
-    sizes = np.asarray(groups.sizes(n), dtype=np.int64)
-
-    if spec.is_zero:
-        # J is singular and the voters are fair coins
-        def draw(rng, c):
-            return binomial_margins(rng, sizes, np.full((c, len(sizes)), 0.5))
-    else:
-        surface = free_energy_surface(spec, groups, n)
-        # x = z L' with L L' = P0^-1; P0 is positive definite in high temperature
-        scale = np.linalg.cholesky(np.linalg.inv(surface._precision0)).T
-
-        def draw(rng, c):
-            return _rejection_block(rng, surface, scale, sizes, c)
-
-    raw = _sample_blocks(draw, seed, count, workers)
-    gamma = np.sqrt(sizes.astype(float))
-    return MarginSample(
-        n=n,
-        group_sizes=tuple(int(s) for s in sizes),
-        raw=raw,
-        normalized=raw / gamma,
-        gamma=tuple(float(g) for g in gamma),
-        regimes=("cwm",) * groups.m,
-        seed=seed,
-    )
-
-
-def _rejection_block(rng, surface: FreeEnergySurface, scale, sizes, count):
-    n = surface.n
-    out = np.empty((count, surface.m))
-    filled = proposed = accepted = 0
-    while filled < count:
-        x = rng.standard_normal((count, surface.m)) @ scale
-        log_ratio = n * ((_log_cosh(x) - 0.5 * x**2) @ surface.alpha)
-        keep = x[np.log(rng.random(count)) < log_ratio]
-        take = min(len(keep), count - filled)
-        out[filled : filled + take] = keep[:take]
-        filled += take
-        proposed += count
-        accepted += len(keep)
-        if proposed >= 10_000 and accepted < MIN_ENVELOPE_ACCEPTANCE * proposed:
-            raise ConfigError(
-                f"rejection envelope acceptance rate {accepted / proposed:.2%} "
-                "is below 1%; review the coupling parameters"
-            )
-    p = 0.5 * (1.0 + np.tanh(out))
-    return binomial_margins(rng, sizes, p)
-
-
-# -- moments ------------------------------------------------------------------------
-
-def pair_correlation(
-    spec: CouplingSpec, groups: GroupStructure, n: int, tol: float = 1e-12
-) -> np.ndarray:
-    """E[tanh(x)^2] per group under the normalized mixing density."""
-    surface = free_energy_surface(spec, groups, n)
-
-    def at_level(level: int) -> np.ndarray:
-        points, weights = surface.quad_nodes(level)
-        return (weights @ np.tanh(points) ** 2) / weights.sum()
-
-    values, _ = refine_until_stable(at_level, tol=tol)
-    return values
-
-
-def empirical_margin_covariance(sample: MarginSample) -> np.ndarray:
-    """Sample covariance of the normalized margins (no analytic formula is claimed)."""
-    return np.cov(sample.normalized, rowvar=False)

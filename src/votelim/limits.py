@@ -167,10 +167,3 @@ def limit_cdf_mc(law: LimitLaw, x, count: int = 1_000_000, seed: int = 0) -> tup
     p = float(hits.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 1.0 / count) / count))
     return p, se
-
-
-def conditional_cf(m: float, t: float) -> complex:
-    """Single-voter characteristic function at bias m: cos t + i m sin t."""
-    if abs(m) > 1.0:
-        raise ConfigError("bias must lie in [-1, 1]")
-    return complex(np.cos(t), m * np.sin(t))

@@ -1,12 +1,14 @@
 """Multi-group voting models driven by mixing-measure sequences.
 
-A model couples a group structure, a mixing-measure sequence (static,
-contracted toward the origin, or a mean-field coupling), and a bias map.
-Conditional on a latent bias vector m the voters flip independent coins
-with success probability (1 + m_bar)/2 per group, so group margins are
-binomial transforms.  This module provides the exact margin law (atomic
-summation or adaptive quadrature), an independent brute-force enumeration
-oracle, and a seeded block-parallel Monte Carlo sampler.
+A model couples a group structure, a mixing-measure sequence, and a bias
+map.  Conditional on a latent bias vector m the voters flip independent
+coins with success probability (1 + m_bar)/2 per group, so group margins
+are binomial transforms.  Every sequence builds its own mixing measure
+mu_n: the static and contracted sequences here, the mean-field sequence in
+``cwm``.  The exact margin law (atomic summation or adaptive quadrature),
+the independent brute-force enumeration oracle, the pair correlation and
+the seeded block-parallel Monte Carlo sampler each have one path that
+asks mu_n only for quadrature nodes, marginals and samples.
 """
 
 from __future__ import annotations
@@ -99,6 +101,12 @@ class StaticSequence:
 
     kind = "static"
 
+    def validate(self, groups: GroupStructure, bias_map) -> None:
+        _check_dim(self.base, groups)
+
+    def mixing_measure(self, groups: GroupStructure, n: int) -> BaseMeasure:
+        return self.base
+
     def _key(self):
         return ("static", self.base._key())
 
@@ -112,51 +120,40 @@ class ContractedSequence:
 
     kind = "contracted"
 
+    def validate(self, groups: GroupStructure, bias_map) -> None:
+        _check_dim(self.base, groups)
+        if self.schedule.m != groups.m:
+            raise ConfigError("schedule group count does not match the model")
+
+    def mixing_measure(self, groups: GroupStructure, n: int) -> BaseMeasure:
+        return self.base.contract(self.schedule.eps(n, groups.sizes(n)))
+
     def _key(self):
         return ("contracted", self.base._key(), self.schedule._key())
 
 
-@dataclass(frozen=True)
-class CurieWeissSequence:
-    """Mean-field coupling; the mixing measure has density exp(-n F) (see cwm)."""
-
-    coupling: object
-
-    kind = "curie-weiss"
-
-    def _key(self):
-        return ("curie-weiss", self.coupling._key())
+def _check_dim(base: BaseMeasure, groups: GroupStructure) -> None:
+    if base.dim != groups.m:
+        raise ConfigError(f"mixing measure dimension {base.dim} != group count {groups.m}")
 
 
 class DeFinettiModel:
-    """A complete voting model: groups, mixing sequence, and bias map."""
+    """A complete voting model: groups, mixing sequence, and bias map.
+
+    The sequence checks that it fits the groups and the bias map, and
+    builds mu_n: anything with ``dim``, ``quad_nodes(level)`` (weights of
+    total mass 1), ``marginal(coords)`` and ``sample(rng, count)``.
+    """
 
     def __init__(self, groups: GroupStructure, sequence, bias_map):
+        sequence.validate(groups, bias_map)
         self.groups = groups
         self.sequence = sequence
         self.bias_map = bias_map
-        kind = sequence.kind
-        if kind in ("static", "contracted") and sequence.base.dim != groups.m:
-            raise ConfigError(
-                f"mixing measure dimension {sequence.base.dim} != group count {groups.m}"
-            )
-        if kind == "contracted" and sequence.schedule.m != groups.m:
-            raise ConfigError("schedule group count does not match the model")
-        if kind == "curie-weiss":
-            if sequence.coupling.m != groups.m:
-                raise ConfigError("coupling matrix size does not match the group count")
-            if getattr(bias_map, "name", None) != "tanh":
-                raise ConfigError("the mean-field model requires the tanh bias map")
 
-    def mixing_measure(self, n: int) -> BaseMeasure:
-        """The mixing measure mu_n (static and contracted sequences only)."""
-        seq = self.sequence
-        if seq.kind == "static":
-            return seq.base
-        if seq.kind == "contracted":
-            sizes = self.groups.sizes(n)
-            return seq.base.contract(seq.schedule.eps(n, sizes))
-        raise ConfigError("the mean-field mixing measure is a density, not a BaseMeasure")
+    def mixing_measure(self, n: int):
+        """The mixing measure mu_n at population n."""
+        return self.sequence.mixing_measure(self.groups, n)
 
     def normalization(self, n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         """Per-group margin divisor gamma and regime tags.
@@ -334,7 +331,7 @@ def _factorizes(measure: BaseMeasure) -> bool:
     return False
 
 
-def _integrate(measure: BaseMeasure, integrand, tol: float) -> np.ndarray:
+def _integrate(measure, integrand, tol: float) -> np.ndarray:
     """``integrand(points, weights)`` on mu's nodes: summed once if atomic, else refined."""
     if _is_atomic(measure):
         return integrand(*measure.quad_nodes(0))
@@ -350,18 +347,15 @@ def exact_margin_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margi
     ``tol``.  When mu_n has independent coordinates (a ``Product``, a
     ``UniformBox`` or a diagonal ``Gaussian``), the bias map, which acts
     componentwise, keeps them independent: the law is the outer product of
-    one 1-D mixed binomial law per group.  Any other measure is integrated
-    on its joint tensor grid.  Guarded by the lattice-size resource limit.
+    one 1-D mixed binomial law per group.  Any other measure, the mean-field
+    density among them, is integrated on its joint grid.  Guarded by the
+    lattice-size resource limit.
     """
     sizes = model.groups.sizes(n)
     _guard_lattice(sizes)
-    if model.sequence.kind == "curie-weiss":
-        from . import cwm
-
-        return cwm.definetti_margin_pmf(model.sequence.coupling, model.groups, n, tol=tol)
     measure = model.mixing_measure(n)
 
-    def mixed_law(mu: BaseMeasure, lattice) -> np.ndarray:
+    def mixed_law(mu, lattice) -> np.ndarray:
         def integrand(points, weights):
             return _pmf_from_nodes(points, weights, lattice, model.bias_map)
 
@@ -423,18 +417,6 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
     def accumulate(points, weights) -> np.ndarray:
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, points))
         return _mix(_enumerated_count_table, sizes, p, np.asarray(weights, dtype=float))
-
-    if model.sequence.kind == "curie-weiss":
-        from . import cwm
-
-        surface = cwm.free_energy_surface(model.sequence.coupling, model.groups, n)
-
-        def at_level(level: int) -> np.ndarray:
-            points, weights = surface.quad_nodes(level)
-            return accumulate(points, weights / weights.sum())
-
-        probs, _ = refine_until_stable(at_level, tol=tol)
-        return MarginPmf(sizes, probs)
 
     return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate, tol))
 
@@ -538,12 +520,6 @@ def sample_margins(
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
-    if model.sequence.kind == "curie-weiss":
-        from . import cwm
-
-        return cwm.sample_cwm_margins(
-            model.sequence.coupling, model.groups, n, count, seed, workers=workers
-        )
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
     measure = model.mixing_measure(n)
 
@@ -610,12 +586,8 @@ def pair_correlation(model: DeFinettiModel, n: int, tol: float = 1e-12) -> np.nd
 
     Under the conditional product law, E X_g1 X_g2 = E[(E_m X)^2] = E[m_bar^2].
     The moment of group g depends only on coordinate g's marginal of mu_n,
-    so it is integrated in one dimension for every measure.
+    so it is integrated against that marginal for every measure.
     """
-    if model.sequence.kind == "curie-weiss":
-        from . import cwm
-
-        return cwm.pair_correlation(model.sequence.coupling, model.groups, n, tol=tol)
     measure = model.mixing_measure(n)
 
     def second_moment(points, weights) -> np.ndarray:

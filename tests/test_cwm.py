@@ -15,26 +15,31 @@ from votelim import (
     ResourceError,
     TANH,
     brute_force_pmf,
-    compact_representation,
     concentration_profile,
-    definetti_density,
     exact_margin_pmf,
     free_energy_surface,
     gibbs_pmf,
     pair_correlation,
     representation_equivalence_check,
-    sample_cwm_margins,
     sample_margins,
     single_group_free_energy,
 )
 from votelim import cwm
-from votelim.cwm import SURFACE_CACHE_SIZE, definetti_margin_pmf, empirical_margin_covariance
+from votelim.cwm import SURFACE_CACHE_SIZE, CompactMixingDensity
 from votelim.models import SAMPLE_BLOCK
 from votelim.quadrature import tensor_rule
 from conftest import GROUPS_1, GROUPS_2
 
 BETA_HALF = CouplingSpec.single_group(0.5)
 J_TWO = CouplingSpec([[0.5, 0.2], [0.2, 0.5]])
+
+
+def cwm_model(spec, groups=GROUPS_1):
+    return DeFinettiModel(groups, CurieWeissSequence(spec), TANH)
+
+
+def sample_cwm(spec, groups, n, count, seed, workers=1):
+    return sample_margins(cwm_model(spec, groups), n, count, seed, workers=workers)
 
 
 # -- coupling validation ------------------------------------------------------
@@ -150,8 +155,8 @@ def test_gibbs_enumeration_guard():
 # -- mixing density ------------------------------------------------------------------
 
 def test_density_is_one_at_origin():
-    assert definetti_density(BETA_HALF, GROUPS_1, 12, [0.0]) == 1.0
-    assert definetti_density(J_TWO, GROUPS_2, 8, [0.0, 0.0]) == 1.0
+    assert free_energy_surface(BETA_HALF, GROUPS_1, 12).density([0.0]) == 1.0
+    assert free_energy_surface(J_TWO, GROUPS_2, 8).density([0.0, 0.0]) == 1.0
 
 
 def test_density_peaks_at_origin_in_high_temperature():
@@ -201,6 +206,21 @@ def test_brute_force_agrees_with_gibbs():
     assert gibbs_pmf(BETA_HALF, GROUPS_1, 8).max_abs_diff(brute) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "spec, groups",
+    [(CouplingSpec.single_group(0.0), GROUPS_1), (CouplingSpec(np.zeros((2, 2))), GROUPS_2)],
+    ids=["beta-zero", "zero-matrix"],
+)
+def test_zero_coupling_is_the_point_mass_at_the_origin(spec, groups):
+    # J = 0 is singular, so there is no density exp(-n F); the voters are
+    # fair coins, and every route must accept the model
+    model = cwm_model(spec, groups)
+    gibbs = gibbs_pmf(spec, groups, 8)
+    assert gibbs.max_abs_diff(brute_force_pmf(model, 8)) < 1e-15
+    assert gibbs.max_abs_diff(exact_margin_pmf(model, 8)) < 1e-15
+    assert np.array_equal(pair_correlation(model, 8), np.zeros(groups.m))
+
+
 def test_exact_margin_pmf_dispatches_to_mixing_density():
     model = DeFinettiModel(GROUPS_1, CurieWeissSequence(BETA_HALF), TANH)
     assert exact_margin_pmf(model, 8).max_abs_diff(gibbs_pmf(BETA_HALF, GROUPS_1, 8)) < 1e-8
@@ -216,19 +236,19 @@ def test_curie_weiss_model_requires_tanh():
 # -- compact representation --------------------------------------------------------------
 
 def test_compact_density_integrates_to_one():
-    compact = compact_representation(BETA_HALF, GROUPS_1, 10)
+    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
     assert compact.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_compact_density_zero_on_boundary_and_even():
-    compact = compact_representation(BETA_HALF, GROUPS_1, 10)
+    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
     assert compact.density([1.0]) == 0.0
     assert compact.density([-1.0]) == 0.0
     assert compact.density([0.3]) == pytest.approx(compact.density([-0.3]), rel=1e-12)
 
 
 def test_compact_transformed_mean_is_zero():
-    compact = compact_representation(BETA_HALF, GROUPS_1, 10)
+    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
     points, weights = tensor_rule([-1.0], [1.0], 256)
     dens = np.exp(compact.log_density_unnormalized(points))
     mean = float(weights @ (points[:, 0] * dens)) / compact.surface.normalizer()
@@ -238,7 +258,7 @@ def test_compact_transformed_mean_is_zero():
 def test_change_of_variables_box_masses_agree():
     # mass of [-a, a] in the compact variable equals mass of
     # [-artanh a, artanh a] under the latent-variable density
-    compact = compact_representation(BETA_HALF, GROUPS_1, 10)
+    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
     surface = compact.surface
     for a in (0.2, 0.5, 0.8):
         x = math.atanh(a)
@@ -282,7 +302,7 @@ def test_concentration_requires_high_temperature():
 # -- sampling -------------------------------------------------------------------------------
 
 def test_sampler_variance_matches_small_n_extrapolation():
-    sample = sample_cwm_margins(BETA_HALF, GROUPS_1, 10**4, 10**5, 42)
+    sample = sample_cwm(BETA_HALF, GROUPS_1, 10**4, 10**5, 42)
     var_mc = float(np.var(sample.normalized[:, 0], ddof=1))
     # oracle: exact margin variance from enumeration, extrapolated in 1/n
     ns = np.array([10, 12, 14, 16, 18, 20], dtype=float)
@@ -299,7 +319,7 @@ def test_sampler_variance_matches_small_n_extrapolation():
 
 def test_sampler_beta_zero_matches_binomial():
     n = 10**5
-    sample = sample_cwm_margins(CouplingSpec.single_group(0.0), GROUPS_1, n, 10**5, 1)
+    sample = sample_cwm(CouplingSpec.single_group(0.0), GROUPS_1, n, 10**5, 1)
     from votelim.verify import ks_statistic
 
     root = math.sqrt(n)
@@ -315,45 +335,49 @@ def test_sampler_deterministic_and_worker_invariant():
     # three blocks, the last one partial
     count = 2 * SAMPLE_BLOCK + 100
     for spec, groups in [(J_TWO, GROUPS_2), (J_THREE, GROUPS_3)]:
-        one = sample_cwm_margins(spec, groups, 100, count, 3, workers=1)
+        one = sample_cwm(spec, groups, 100, count, 3, workers=1)
         for workers in (2, 4):
-            many = sample_cwm_margins(spec, groups, 100, count, 3, workers=workers)
+            many = sample_cwm(spec, groups, 100, count, 3, workers=workers)
             assert np.array_equal(one.raw, many.raw)
-        again = sample_cwm_margins(spec, groups, 100, count, 3)
+        again = sample_cwm(spec, groups, 100, count, 3)
         assert np.array_equal(one.raw, again.raw)
 
 
 def test_single_group_sample_bits_pinned():
     # seeded output is reproducible across releases: any change to the
-    # one-group sampler's use of its RNG stream changes this digest
-    sample = sample_cwm_margins(BETA_HALF, GROUPS_1, 101, 2000, 2)
+    # one-group sampler's use of its RNG stream changes these digests
+    sample = sample_cwm(BETA_HALF, GROUPS_1, 101, 2000, 2)
     digest = hashlib.sha256(sample.raw.astype("<i8").tobytes()).hexdigest()
     assert digest == "61bc6ae22873f2660daaf36e1151a819b3d7110b0f6c144d77ffbb28cd950700"
+    # beta = 0: the atom at the origin, drawn like any atomic mixing measure
+    sample = sample_cwm(CouplingSpec.single_group(0.0), GROUPS_1, 101, 2000, 2)
+    digest = hashlib.sha256(sample.raw.astype("<i8").tobytes()).hexdigest()
+    assert digest == "086067a1b6dcab74513b587d619c6a887e3eedf675095f604ce0ed7e31724380"
 
 
-def test_sampler_routes_through_model_interface():
-    model = DeFinettiModel(GROUPS_2, CurieWeissSequence(J_TWO), TANH)
-    s = sample_margins(model, 100, 64, 5)
-    direct = sample_cwm_margins(J_TWO, GROUPS_2, 100, 64, 5)
-    assert np.array_equal(s.raw, direct.raw)
-    assert s.regimes == ("cwm", "cwm")
+def test_sampler_normalizes_by_root_group_size():
+    sample = sample_cwm(J_TWO, GROUPS_2, 100, 64, 5)
+    root = np.sqrt(GROUPS_2.sizes(100))
+    assert sample.regimes == ("cwm", "cwm")
+    assert sample.gamma == tuple(root.tolist())
+    assert np.array_equal(sample.normalized, sample.raw / root)
 
 
 def test_positive_coupling_gives_positive_cross_correlation():
-    sample = sample_cwm_margins(J_TWO, GROUPS_2, 400, 4000, 8)
-    cov = empirical_margin_covariance(sample)
+    sample = sample_cwm(J_TWO, GROUPS_2, 400, 4000, 8)
+    cov = np.cov(sample.normalized, rowvar=False)
     rho = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
     assert rho > 0.2
 
 
 def test_sampler_requires_high_temperature():
     with pytest.raises(ConfigError):
-        sample_cwm_margins(CouplingSpec.single_group(1.1), GROUPS_1, 100, 10, 0)
+        sample_cwm(CouplingSpec.single_group(1.1), GROUPS_1, 100, 10, 0)
 
 
 def test_envelope_acceptance_guard_near_criticality():
     with pytest.raises(ConfigError, match="acceptance rate"):
-        sample_cwm_margins(CouplingSpec.single_group(0.99999), GROUPS_1, 10, 5000, 1)
+        sample_cwm(CouplingSpec.single_group(0.99999), GROUPS_1, 10, 5000, 1)
 
 
 def _sample_tv(sample, pmf) -> float:
@@ -386,8 +410,8 @@ def test_sampler_matches_exact_law_m2(j, proportions):
     spec = CouplingSpec(j)
     groups = GroupStructure(2, proportions)
     n, count = 16, 20_000
-    pmf = definetti_margin_pmf(spec, groups, n)
-    sample = sample_cwm_margins(spec, groups, n, count, 17)
+    pmf = exact_margin_pmf(cwm_model(spec, groups), n)
+    sample = sample_cwm(spec, groups, n, count, 17)
     assert _sample_tv(sample, pmf) < _multinomial_tv_quantile(pmf, count)
 
 
@@ -396,11 +420,11 @@ def test_envelope_acceptance_guard_near_criticality_m2():
     spec = CouplingSpec([[0.5, 0.49999], [0.49999, 0.5]])
     assert spec.is_high_temperature
     with pytest.raises(ConfigError, match="acceptance rate"):
-        sample_cwm_margins(spec, GROUPS_2, 10, 5000, 1)
+        sample_cwm(spec, GROUPS_2, 10, 5000, 1)
 
 
 def test_margin_parity():
-    sample = sample_cwm_margins(BETA_HALF, GROUPS_1, 101, 2000, 2)
+    sample = sample_cwm(BETA_HALF, GROUPS_1, 101, 2000, 2)
     assert np.all((sample.raw[:, 0] + 101) % 2 == 0)
 
 
@@ -423,3 +447,17 @@ def test_quadrature_pair_correlation_close_to_enumeration():
     enumerated = (float((k**2) @ pmf.probs) - n) / (n * (n - 1))
     model = DeFinettiModel(GROUPS_1, CurieWeissSequence(BETA_HALF), TANH)
     assert pair_correlation(model, n)[0] == pytest.approx(enumerated, rel=1e-8)
+
+
+@pytest.mark.parametrize("proportions", [[0.5, 0.5], [0.25, 0.75]], ids=["equal", "unequal"])
+def test_two_group_pair_correlation_matches_enumeration(proportions):
+    n = 16
+    groups = GroupStructure(2, proportions)
+    pmf = gibbs_pmf(J_TWO, groups, n)
+    enumerated = []
+    for g, n_g in enumerate(groups.sizes(n)):
+        k = pmf.margin_axis(g)
+        second = float((k**2) @ pmf.group_marginal(g))
+        enumerated.append((second - n_g) / (n_g * (n_g - 1)))
+    quadrature = pair_correlation(cwm_model(J_TWO, groups), n)
+    assert quadrature == pytest.approx(enumerated, rel=1e-10)

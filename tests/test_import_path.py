@@ -7,13 +7,20 @@ compute their density in numpy.  The checks run in a fresh interpreter,
 since this test process has long since loaded scipy.stats.  That
 interpreter refuses every import of scipy.stats, so the first caller that
 tries one is named without paying for the load.
+
+The package's modules also import each other without a cycle, lazy imports
+inside functions included.
 """
 
+import ast
+import graphlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,3 +93,36 @@ def test_scipy_stats_loads_only_with_the_exact_layer():
         "gaussian-nodes": False,
         "exact": "import of scipy.stats refused",
     }
+
+
+# -- layering -------------------------------------------------------------------
+
+MODULES = {p.stem: p for p in (SRC / "votelim").glob("*.py") if p.stem != "__init__"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package's modules that ``source`` imports, in function bodies too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if (node.level and not module) or module == "votelim":
+                found.update(alias.name for alias in node.names)
+            elif node.level:
+                found.add(module.split(".")[0])
+            elif module.startswith("votelim."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("votelim."))
+    return found & MODULES.keys()
+
+
+def test_package_modules_import_without_cycles():
+    lazy = "def f():\n    from . import cwm\n    from .models import x\n    import votelim.limits\n"
+    assert package_imports(lazy) == {"cwm", "models", "limits"}
+    graph = {name: package_imports(path.read_text()) for name, path in MODULES.items()}
+    assert "models" in graph["cwm"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))

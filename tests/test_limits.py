@@ -22,7 +22,6 @@ from votelim import (
     Product,
     UniformBox,
     UnsupportedMeasureError,
-    conditional_cf,
     limit_cdf,
     limit_for,
 )
@@ -326,21 +325,3 @@ def test_cf_inversion_reproduces_cdf(law):
     grid = np.linspace(-3.5, 3.5, 8)
     for x, value in zip(grid, law.cdf(grid)):
         assert gil_pelaez_cdf(law.cf, x) == pytest.approx(value, abs=1e-6)
-
-
-# -- single-voter conditional CF ----------------------------------------------------------
-
-def test_conditional_cf_values():
-    assert conditional_cf(0.0, math.pi / 2) == pytest.approx(0.0, abs=1e-16)
-    t = 0.83
-    assert conditional_cf(1.0, t) == pytest.approx(complex(math.cos(t), math.sin(t)), abs=1e-15)
-    # oracle: direct two-point expectation at m = 0.5
-    m = 0.5
-    expected = ((1 + m) / 2) * np.exp(1j * 1.0) + ((1 - m) / 2) * np.exp(-1j * 1.0)
-    assert conditional_cf(m, 1.0) == pytest.approx(expected, abs=1e-15)
-    assert conditional_cf(0.5, 1.0) == pytest.approx(0.5403 + 0.4207j, abs=1e-4)
-
-
-def test_conditional_cf_rejects_bias_outside_range():
-    with pytest.raises(ConfigError):
-        conditional_cf(1.2, 0.5)

@@ -146,10 +146,10 @@ def _target_law(cfg: ExperimentConfig) -> LimitLaw:
 
 
 def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    sample.to_csv(out_dir / "margins.csv")
     law = _target_law(cfg)
     threshold = float(cfg.thresholds.get("ks", ks_threshold(cfg.count)))
+    sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
+    sample.to_csv(out_dir / "margins.csv")
     reports = []
     for g in range(cfg.model.groups.m):
         marginal = law.marginal(g)

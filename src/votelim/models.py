@@ -374,21 +374,27 @@ def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     factors p[q] (a +1 vote) and 1 - p[q] (a -1 vote), so the count
     distribution arises from enumeration alone, with no binomial coefficients.
     The working array is vote-vector-major, (2^n_g, a block of p) with at most
-    4e6 elements, so each voter's extension is one contiguous block.
+    4e6 elements, so each voter's extension is one contiguous block.  Bit v
+    of a vector's index is set when voter v votes +1, so the vectors are
+    binned by the popcount of their index, against a one-hot matrix built
+    for at most 4e6 / (n_g + 1) vectors at a time.
     """
     block = max(1, 4_000_000 >> n_g)
     if len(p) > block:
         return np.vstack([_enumerated_count_table(n_g, p[i : i + block]) for i in range(0, len(p), block)])
     prob = np.empty((1 << n_g, len(p)))
     prob[0] = 1.0
-    plus = np.zeros(1 << n_g, dtype=np.int64)
     for voter in range(n_g):
         # vectors h..2h-1 extend vectors 0..h-1 with a +1 vote of this voter
         h = 1 << voter
         np.multiply(prob[:h], p, out=prob[h : 2 * h])
         prob[:h] *= 1.0 - p
-        plus[h : 2 * h] = plus[:h] + 1
-    return prob.T @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
+    rows = max(1, 4_000_000 // (n_g + 1))
+    table = 0.0
+    for r in range(0, 1 << n_g, rows):
+        plus = np.bitwise_count(np.arange(r, min(r + rows, 1 << n_g)))
+        table = table + prob[r : r + rows].T @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
+    return table
 
 
 def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
@@ -443,27 +449,28 @@ class MarginSample:
         """Columnar long-format CSV: sample_index, group, raw_margin, normalized_margin.
 
         One row per (sample, group), in sample-major order, with CRLF line
-        ends and ``repr`` floats (the bytes of ``csv.writer``); written
-        ``CSV_CHUNK`` samples at a time so memory stays bounded.  Within a
-        chunk each distinct float64 bit pattern of ``normalized`` is
-        ``repr``-ed once: margins live on a lattice, so a chunk of a large
-        group repeats few values.
+        ends and ``repr`` floats: the bytes of ``csv.writer``, so identical
+        samples give identical files.  Written ``CSV_CHUNK`` samples at a
+        time, so memory stays bounded, with no Python call per row: within
+        a chunk each sample index is formatted once, each distinct raw and
+        normalized value once (margins live on a lattice, so a chunk of a
+        large group repeats few values), and the chunk's cells are joined
+        into one string.
         """
         m = len(self.group_sizes)
         with open(path, "w", newline="") as fh:
             fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
             for start in range(0, self.count, CSV_CHUNK):
                 stop = min(start + CSV_CHUNK, self.count)
-                chunk = np.ascontiguousarray(self.normalized[start:stop], dtype=np.float64)
-                keys, inverse = np.unique(chunk.reshape(-1).view(np.int64), return_inverse=True)
-                texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-                fh.write("".join(map(
-                    "{},{},{},{}\r\n".format,
-                    np.repeat(np.arange(start, stop), m).tolist(),
-                    np.tile(np.arange(m), stop - start).tolist(),
-                    self.raw[start:stop].astype(np.int64).reshape(-1).tolist(),
-                    texts[inverse].tolist(),
-                )))
+                # row i, g: repr(i) ",g," repr(raw) "," repr(normalized) "\r\n"
+                cells = np.empty((stop - start, m, 6), dtype=object)
+                cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
+                cells[:, :, 1] = [f",{g}," for g in range(m)]
+                cells[:, :, 2] = _distinct_reprs(self.raw[start:stop].astype(np.int64))
+                cells[:, :, 3] = ","
+                cells[:, :, 4] = _distinct_reprs(self.normalized[start:stop].astype(np.float64))
+                cells[:, :, 5] = "\r\n"
+                fh.write("".join(cells.reshape(-1).tolist()))
 
     def manifest(self) -> dict:
         return {
@@ -474,6 +481,13 @@ class MarginSample:
             "gamma": list(self.gamma),
             "regimes": list(self.regimes),
         }
+
+
+def _distinct_reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every element of a 64-bit array, called once per distinct bit pattern."""
+    keys, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.fromiter(map(repr, keys.view(values.dtype).tolist()), object, len(keys))
+    return texts[inverse].reshape(values.shape)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:

@@ -468,6 +468,17 @@ def test_growing_explicit_schedule_is_exit_2(tmp_path, capsys):
     assert "eps_n -> 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [_static(_UNIFORM), _CW_BETA], ids=["spread-out-static", "curie-weiss"])
+def test_verify_clt_without_a_limit_law_samples_nothing(tmp_path, capsys, model):
+    # the target law is resolved before sampling, so no orphan margins.csv is left
+    cfg = tmp_path / "nolimit.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc(model=model["model"])))
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "limit" in capsys.readouterr().err
+    assert not (out / "margins.csv").exists()
+
+
 def test_nested_product_mixture_measure_from_config(tmp_path):
     doc = small_clt_doc(count=3000, thresholds={"ks": 0.08, "cross_correlation": 0.05})
     doc["model"]["groups"] = {"m": 2, "proportions": [0.5, 0.5]}

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -178,6 +179,21 @@ def test_brute_force_guard():
         brute_force_pmf(static_delta0(), 21)
 
 
+def test_brute_force_at_the_size_guard_bins_within_the_block_budget():
+    # one (2^20, 21) one-hot matrix for the count binning would take 176 MB;
+    # the exact law runs outside the trace, as its lazy scipy.stats import allocates
+    n = models.BRUTE_FORCE_MAX_N
+    exact = exact_margin_pmf(static_delta0(), n)
+    tracemalloc.start()
+    try:
+        brute = brute_force_pmf(static_delta0(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact.max_abs_diff(brute) < 1e-15
+    assert peak < 64 * 2**20
+
+
 def test_lattice_guard():
     groups = GroupStructure(2, [0.5, 0.5])
     base = PointMassMixture([([0.0, 0.0], 1.0)])
@@ -281,7 +297,7 @@ def _reference_csv_bytes(sample) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("count", [37, CSV_CHUNK, 2 * CSV_CHUNK + 5])
 def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
     # chunk edges: fewer samples than one chunk, exactly one, and a ragged tail
@@ -304,6 +320,16 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
     text = path.read_bytes()
     assert text == _reference_csv_bytes(built)
     assert b",-0.0\r\n" in text and b",0.0\r\n" in text
+    # one sample; every value of every chunk equal; int32 raw beside float32
+    # normalized, whose distinct values must be told apart by float64 bits
+    for raw_v, normalized_v in [
+        (raw[:1], normalized[:1]),
+        (np.full_like(raw, -7), np.full_like(normalized, 0.1 + 0.2)),
+        (raw.astype(np.int32), (raw / 7.0).astype(np.float32)),
+    ]:
+        edge = dataclasses.replace(built, raw=raw_v, normalized=normalized_v)
+        edge.to_csv(path)
+        assert path.read_bytes() == _reference_csv_bytes(edge)
 
 
 # -- summary statistics --------------------------------------------------------------------

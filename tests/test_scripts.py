@@ -1,9 +1,12 @@
-"""Smoke runs of the experiment scripts at tiny sizes.
+"""Smoke runs of the experiment scripts.
 
 The scripts import the package's public names, so a renamed or removed
 export breaks them; each run is a fresh interpreter that must exit 0.
+The regime suite runs the shipped configs at full size and pins the bytes
+of their artifacts; the other scripts run at tiny sizes.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -35,3 +38,26 @@ def test_run_cwm_suite_runs():
     proc = _run("run_cwm_suite.py", "--betas", "0.5", "--sizes", "8", "--conc-grid", "20", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "representation equivalence" in proc.stdout
+
+
+#: sha256 of (margins.csv, reports.jsonl) of each verify-clt config; a speedup
+#: that changes these bytes changes what the run reports
+REGIME_ARTIFACTS = {
+    "fast_clt": ("3e94e21728db966781d97705d6842e52be36d043f8802ea96c0731d2ab86cb6e",
+                 "9d90add89c1147934fae05c115b9b412348e88b0b488bdc3af6827669c5eddc8"),
+    "critical_clt": ("4be008d809ed504e9797a448ce2599b9877a08fe3d74620bac719d6e5f5fe89d",
+                     "11a267988fa2954153219d35407759612ea9b2b5883a64dfc1427c5854375a7e"),
+    "subcritical_base": ("6204650329712894553d5f535d8a553c0856578479766d11df51746178ef1932",
+                         "3b150409585fc7782c88382897ab9d13308712fdbee2d2b1bdc4e1cbf2642f94"),
+}
+
+
+def test_run_regime_suite_keeps_its_artifacts(tmp_path):
+    proc = _run("run_regime_suite.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name, digests in REGIME_ARTIFACTS.items():
+        got = tuple(
+            hashlib.sha256((tmp_path / name / artifact).read_bytes()).hexdigest()
+            for artifact in ("margins.csv", "reports.jsonl")
+        )
+        assert got == digests, name

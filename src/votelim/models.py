@@ -241,10 +241,23 @@ class MarginPmf:
 
 
 def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
-    """Row q is the Binomial(n_g, p[q]) pmf over 0..n_g counts."""
-    from scipy import stats
+    """Row q is the Binomial(n_g, p[q]) pmf over 0..n_g counts.
 
-    return stats.binom.pmf(np.arange(n_g + 1), n_g, p[:, None])
+    Calls the Boost ufunc behind ``scipy.stats.binom.pmf`` directly, with the
+    clip to [0, 1] that ``rv_discrete.pmf`` applies: the same bits, without
+    its per-call argument handling or the import of ``scipy.stats`` (about a
+    second).  Every count 0..n_g lies in the support and every p in [0, 1],
+    so none of that handling applies here.  A scipy without the private
+    ufunc gets the public call.
+    """
+    k = np.arange(n_g + 1)
+    try:
+        from scipy.special._ufuncs import _binom_pmf
+    except ImportError:
+        from scipy import stats
+
+        return stats.binom.pmf(k, n_g, p[:, None])
+    return np.clip(_binom_pmf(k, n_g, p[:, None]), 0.0, 1.0)
 
 
 #: most elements one exact-layer contraction may hold at once: its dense
@@ -534,6 +547,8 @@ def sample_margins(
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
     measure = model.mixing_measure(n)
 

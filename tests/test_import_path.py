@@ -1,12 +1,13 @@
-"""scipy.stats stays off the import path and the verify-clt path.
+"""scipy.stats stays off the import path, the verify-clt path and the exact layer.
 
-Importing scipy.stats costs about a second, several times what a verify-clt
-run spends on its work.  Only the exact layer (binomial tables) and the box
-probability of a correlated Gaussian use it; Gaussian quadrature nodes
-compute their density in numpy.  The checks run in a fresh interpreter,
-since this test process has long since loaded scipy.stats.  That
-interpreter refuses every import of scipy.stats, so the first caller that
-tries one is named without paying for the load.
+Importing scipy.stats costs about a second, several times what a verify-clt,
+verify-llt or verify-cwm run spends on its work.  Only the box probability
+of a correlated Gaussian uses it: binomial tables come from the ufunc behind
+``scipy.stats.binom.pmf`` and Gaussian quadrature nodes compute their
+density in numpy.  The checks run in a fresh interpreter, since this test
+process has long since loaded scipy.stats.  That interpreter refuses every
+import of scipy.stats, so the first caller that tries one is named without
+paying for the load.
 
 The package's modules also import each other without a cycle, lazy imports
 inside functions included.
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 SCRIPT = r"""
 import json, sys, tempfile
@@ -44,8 +46,9 @@ import votelim, votelim.cli
 stages["import"] = loaded()
 
 from votelim import (CLAMP, ContractedSequence, DeFinettiModel, Gaussian, GroupStructure,
-                     PowerLawSchedule, UniformBox, exact_margin_pmf, ks_statistic,
-                     limit_for, sample_margins)
+                     PowerLawSchedule, UniformBox, brute_force_pmf, exact_margin_pmf,
+                     ks_statistic, limit_for, sample_margins)
+from votelim.config import load_config
 
 model = DeFinettiModel(
     GroupStructure(2, [0.5, 0.5]),
@@ -63,25 +66,36 @@ for g in range(2):
     ks_statistic(sample.normalized[:, g], marginal.cdf)
 stages["verify-clt"] = loaded()
 
-try:
-    Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]]).quad_nodes(64)
-    stages["gaussian-nodes"] = loaded()
-except ImportError as exc:
-    stages["gaussian-nodes"] = str(exc)
+def attempt(call):
+    try:
+        call()
+    except ImportError as exc:
+        return str(exc)
+    return "no import"
 
-try:
-    exact_margin_pmf(model, 6)
-    stages["exact"] = "no import"
-except ImportError as exc:
-    stages["exact"] = str(exc)
-print(json.dumps({"stages": stages, "kinds": kinds}))
+correlated = Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
+stages["gaussian-nodes"] = attempt(lambda: correlated.quad_nodes(64))
+stages["exact"] = attempt(lambda: exact_margin_pmf(model, 6))
+stages["brute-force"] = attempt(lambda: brute_force_pmf(model, 6))
+codes = {}
+
+def run_config(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        codes[name] = votelim.cli.run(load_config(Path(sys.argv[1]) / f"{name}.yaml"), tmp)
+
+for name in ("llt_baseline", "cwm_equivalence"):
+    stages[name] = attempt(lambda: run_config(name))
+stages["gaussian-box"] = attempt(lambda: correlated.mass_in_box([-1.0, -1.0], [1.0, 0.5]))
+print(json.dumps({"stages": stages, "kinds": kinds, "codes": codes}))
 """
 
 
-def test_scipy_stats_loads_only_with_the_exact_layer():
+def test_scipy_stats_loads_only_for_a_correlated_gaussian_box():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "configs")], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     # a fast and a critical group: Gaussian noise alone, and Gaussian noise
@@ -90,9 +104,14 @@ def test_scipy_stats_loads_only_with_the_exact_layer():
     assert result["stages"] == {
         "import": False,
         "verify-clt": False,
-        "gaussian-nodes": False,
-        "exact": "import of scipy.stats refused",
+        "gaussian-nodes": "no import",
+        "exact": "no import",
+        "brute-force": "no import",
+        "llt_baseline": "no import",
+        "cwm_equivalence": "no import",
+        "gaussian-box": "import of scipy.stats refused",
     }
+    assert result["codes"] == {"llt_baseline": 0, "cwm_equivalence": 0}
 
 
 # -- layering -------------------------------------------------------------------

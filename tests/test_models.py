@@ -4,7 +4,9 @@ import functools
 import io
 import itertools
 import math
+import sys
 import tracemalloc
+import types
 
 import hypothesis.strategies as st
 import numpy as np
@@ -129,6 +131,25 @@ def test_conditional_pmf_rejects_bias_outside_range():
         conditional_margin_pmf([1.5], GROUPS_1, 4)
 
 
+BINOM_SIZES = [*range(41), 100, 5000, 10**4, 10**5]
+BINOM_PS = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16, 1e-9, 0.3, 0.999])
+
+
+@pytest.mark.parametrize("hide_ufunc", [False, True], ids=["ufunc", "stats-fallback"])
+def test_binomial_table_equals_scipy_stats_bit_for_bit(monkeypatch, hide_ufunc):
+    from scipy import stats
+
+    expected = [stats.binom.pmf(np.arange(n + 1), n, BINOM_PS[:, None]) for n in BINOM_SIZES]
+    if hide_ufunc:
+        # a stand-in module: scipy.stats keeps its own reference to the real
+        # one, which deleting the attribute would break as well
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", types.ModuleType("_ufuncs"))
+        with pytest.raises(ImportError):
+            from scipy.special._ufuncs import _binom_pmf  # noqa: F401
+    for n, table in zip(BINOM_SIZES, expected):
+        assert np.array_equal(models._binom_table(n, BINOM_PS), table), n
+
+
 # -- exact margin law ----------------------------------------------------------------
 
 def test_static_delta0_n2():
@@ -181,7 +202,7 @@ def test_brute_force_guard():
 
 def test_brute_force_at_the_size_guard_bins_within_the_block_budget():
     # one (2^20, 21) one-hot matrix for the count binning would take 176 MB;
-    # the exact law runs outside the trace, as its lazy scipy.stats import allocates
+    # only the brute force runs inside the trace; the exact law is its reference
     n = models.BRUTE_FORCE_MAX_N
     exact = exact_margin_pmf(static_delta0(), n)
     tracemalloc.start()
@@ -242,6 +263,12 @@ def test_sample_margins_worker_invariance():
     one = sample_margins(model, 1000, 30000, 9, workers=1)
     many = sample_margins(model, 1000, 30000, 9, workers=8)
     assert np.array_equal(one.raw, many.raw)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sample_margins_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ConfigError, match="workers"):
+        sample_margins(static_delta0(), 10, 100, 1, workers=workers)
 
 
 def test_sample_margins_clt_moments():

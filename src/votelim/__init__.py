@@ -48,9 +48,8 @@ from .cwm import (
     free_energy_surface,
     gibbs_pmf,
     representation_equivalence_check,
-    single_group_free_energy,
 )
-from .limits import LimitLaw, limit_cdf, limit_for
+from .limits import LimitLaw, limit_for
 from .verify import (
     AlphaEstimate,
     VerificationReport,

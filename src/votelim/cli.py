@@ -1,22 +1,25 @@
 """Batch front-end: seeded experiment runs with artifacts persisted to disk.
 
 Subcommands mirror the experiment kinds.  Every run writes a manifest
-carrying the hash of the effective config (after flag overrides), the
-seed, and the tool version; margin samples go to CSV, verification
-results to JSON lines plus a CSV summary table.  Exit codes: 0 all
-verifications passed, 1 some verification failed, 2 invalid config or
-input data, 3 a resource guard tripped.
+carrying the hash of the effective config (after flag overrides, without
+``out`` and ``workers``, which change no result), the seed, and the
+versions of the tool, Python, numpy and scipy; margin samples go to CSV,
+verification results to JSON lines plus a CSV summary table.  Exit
+codes: 0 all verifications passed, 1 some verification failed, 2 invalid
+config or input data, 3 a resource guard tripped.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config
@@ -100,6 +103,9 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs, extra=None) -
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "tool_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "outputs": sorted(outputs),
     }
     if extra:
@@ -147,7 +153,7 @@ def _target_law(cfg: ExperimentConfig) -> LimitLaw:
 
 def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     law = _target_law(cfg)
-    threshold = float(cfg.thresholds.get("ks", ks_threshold(cfg.count)))
+    threshold = float(cfg.thresholds["ks"]) if "ks" in cfg.thresholds else ks_threshold(cfg.count)
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
     reports = []

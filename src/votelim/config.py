@@ -4,7 +4,8 @@ One file describes one experiment (model, experiment kind, n or n grid,
 sample count, mandatory seed, thresholds).  Validation errors cite the
 line of the offending key when the config came from a file.  The config
 hash is the SHA-256 of the canonical JSON form of the effective document
-and is embedded in every output artifact.
+without ``out`` and ``workers`` (results are the same for any output
+directory and worker count) and is embedded in every output artifact.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ class ExperimentConfig:
     concentration_grid: tuple[int, ...] | None = None
 
     def hash(self) -> str:
-        return config_hash(self.raw)
+        return config_hash({k: v for k, v in self.raw.items() if k not in ("out", "workers")})
 
 
 _NEEDS_MODEL = {"simulate", "verify-clt", "verify-llt", "verify-cwm", "correlation-decay"}

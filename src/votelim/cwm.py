@@ -93,15 +93,6 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def single_group_free_energy(beta: float, m) -> np.ndarray:
-    """Free energy in the compact variable for one group:
-    F(m) = ((1/beta) * artanh(m)^2 + ln(1 - m^2)) / 2 on (-1, 1)."""
-    if beta <= 0:
-        raise ConfigError("the free energy needs beta > 0")
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (np.arctanh(m) ** 2 / beta + np.log1p(-(m**2)))
-
-
 class FreeEnergySurface:
     """The latent-bias free energy x -> x' Q x / 2 - sum_g alpha_g ln cosh x_g.
 
@@ -127,18 +118,14 @@ class FreeEnergySurface:
         self._precision0 = n * (self.q_matrix - np.diag(self.alpha))
         self._normalizer = None
 
-    def value(self, x) -> np.ndarray:
-        """F evaluated on one point (M,) or a batch (K, M)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        quad = 0.5 * np.einsum("ki,ij,kj->k", pts, self.q_matrix, pts)
-        val = quad - _log_cosh(pts) @ self.alpha
-        return float(val[0]) if single else val
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """F on a batch of points: (K, M) in, (K,) out."""
+        quad = 0.5 * np.einsum("ki,ij,kj->k", x, self.q_matrix, x)
+        return quad - _log_cosh(x) @ self.alpha
 
-    def density(self, x) -> np.ndarray:
-        """Unnormalized mixing density exp(-n F(x))."""
-        return np.exp(-self.n * np.asarray(self.value(x)))
+    def density(self, x: np.ndarray) -> np.ndarray:
+        """Unnormalized mixing density exp(-n F(x)) on a batch (K, M)."""
+        return np.exp(-self.n * self.value(x))
 
     def curvature_sigmas(self) -> np.ndarray:
         """Marginal standard deviations of the Gaussian matching F's quadratic part."""
@@ -341,7 +328,7 @@ class CompactMixingDensity:
         self.n = n
 
     def log_density_unnormalized(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(np.asarray(t, dtype=float))
+        """Log of the unnormalized density on a batch (K, M); -inf off the open cube."""
         out = np.full(t.shape[0], -np.inf)
         interior = np.all(np.abs(t) < 1.0, axis=1)
         if np.any(interior):
@@ -351,22 +338,10 @@ class CompactMixingDensity:
             out[interior] = -self.n * self.surface.value(x) + log_jac
         return out
 
-    def density(self, t) -> np.ndarray:
-        """Normalized density; scalar in, scalar out."""
-        t = np.asarray(t, dtype=float)
-        single = t.ndim <= 1
-        pts = np.atleast_2d(t)
-        vals = np.exp(self.log_density_unnormalized(pts)) / self.surface.normalizer()
-        return float(vals[0]) if single else vals
-
     def _box_integral(self, lower, upper, level: int) -> float:
         points, weights = tensor_rule(lower, upper, level)
         vals = np.exp(self.log_density_unnormalized(points))
         return float(weights @ vals) / self.surface.normalizer()
-
-    def total_mass(self, tol: float = 1e-12) -> float:
-        """Quadrature of the normalized density over the full cube; ~1."""
-        return self.mass_in_box(-np.ones(self.m), np.ones(self.m), tol=tol)
 
     def mass_in_box(self, lower, upper, tol: float = 1e-12) -> float:
         lower = np.clip(np.asarray(lower, dtype=float), -1.0, 1.0)

@@ -17,9 +17,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError
-from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL
-from .models import DeFinettiModel, _is_atomic
-from .quadrature import refine_until_stable
+from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL, _grid
+from .models import DeFinettiModel, _integrate
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,13 @@ class LimitLaw:
             base = base.contract(scale)
         return cls("convolution", base.dim, (True,) * base.dim, base, tuple(range(base.dim)))
 
-    @classmethod
-    def base_limit(cls, base: BaseMeasure) -> "LimitLaw":
-        return cls("base", base.dim, (False,) * base.dim, base, tuple(range(base.dim)))
-
-    def cf(self, t) -> complex:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (self.dim,):
-            raise ConfigError(f"expected a length-{self.dim} argument")
-        gauss = np.exp(-0.5 * float(np.sum(t[np.asarray(self.gauss_mask)] ** 2)))
+    def cf(self, t) -> np.ndarray:
+        """Characteristic function: (K, dim) frequencies in, (K,) complex values out."""
+        t = _grid(t, self.dim)
+        gauss = np.exp(-0.5 * np.sum(t[:, list(self.gauss_mask)] ** 2, axis=1)) + 0j
         if self.base is None:
-            return complex(gauss)
-        return gauss * self.base.cf(t[list(self.base_coords)])
+            return gauss
+        return gauss * self.base.cf(t[:, list(self.base_coords)])
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.zeros((count, self.dim))
@@ -74,24 +68,19 @@ class LimitLaw:
     def cdf(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Exact CDF of a one-dimensional law, elementwise on an array.
 
-        With Gaussian noise this is the mixture E_Y Phi(x - Y): an exact
-        sum over atoms, or Gauss-Legendre nodes for a continuous base,
-        doubled until no entry of the whole array moves by more than
-        ``tol``.
+        With Gaussian noise this is the mixture E_Y Phi(x - Y), integrated
+        over the base by ``models._integrate``: an exact sum over atoms, or
+        Gauss-Legendre nodes for a continuous base, doubled until no entry
+        of the whole array moves by more than ``tol``.
         """
         if self.dim != 1:
-            raise ConfigError("cdf is defined for 1-D laws; use limit_cdf for multi-D")
+            raise ConfigError("cdf is defined for 1-D laws; take a marginal first")
         x = np.asarray(x, dtype=float)
         if not self.gauss_mask[0]:
             return self.base.cdf(x)
         if self.base is None:
             return ndtr(x)
-        if _is_atomic(self.base):
-            return _smoothed_cdf(x, *self.base.quad_nodes(0))
-        values, _ = refine_until_stable(
-            lambda level: _smoothed_cdf(x, *self.base.quad_nodes(level)), tol=tol
-        )
-        return values
+        return _integrate(self.base, lambda p, w: _smoothed_cdf(x, p, w), tol)
 
 
 #: elements of one block of the (points x nodes) matrix in _smoothed_cdf
@@ -148,22 +137,3 @@ def limit_for(model: DeFinettiModel) -> LimitLaw:
     else:
         kind = "cluster"
     return LimitLaw(kind, model.groups.m, gauss_mask, base, base_coords)
-
-
-def limit_cdf(law: LimitLaw, x, count: int = 1_000_000, seed: int = 0) -> float:
-    """CDF of the limit law: exact in 1-D, sampling-based in multi-D."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if law.dim == 1:
-        return float(law.cdf(x[:1])[0])
-    value, _ = limit_cdf_mc(law, x, count=count, seed=seed)
-    return value
-
-
-def limit_cdf_mc(law: LimitLaw, x, count: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo CDF estimate with its standard error."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    draws = law.sample(np.random.default_rng(seed), count)
-    hits = np.all(draws <= x, axis=1)
-    p = float(hits.mean())
-    se = float(np.sqrt(max(p * (1.0 - p), 1.0 / count) / count))
-    return p, se

@@ -7,6 +7,10 @@ box masses, seeded sampling, pushforward under componentwise scaling, and
 a weighted-node view used by the integration routines.  Arbitrary
 user-supplied densities are intentionally excluded so that the exact
 oracles elsewhere in the package stay exact.
+
+Evaluations take batches only: ``cf(t)`` maps a (K, d) float array of
+frequencies to the (K,) complex array of the characteristic function, and
+``cdf(x)`` maps an array of points elementwise.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ WEIGHT_TOL = 1e-12
 #: spread (in marginal standard deviations) of the integration box used for
 #: Gaussian components; the omitted tail is below 1e-22 per coordinate.
 GAUSSIAN_BOX_SIGMAS = 10.0
+
+
+def _grid(t, dim: int) -> np.ndarray:
+    """The (K, dim) float array of evaluation points; any other shape is an error."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[1] != dim:
+        raise ConfigError(f"expected a (K, {dim}) array, got shape {t.shape}")
+    return t
 
 
 def _vector(x, dim: int | None = None) -> np.ndarray:
@@ -53,11 +65,11 @@ def _check_weights(weights: np.ndarray, what: str) -> None:
 class BaseMeasure:
     """Common interface of the measure algebra.
 
-    Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)``,
-    ``contract(eps)``, ``negate()``, ``mass_in_box(lower, upper)``,
-    ``quad_nodes(level)``, ``marginal(coords)``, ``cdf(x)`` (1-D only,
-    evaluated elementwise on an array), and a canonical ``_key()`` used for
-    structural comparisons.
+    Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)`` ((K, dim)
+    frequencies in, (K,) complex values out), ``contract(eps)``,
+    ``negate()``, ``mass_in_box(lower, upper)``, ``quad_nodes(level)``,
+    ``marginal(coords)``, ``cdf(x)`` (1-D only, evaluated elementwise on an
+    array), and a canonical ``_key()`` used for structural comparisons.
     """
 
     dim: int
@@ -96,9 +108,8 @@ class PointMassMixture(BaseMeasure):
         idx = rng.choice(len(self.weights), size=count, p=self.weights)
         return self.locations[idx]
 
-    def cf(self, t) -> complex:
-        t = _vector(t, self.dim)
-        return complex(np.sum(self.weights * np.exp(1j * self.locations @ t)))
+    def cf(self, t) -> np.ndarray:
+        return np.exp(1j * (_grid(t, self.dim) @ self.locations.T)) @ self.weights
 
     def contract(self, eps) -> "PointMassMixture":
         eps = _positive_eps(eps, self.dim)
@@ -151,14 +162,12 @@ class UniformBox(BaseMeasure):
         u = rng.random((count, self.dim))
         return self.lower + (self.upper - self.lower) * u
 
-    def cf(self, t) -> complex:
+    def cf(self, t) -> np.ndarray:
         # per coordinate: e^{i t c} sin(t h)/(t h) with c the center, h the halfwidth
-        t = _vector(t, self.dim)
+        t = _grid(t, self.dim)
         center = 0.5 * (self.lower + self.upper)
         half = 0.5 * (self.upper - self.lower)
-        return complex(
-            np.exp(1j * float(t @ center)) * np.prod(np.sinc(t * half / np.pi))
-        )
+        return np.exp(1j * (t @ center)) * np.prod(np.sinc(t * half / np.pi), axis=1)
 
     def contract(self, eps) -> "UniformBox":
         eps = _positive_eps(eps, self.dim)
@@ -225,11 +234,9 @@ class Gaussian(BaseMeasure):
         z = rng.standard_normal((count, self.dim))
         return self.mean + z @ self._factor.T
 
-    def cf(self, t) -> complex:
-        t = _vector(t, self.dim)
-        return complex(
-            np.exp(1j * float(t @ self.mean) - 0.5 * float(t @ self.covariance @ t))
-        )
+    def cf(self, t) -> np.ndarray:
+        t = _grid(t, self.dim)
+        return np.exp(1j * (t @ self.mean) - 0.5 * np.sum((t @ self.covariance) * t, axis=1))
 
     def contract(self, eps) -> "Gaussian":
         eps = _positive_eps(eps, self.dim)
@@ -310,12 +317,9 @@ class Product(BaseMeasure):
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.column_stack([f.sample(rng, count)[:, 0] for f in self.factors])
 
-    def cf(self, t) -> complex:
-        t = _vector(t, self.dim)
-        out = 1.0 + 0.0j
-        for k, f in enumerate(self.factors):
-            out *= f.cf(t[k : k + 1])
-        return out
+    def cf(self, t) -> np.ndarray:
+        t = _grid(t, self.dim)
+        return np.prod([f.cf(t[:, k : k + 1]) for k, f in enumerate(self.factors)], axis=0)
 
     def contract(self, eps) -> "Product":
         eps = _positive_eps(eps, self.dim)
@@ -379,10 +383,8 @@ class Mixture(BaseMeasure):
                 out[mask] = comp.sample(rng, n_k)
         return out
 
-    def cf(self, t) -> complex:
-        return complex(
-            sum(w * comp.cf(t) for comp, w in zip(self.components, self.weights))
-        )
+    def cf(self, t) -> np.ndarray:
+        return self.weights @ np.stack([comp.cf(t) for comp in self.components])
 
     def contract(self, eps) -> "Mixture":
         return Mixture([(c.contract(eps), w) for c, w in zip(self.components, self.weights)])

@@ -164,7 +164,11 @@ def empirical_cf(sample: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
 
 
 def ecf_distance(sample, law: LimitLaw, t_grid=None) -> float:
-    """Max over the grid of |empirical CF - limit CF|; lies in [0, 2]."""
+    """Max over the grid of |empirical CF - limit CF|; lies in [0, 2].
+
+    The grid is a (K, dim) array of frequencies (a 1-D grid is read as one
+    column); the law's ``cf`` evaluates it in one call, returning (K,).
+    """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim == 1:
         sample = sample[:, None]
@@ -174,8 +178,7 @@ def ecf_distance(sample, law: LimitLaw, t_grid=None) -> float:
     if t_grid.ndim == 1:
         t_grid = t_grid[:, None]
     emp = empirical_cf(sample, t_grid)
-    exact = np.array([law.cf(t) for t in t_grid])
-    return float(np.abs(emp - exact).max())
+    return float(np.abs(emp - law.cf(t_grid)).max())
 
 
 def cf_factorization_discrepancy(sample, coords_a, coords_b, axis_points: int = 21,

@@ -1,9 +1,11 @@
 import json
+import platform
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 import votelim.cli as cli
@@ -157,7 +159,8 @@ def test_load_config_applies_overrides_and_keeps_line_anchors(tmp_path):
     cfg.write_text(text)
     loaded = load_config(cfg, {"seed": 7, "workers": 2, "out": None})
     assert (loaded.seed, loaded.workers, loaded.out) == (7, 2, None)
-    assert loaded.hash() == config_hash({**small_clt_doc(), "seed": 7, "workers": 2})
+    # the worker count and output directory change no result, so they are not hashed
+    assert loaded.hash() == config_hash({**small_clt_doc(), "seed": 7})
     cfg.write_text(text.replace("exponent: 0.75", "exponent: -0.75"))
     with pytest.raises(ConfigError, match=f"line {_line_of(text, 'schedule')}"):
         load_config(cfg, {"seed": 7})
@@ -352,6 +355,33 @@ def test_worker_override_keeps_results_identical(tmp_path):
     r1 = (out1 / "reports.jsonl").read_text()
     r8 = (out8 / "reports.jsonl").read_text()
     assert r1 == r8
+
+
+def test_manifest_is_identical_for_any_out_and_workers(tmp_path):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(yaml.safe_dump(small_clt_doc()))
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["verify-clt", "--config", str(cfg_file), "--out", str(out_a)]) == 0
+    assert main(["verify-clt", "--config", str(cfg_file), "--out", str(out_b), "--workers", "3"]) == 0
+    text = (out_a / "manifest.json").read_bytes()
+    assert text == (out_b / "manifest.json").read_bytes()
+    manifest = json.loads(text)
+    assert "workers" not in manifest
+    assert (manifest["python_version"], manifest["numpy_version"], manifest["scipy_version"]) == (
+        platform.python_version(), np.__version__, scipy.__version__
+    )
+
+
+def test_verify_clt_computes_the_default_ks_threshold_only_without_ks(tmp_path, monkeypatch):
+    def refuse(count):
+        raise AssertionError("the default KS threshold was computed although thresholds.ks is set")
+
+    monkeypatch.setattr(cli, "ks_threshold", refuse)
+    assert run(config_from_dict(small_clt_doc()), tmp_path / "set") == 0
+    monkeypatch.setattr(cli, "ks_threshold", lambda count: 0.5)
+    assert run(config_from_dict(small_clt_doc(thresholds={})), tmp_path / "default") == 0
+    reports = (tmp_path / "default" / "reports.jsonl").read_text().splitlines()
+    assert json.loads(reports[0])["threshold"] == 0.5
 
 
 def test_seed_override_changes_hash_and_samples(tmp_path):

@@ -22,7 +22,6 @@ from votelim import (
     pair_correlation,
     representation_equivalence_check,
     sample_margins,
-    single_group_free_energy,
 )
 from votelim import cwm
 from votelim.cwm import SURFACE_CACHE_SIZE, CompactMixingDensity
@@ -66,6 +65,13 @@ def artanh_series(m, terms=200):
     return sum(m ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
 
 
+def single_group_free_energy(beta, m):
+    """Free energy of one group in the compact variable m = tanh(x):
+    F(m) = ((1/beta) * artanh(m)^2 + ln(1 - m^2)) / 2 on (-1, 1)."""
+    m = np.asarray(m, dtype=float)
+    return 0.5 * (np.arctanh(m) ** 2 / beta + np.log1p(-(m**2)))
+
+
 def test_single_group_free_energy_value():
     # oracle: artanh from its power series, assembled by hand
     expected = 0.5 * ((1.0 / 0.5) * artanh_series(0.5) ** 2 + math.log(1 - 0.25))
@@ -75,7 +81,7 @@ def test_single_group_free_energy_value():
 
 def test_free_energy_zero_at_origin_and_even():
     surface = free_energy_surface(J_TWO, GROUPS_2, 8)
-    assert surface.value(np.zeros(2)) == 0.0
+    assert surface.value(np.zeros((1, 2)))[0] == 0.0
     grid = np.random.default_rng(0).uniform(-2, 2, size=(50, 2))
     assert np.max(np.abs(surface.value(grid) - surface.value(-grid))) < 1e-14
     assert single_group_free_energy(0.5, 0.0) == 0.0
@@ -92,9 +98,21 @@ def test_high_temperature_unique_minimum_and_phase_transition_witness():
 def test_compact_and_latent_free_energies_agree():
     surface = free_energy_surface(BETA_HALF, GROUPS_1, 8)
     for m in (0.1, 0.4, 0.7):
-        assert surface.value(np.array([math.atanh(m)])) == pytest.approx(
+        assert surface.value(np.array([[math.atanh(m)]]))[0] == pytest.approx(
             single_group_free_energy(0.5, m), abs=1e-13
         )
+
+
+@pytest.mark.parametrize("spec, groups, n", [(BETA_HALF, GROUPS_1, 8), (J_TWO, GROUPS_2, 9)])
+def test_free_energy_value_matches_per_row_loop(spec, groups, n):
+    surface = free_energy_surface(spec, groups, n)
+    x = np.random.default_rng(3).uniform(-3, 3, size=(40, groups.m))
+    expected = [
+        0.5 * float(row @ surface.q_matrix @ row)
+        - sum(a * math.log(math.cosh(v)) for a, v in zip(surface.alpha, row))
+        for row in x
+    ]
+    assert surface.value(x) == pytest.approx(expected, abs=1e-14)
 
 
 # -- Gibbs law ---------------------------------------------------------------------
@@ -155,8 +173,8 @@ def test_gibbs_enumeration_guard():
 # -- mixing density ------------------------------------------------------------------
 
 def test_density_is_one_at_origin():
-    assert free_energy_surface(BETA_HALF, GROUPS_1, 12).density([0.0]) == 1.0
-    assert free_energy_surface(J_TWO, GROUPS_2, 8).density([0.0, 0.0]) == 1.0
+    assert free_energy_surface(BETA_HALF, GROUPS_1, 12).density(np.zeros((1, 1)))[0] == 1.0
+    assert free_energy_surface(J_TWO, GROUPS_2, 8).density(np.zeros((1, 2)))[0] == 1.0
 
 
 def test_density_peaks_at_origin_in_high_temperature():
@@ -237,14 +255,15 @@ def test_curie_weiss_model_requires_tanh():
 
 def test_compact_density_integrates_to_one():
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    assert compact.total_mass() == pytest.approx(1.0, abs=1e-10)
+    assert compact.mass_in_box([-1.0], [1.0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_compact_density_zero_on_boundary_and_even():
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    assert compact.density([1.0]) == 0.0
-    assert compact.density([-1.0]) == 0.0
-    assert compact.density([0.3]) == pytest.approx(compact.density([-0.3]), rel=1e-12)
+    density = np.exp(compact.log_density_unnormalized(np.array([[1.0], [-1.0], [0.3], [-0.3]])))
+    assert density[0] == 0.0
+    assert density[1] == 0.0
+    assert density[2] == pytest.approx(density[3], rel=1e-12)
 
 
 def test_compact_transformed_mean_is_zero():

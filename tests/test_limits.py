@@ -1,3 +1,6 @@
+import cmath
+import functools
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from votelim import (
     CLAMP,
@@ -22,11 +25,8 @@ from votelim import (
     Product,
     UniformBox,
     UnsupportedMeasureError,
-    limit_cdf,
     limit_for,
 )
-from votelim.limits import limit_cdf_mc
-from votelim.quadrature import interval_rule
 from conftest import (
     DELTA_0,
     GROUPS_1,
@@ -42,8 +42,8 @@ from conftest import (
 def test_fast_dispatch_is_gaussian():
     law = limit_for(contracted(UNIFORM_1, 0.75))
     assert law.kind == "gaussian"
-    for t in np.linspace(-3, 3, 13):
-        assert law.cf([t]) == pytest.approx(math.exp(-t * t / 2), abs=1e-14)
+    t = np.linspace(-3, 3, 13)
+    assert law.cf(t[:, None]) == pytest.approx(np.exp(-t * t / 2), abs=1e-14)
 
 
 def test_critical_dispatch_with_point_mass_is_gaussian():
@@ -51,8 +51,8 @@ def test_critical_dispatch_with_point_mass_is_gaussian():
     law = limit_for(contracted(DELTA_0, 0.5))
     assert law.kind == "convolution"
     gauss = LimitLaw.standard_gaussian(1)
-    for t in np.linspace(-3, 3, 13):
-        assert law.cf([t]) == pytest.approx(gauss.cf([t]), abs=1e-14)
+    t = np.linspace(-3, 3, 13)[:, None]
+    assert law.cf(t) == pytest.approx(gauss.cf(t), abs=1e-14)
     assert law.cdf(np.array([0.7]))[0] == pytest.approx(float(ndtr(0.7)), abs=1e-12)
 
 
@@ -93,12 +93,10 @@ def test_cluster_cf_factorizes_between_blocks():
     groups = GroupStructure(3, [1 / 3, 1 / 3, 1 / 3])
     base = Product([UNIFORM_1, UNIFORM_1, UNIFORM_1])
     law = limit_for(contracted(base, [0.75, 0.5, 0.15], groups=groups))
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = rng.uniform(-3, 3, 3)
-        t_c1 = np.array([t[0], 0.0, 0.0])
-        t_rest = np.array([0.0, t[1], t[2]])
-        assert law.cf(t) == pytest.approx(law.cf(t_c1) * law.cf(t_rest), abs=1e-14)
+    t = np.random.default_rng(0).uniform(-3, 3, (20, 3))
+    t_c1 = t * [1.0, 0.0, 0.0]
+    t_rest = t * [0.0, 1.0, 1.0]
+    assert law.cf(t) == pytest.approx(law.cf(t_c1) * law.cf(t_rest), abs=1e-14)
 
 
 def test_cluster_cf_on_c1_support_is_gaussian():
@@ -107,7 +105,7 @@ def test_cluster_cf_on_c1_support_is_gaussian():
     groups = GroupStructure(3, [1 / 3, 1 / 3, 1 / 3])
     base = Product([UNIFORM_1, UNIFORM_1, UNIFORM_1])
     law = limit_for(contracted(base, [0.75, 0.5, 0.15], groups=groups))
-    assert law.cf([1.5, 0.0, 0.0]) == pytest.approx(math.exp(-1.5**2 / 2), abs=1e-14)
+    assert law.cf([[1.5, 0.0, 0.0]])[0] == pytest.approx(math.exp(-1.5**2 / 2), abs=1e-14)
 
 
 def test_dispatch_requires_contracted_sequence():
@@ -141,6 +139,22 @@ def test_dispatch_total_in_exponent(a):
 
 
 # -- CDF evaluation -------------------------------------------------------------------
+
+def limit_cdf(law, x, count=1_000_000, seed=0):
+    """CDF of a limit law at one point: exact in 1-D, sampling-based in multi-D."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if law.dim == 1:
+        return float(law.cdf(x[:1])[0])
+    value, _ = limit_cdf_mc(law, x, count=count, seed=seed)
+    return value
+
+
+def limit_cdf_mc(law, x, count=1_000_000, seed=0):
+    """Monte Carlo estimate of P(X <= x componentwise) with its standard error."""
+    draws = law.sample(np.random.default_rng(seed), count)
+    p = float(np.all(draws <= np.asarray(x, dtype=float), axis=1).mean())
+    return p, float(np.sqrt(max(p * (1.0 - p), 1.0 / count) / count))
+
 
 def test_gaussian_cdf_at_origin():
     assert limit_cdf(LimitLaw.standard_gaussian(1), [0.0]) == 0.5
@@ -230,7 +244,7 @@ ARRAY_CDF_CASES = {
     "law-gaussian": LimitLaw.standard_gaussian(1),
     "law-conv-atoms": LimitLaw.convolution(SCRAMBLED_ATOMS),
     "law-conv-uniform": LimitLaw.convolution(UniformBox([-1.0], [2.0])),
-    "law-base": LimitLaw.base_limit(BOX_MIX),
+    "law-base": LimitLaw("base", 1, (False,), BOX_MIX, (0,)),
     "law-cluster-fast": THREE_REGIMES.marginal(0),
     "law-cluster-critical": THREE_REGIMES.marginal(1),
     "law-cluster-subcritical": THREE_REGIMES.marginal(2),
@@ -285,31 +299,103 @@ def test_multid_cdf_sampling_backend():
 def test_gaussian_cf_formula():
     law = LimitLaw.standard_gaussian(3)
     t = np.array([0.5, -1.0, 2.0])
-    assert law.cf(t) == pytest.approx(math.exp(-float(t @ t) / 2), abs=1e-14)
+    assert law.cf(t[None, :])[0] == pytest.approx(math.exp(-float(t @ t) / 2), abs=1e-14)
 
 
 def test_convolution_cf_product_rule_with_quadrature_oracle():
     law = LimitLaw.convolution(UNIFORM_1)  # h = 1
     t = 2.0
     base_cf, _ = quad(lambda y: math.cos(t * y) / 2.0, -1, 1, epsabs=1e-13)
-    assert law.cf([t]) == pytest.approx(math.exp(-2.0) * base_cf, abs=1e-12)
-    assert law.cf([t]).real == pytest.approx(
+    assert law.cf([[t]])[0] == pytest.approx(math.exp(-2.0) * base_cf, abs=1e-12)
+    assert law.cf([[t]])[0].real == pytest.approx(
         math.exp(-2.0) * math.sin(2.0) / 2.0, abs=1e-13
     )
 
 
 def test_cf_modulus_bounded():
     law = LimitLaw.convolution(TWO_ATOM_2)
-    for t in np.linspace(-10, 10, 41):
-        assert abs(law.cf([t])) <= 1.0 + 1e-12
+    assert np.all(np.abs(law.cf(np.linspace(-10, 10, 41)[:, None])) <= 1.0 + 1e-12)
+
+
+# -- array CFs against per-row references ------------------------------------------
+
+def reference_cf(dist, t):
+    """CF of a measure or limit law at one frequency vector, written out per kind."""
+    if isinstance(dist, LimitLaw):
+        gauss = math.exp(-0.5 * sum(s * s for s, noisy in zip(t, dist.gauss_mask) if noisy))
+        if dist.base is None:
+            return gauss
+        return gauss * reference_cf(dist.base, [t[c] for c in dist.base_coords])
+    if isinstance(dist, PointMassMixture):
+        return sum(
+            w * cmath.exp(1j * sum(a * s for a, s in zip(loc, t)))
+            for loc, w in zip(dist.locations, dist.weights)
+        )
+    if isinstance(dist, UniformBox):
+        # (e^{i s b} - e^{i s a}) / (i s (b - a)) per coordinate, 1 at s = 0
+        return math.prod(
+            1.0 if s == 0.0 else (cmath.exp(1j * s * b) - cmath.exp(1j * s * a)) / (1j * s * (b - a))
+            for s, a, b in zip(t, dist.lower, dist.upper)
+        )
+    if isinstance(dist, Gaussian):
+        drift = sum(m * s for m, s in zip(dist.mean, t))
+        variance = sum(t[i] * dist.covariance[i, j] * t[j]
+                       for i in range(dist.dim) for j in range(dist.dim))
+        return cmath.exp(1j * drift - 0.5 * variance)
+    if isinstance(dist, Product):
+        return math.prod(reference_cf(f, [s]) for f, s in zip(dist.factors, t))
+    return sum(w * reference_cf(c, t) for c, w in zip(dist.components, dist.weights))
+
+
+SCATTERED_ATOMS_2 = PointMassMixture([([1.5, -0.5], 0.2), ([-2.0, 0.0], 0.5), ([0.3, 2.5], 0.3)])
+ARRAY_CF_CASES = {
+    "atoms": SCRAMBLED_ATOMS,
+    "atoms-2d": SCATTERED_ATOMS_2,
+    "box": UniformBox([-1.0], [3.0]),
+    "box-2d": UniformBox([-1.0, 0.5], [2.0, 0.75]),
+    "gauss": Gaussian([0.5], [[2.0]]),
+    "gauss-correlated": Gaussian([0.2, -0.4], [[1.0, 0.6], [0.6, 2.0]]),
+    "gauss-degenerate": DEGENERATE_GAUSS,
+    "gauss-degenerate-2d": Gaussian([0.1, -0.2], [[1.0, 1.0], [1.0, 1.0]]),
+    "product-with-mixture": Product([BOX_MIX, Gaussian([-0.2], [[0.5]]), SCRAMBLED_ATOMS]),
+    "mixture": Mixture([(BOX_MIX, 0.5), (DEGENERATE_GAUSS, 0.5)]),
+    "mixture-2d": Mixture([(SCATTERED_ATOMS_2, 0.3), (UniformBox([-1.0, 0.5], [2.0, 0.75]), 0.7)]),
+    "law-gaussian": LimitLaw.standard_gaussian(3),
+    "law-conv-atoms": LimitLaw.convolution(SCATTERED_ATOMS_2),
+    "law-conv-uniform": LimitLaw.convolution(UniformBox([-1.0], [2.0])),
+    "law-base": LimitLaw("base", 2, (False, False), SCATTERED_ATOMS_2, (0, 1)),
+    "law-cluster": THREE_REGIMES,
+}
+
+
+@pytest.mark.parametrize("dist", ARRAY_CF_CASES.values(), ids=ARRAY_CF_CASES.keys())
+def test_array_cf_matches_per_row_reference(dist):
+    assert THREE_REGIMES.base_coords == (1, 2)  # a strict subset of the coordinates
+    t = np.array(list(itertools.product(np.linspace(-3.0, 3.0, 9), repeat=dist.dim)))
+    values = dist.cf(t)
+    assert values.shape == (len(t),) and values.dtype == complex
+    expected = [reference_cf(dist, list(row)) for row in t]
+    assert values == pytest.approx(expected, abs=1e-14)
+    for bad in (t[0], t[0, 0], np.zeros((2, dist.dim + 1)), np.zeros((1, 2, dist.dim))):
+        with pytest.raises(ConfigError):
+            dist.cf(bad)
 
 
 # -- CF/CDF consistency via inversion ---------------------------------------------------
 
-def gil_pelaez_cdf(cf, x, t_max=40.0, nodes=3000):
-    t, w = interval_rule(1e-12, t_max, nodes)
-    integrand = np.array([(np.exp(-1j * ti * x) * cf([ti])).imag / ti for ti in t])
-    return 0.5 - float(w @ integrand) / math.pi
+@functools.lru_cache(maxsize=1)
+def gil_pelaez_rule(t_max=40.0, nodes=3000):
+    """Gauss-Legendre nodes and weights on [1e-12, t_max]."""
+    u, w = roots_legendre(nodes)
+    half = 0.5 * (t_max - 1e-12)
+    return 1e-12 + half * (u + 1.0), w * half
+
+
+def gil_pelaez_cdf(cf, x):
+    """F(x) = 1/2 - (1/pi) int_0^inf Im(e^{-itx} cf(t)) / t dt on an array x."""
+    t, w = gil_pelaez_rule()
+    integrand = (np.exp(-1j * np.multiply.outer(x, t)) * cf(t[:, None])).imag / t
+    return 0.5 - integrand @ w / math.pi
 
 
 @pytest.mark.parametrize(
@@ -323,5 +409,4 @@ def gil_pelaez_cdf(cf, x, t_max=40.0, nodes=3000):
 )
 def test_cf_inversion_reproduces_cdf(law):
     grid = np.linspace(-3.5, 3.5, 8)
-    for x, value in zip(grid, law.cdf(grid)):
-        assert gil_pelaez_cdf(law.cf, x) == pytest.approx(value, abs=1e-6)
+    assert gil_pelaez_cdf(law.cf, grid) == pytest.approx(law.cdf(grid), abs=1e-6)

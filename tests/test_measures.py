@@ -29,11 +29,11 @@ from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measure
 # -- characteristic functions -------------------------------------------------
 
 def test_cf_point_mass_at_origin():
-    assert DELTA_0.cf([3.7]) == 1.0
+    assert DELTA_0.cf([[3.7]])[0] == 1.0
 
 
 def test_cf_standard_gaussian():
-    assert GAUSS_1.cf([1.0]) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert GAUSS_1.cf([[1.0]])[0] == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_cf_uniform_matches_quadrature_oracle():
@@ -41,7 +41,7 @@ def test_cf_uniform_matches_quadrature_oracle():
     t = 2.0
     re, _ = quad(lambda x: math.cos(t * x) / 2.0, -1, 1, epsabs=1e-13)
     im, _ = quad(lambda x: math.sin(t * x) / 2.0, -1, 1, epsabs=1e-13)
-    got = UNIFORM_1.cf([t])
+    got = UNIFORM_1.cf([[t]])[0]
     assert got == pytest.approx(complex(re, im), abs=1e-12)
     assert got.real == pytest.approx(math.sin(2.0) / 2.0, abs=1e-14)
 
@@ -49,27 +49,26 @@ def test_cf_uniform_matches_quadrature_oracle():
 @given(measures_1d(), st.floats(-8, 8))
 @settings(max_examples=60, deadline=None)
 def test_cf_modulus_and_conjugate_symmetry(measure, t):
-    value = measure.cf([t])
+    value, mirrored = measure.cf([[t], [-t]])
     assert abs(value) <= 1.0 + 1e-12
-    assert measure.cf([-t]) == pytest.approx(value.conjugate(), abs=1e-12)
+    assert mirrored == pytest.approx(value.conjugate(), abs=1e-12)
 
 
 @given(symmetric_measures_1d())
 @settings(max_examples=40, deadline=None)
 def test_symmetric_measures_have_real_cf_on_grid(measure):
     assert measure.is_symmetric
-    for t in np.linspace(-5, 5, 100):
-        assert abs(measure.cf([t]).imag) < 1e-10
+    assert np.all(np.abs(measure.cf(np.linspace(-5, 5, 100)[:, None]).imag) < 1e-10)
 
 
 def test_cf_product_and_mixture_rules():
     prod = Product([UNIFORM_1, GAUSS_1])
-    t = [1.3, -0.7]
-    expected = UNIFORM_1.cf([1.3]) * GAUSS_1.cf([-0.7])
+    t = [[1.3, -0.7]]
+    expected = UNIFORM_1.cf([[1.3]]) * GAUSS_1.cf([[-0.7]])
     assert prod.cf(t) == pytest.approx(expected, abs=1e-14)
     mix = Mixture([(UNIFORM_1, 0.25), (GAUSS_1, 0.75)])
-    assert mix.cf([0.9]) == pytest.approx(
-        0.25 * UNIFORM_1.cf([0.9]) + 0.75 * GAUSS_1.cf([0.9]), abs=1e-14
+    assert mix.cf([[0.9]]) == pytest.approx(
+        0.25 * UNIFORM_1.cf([[0.9]]) + 0.75 * GAUSS_1.cf([[0.9]]), abs=1e-14
     )
 
 
@@ -181,9 +180,9 @@ def test_sampling_is_deterministic():
 def test_sampling_matches_cf_on_grid():
     draws = sample(UNIFORM_1, 11, 10**5)[:, 0]
     bound = 5.0 / math.sqrt(10**5)
-    for t in np.linspace(-3, 3, 21):
-        emp = np.exp(1j * t * draws).mean()
-        assert abs(emp - UNIFORM_1.cf([t])) < bound
+    t = np.linspace(-3, 3, 21)
+    emp = np.exp(1j * np.outer(draws, t)).mean(axis=0)
+    assert np.all(np.abs(emp - UNIFORM_1.cf(t[:, None])) < bound)
 
 
 def test_sample_requires_positive_count():
@@ -304,7 +303,7 @@ def test_marginal_of_product_and_gaussian():
     marg = g.marginal([1])
     assert marg.mean[0] == 1.0 and marg.covariance[0, 0] == 2.0
     prod = Product([UNIFORM_1, GAUSS_1])
-    assert prod.marginal([0]).cf([1.0]) == UNIFORM_1.cf([1.0])
+    assert prod.marginal([0]).cf([[1.0]]) == UNIFORM_1.cf([[1.0]])
 
 
 def test_negation_detects_asymmetry():

@@ -23,7 +23,6 @@ from .measures import (
     UniformBox,
     apply_bias_map,
     bias_map,
-    mass_in_box,
     sample,
 )
 from .models import (
@@ -45,7 +44,6 @@ from .cwm import (
     CurieWeissSequence,
     FreeEnergySurface,
     concentration_profile,
-    free_energy_surface,
     gibbs_pmf,
     representation_equivalence_check,
 )

@@ -140,9 +140,10 @@ def _target_law(cfg: ExperimentConfig) -> LimitLaw:
     model = cfg.model
     if model.sequence.kind == "static":
         # a mixing measure fixed at the origin is the independent-voter
-        # baseline, whose normalized margins are asymptotically normal
+        # baseline, whose normalized margins are asymptotically normal; the
+        # point mass at 0 is the only measure equal to its image under x -> 2x
         base = model.sequence.base
-        if base.mass_in_box(np.zeros(base.dim), np.zeros(base.dim)) == 1.0:
+        if base.contract(2.0)._key() == base._key():
             return LimitLaw.standard_gaussian(model.groups.m)
         raise ConfigError(
             "no dispatchable limit for a spread-out static mixing measure; "

@@ -48,6 +48,7 @@ THRESHOLD_KEYS = (
     "target_law", "ks", "cross_correlation", "llt", "equivalence", "r2",
     "alpha_range", "correlation",
 )
+TARGET_LAWS = ("auto", "gaussian")
 
 
 def canonical_json(doc) -> str:
@@ -123,10 +124,15 @@ class _Doc:
         return self.doc[key]
 
     def wrap(self, fn, key=None):
-        """Run a constructor, re-anchoring any ConfigError it raises."""
+        """Run a constructor, re-anchoring any ConfigError it raises.
+
+        A value of the wrong type, such as a string where a number belongs,
+        fails inside numpy or a comparison with TypeError or ValueError, and
+        is re-anchored the same way.
+        """
         try:
             return fn()
-        except ConfigError as exc:
+        except (ConfigError, TypeError, ValueError) as exc:
             self.error(str(exc), key)
 
 
@@ -258,27 +264,56 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """An integer-valued number: 3 and 3.0, not 3.5, "3" or True."""
+    return _is_number(value, int) or (_is_number(value, float) and value.is_integer())
+
+
+def _check_thresholds(node: _Doc) -> None:
+    _reject_unknown_keys(node, THRESHOLD_KEYS)
+    for key, value in node.doc.items():
+        if key == "target_law":
+            if value not in TARGET_LAWS:
+                node.error(f"target_law must be one of {TARGET_LAWS}", key)
+        elif key == "alpha_range":
+            if not (
+                isinstance(value, list) and len(value) == 2
+                and all(map(_is_number, value)) and value[0] <= value[1]
+            ):
+                node.error("alpha_range must be two numbers lo <= hi", key)
+        elif not _is_number(value):
+            node.error(f"{key} must be a number", key)
+
+
 def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     root = _Doc(doc, lines)
     _reject_unknown_keys(root, TOP_LEVEL_KEYS)
     thresholds = doc.get("thresholds") or {}
     if not isinstance(thresholds, dict):
         root.error("expected a mapping of threshold names to values", "thresholds")
-    _reject_unknown_keys(_Doc(thresholds, lines, "thresholds"), THRESHOLD_KEYS)
+    _check_thresholds(_Doc(thresholds, lines, "thresholds"))
     delta = doc.get("delta")
     if delta is not None and not (_is_number(delta) and 0 < delta < float("inf")):
         root.error("delta must be a positive number", "delta")
-    grid = doc.get("concentration_grid")
-    if grid is not None and not (
-        isinstance(grid, list) and all(_is_number(x, int) and x > 0 for x in grid)
-    ):
-        root.error("concentration_grid must be a list of positive integers", "concentration_grid")
+    grids = {}
+    for key in ("n_grid", "concentration_grid"):
+        grid = doc.get(key)
+        if grid is not None and not (
+            isinstance(grid, list) and all(_is_number(x, int) and x > 0 for x in grid)
+        ):
+            root.error(f"{key} must be a list of positive integers", key)
+        grids[key] = tuple(grid) if grid is not None else None
+    for key in ("n", "count", "workers"):
+        if doc.get(key) is not None and not _is_integer(doc[key]):
+            root.error(f"{key} must be an integer", key)
     experiment = root.require("experiment")
     if experiment not in EXPERIMENT_KINDS:
         root.error(f"unknown experiment kind {experiment!r}; expected one of {EXPERIMENT_KINDS}", "experiment")
     seed = root.require("seed")
-    if not isinstance(seed, int):
-        root.error("seed must be an integer (no wall-clock default is provided)", "seed")
+    if not (_is_integer(seed) and seed >= 0):
+        root.error(
+            "seed must be a nonnegative integer (no wall-clock default is provided)", "seed"
+        )
 
     model = None
     if experiment in _NEEDS_MODEL:
@@ -294,14 +329,14 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         raw=doc,
         model=model,
         n=int(doc["n"]) if doc.get("n") is not None else None,
-        n_grid=tuple(int(x) for x in doc["n_grid"]) if "n_grid" in doc else None,
+        n_grid=grids["n_grid"],
         count=int(doc["count"]) if doc.get("count") is not None else None,
-        workers=int(doc.get("workers", 1)),
+        workers=int(doc["workers"]) if doc.get("workers") is not None else 1,
         out=doc.get("out"),
         thresholds=thresholds,
         input_path=doc.get("input"),
         delta=delta,
-        concentration_grid=tuple(grid) if grid is not None else None,
+        concentration_grid=grids["concentration_grid"],
     )
     if experiment in _NEEDS_COUNT and not cfg.count:
         root.error("this experiment needs a sample count", "count")

@@ -18,7 +18,6 @@ free energy is convex with its unique minimum at the origin.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +30,6 @@ from .quadrature import refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
 REPRESENTATION_MAX_N = 16
-
-#: free-energy surfaces kept by free_energy_surface, least recently used first out
-SURFACE_CACHE_SIZE = 128
 
 #: minimum acceptable acceptance rate of the rejection envelope
 MIN_ENVELOPE_ACCEPTANCE = 0.01
@@ -65,12 +61,6 @@ class CouplingSpec:
         return cls([[float(beta)]])
 
     @property
-    def beta(self) -> float:
-        if self.m != 1:
-            raise ConfigError("beta shortcut only defined for a single group")
-        return float(self.j[0, 0])
-
-    @property
     def is_positive_definite(self) -> bool:
         return bool(self._eigvals.min() > 1e-12)
 
@@ -82,9 +72,6 @@ class CouplingSpec:
     def is_high_temperature(self) -> bool:
         """True when I - J is (strictly) positive definite."""
         return bool(np.linalg.eigvalsh(np.eye(self.m) - self.j).min() > 0.0)
-
-    def _key(self):
-        return ("coupling", tuple(map(tuple, self.j)))
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
@@ -127,23 +114,20 @@ class FreeEnergySurface:
         """Unnormalized mixing density exp(-n F(x)) on a batch (K, M)."""
         return np.exp(-self.n * self.value(x))
 
-    def curvature_sigmas(self) -> np.ndarray:
-        """Marginal standard deviations of the Gaussian matching F's quadratic part."""
-        eigvals = np.linalg.eigvalsh(self._precision0)
-        if eigvals.min() <= 0.0:
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integration box: 10 curvature standard deviations per coordinate.
+
+        The curvature standard deviations are the marginal ones of the
+        Gaussian matching F's quadratic part, N(0, P0^-1).  F is convex and
+        F(x) >= x' P0 x / (2n) in high temperature, so the omitted tail mass
+        is below the matching Gaussian's, under 1e-22.
+        """
+        if np.linalg.eigvalsh(self._precision0).min() <= 0.0:
             raise ConfigError(
                 "the integration box needs the high-temperature regime "
                 "(identity minus coupling positive definite)"
             )
-        return np.sqrt(np.diag(np.linalg.inv(self._precision0)))
-
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integration box: 10 curvature standard deviations per coordinate.
-
-        F is convex and F(x) >= x' P0 x / (2n) in high temperature, so the
-        omitted tail mass is below the matching Gaussian's, under 1e-22.
-        """
-        half = 10.0 * self.curvature_sigmas()
+        half = 10.0 * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
         return -half, half
 
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,20 +154,6 @@ class FreeEnergySurface:
             )
             self._normalizer = float(value[0])
         return self._normalizer
-
-
-def free_energy_surface(spec: CouplingSpec, groups: GroupStructure, n: int) -> FreeEnergySurface:
-    """Shared surface, so a normalizer is computed once per (spec, groups, n).
-
-    The ``SURFACE_CACHE_SIZE`` most recently used surfaces are kept.
-    """
-    return _cached_surface((spec._key(), groups._key(), int(n)))
-
-
-@functools.lru_cache(maxsize=SURFACE_CACHE_SIZE)
-def _cached_surface(key) -> FreeEnergySurface:
-    (_, j), (_, m, proportions), n = key
-    return FreeEnergySurface(CouplingSpec(j), GroupStructure(m, proportions), n)
 
 
 # -- the mixing measure -------------------------------------------------------------
@@ -260,10 +230,7 @@ class CurieWeissSequence:
         """Zero coupling decouples the voters: mu_n is the point mass at the origin."""
         if self.coupling.is_zero:
             return PointMassMixture([(np.zeros(groups.m), 1.0)])
-        return MeanFieldMixing(free_energy_surface(self.coupling, groups, n))
-
-    def _key(self):
-        return ("curie-weiss", self.coupling._key())
+        return MeanFieldMixing(FreeEnergySurface(self.coupling, groups, n))
 
 
 # -- Gibbs form -----------------------------------------------------------------
@@ -323,7 +290,7 @@ class CompactMixingDensity:
     """
 
     def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
-        self.surface = free_energy_surface(spec, groups, n)
+        self.surface = FreeEnergySurface(spec, groups, n)
         self.m = self.surface.m
         self.n = n
 
@@ -342,16 +309,6 @@ class CompactMixingDensity:
         points, weights = tensor_rule(lower, upper, level)
         vals = np.exp(self.log_density_unnormalized(points))
         return float(weights @ vals) / self.surface.normalizer()
-
-    def mass_in_box(self, lower, upper, tol: float = 1e-12) -> float:
-        lower = np.clip(np.asarray(lower, dtype=float), -1.0, 1.0)
-        upper = np.clip(np.asarray(upper, dtype=float), -1.0, 1.0)
-        if np.any(lower >= upper):
-            return 0.0
-        value, _ = refine_until_stable(
-            lambda level: np.array([self._box_integral(lower, upper, level)]), tol=tol
-        )
-        return float(value[0])
 
     def mass_outside_symmetric_box(self, delta: float, rtol: float = 1e-9) -> float:
         """Mass of (-1,1)^M minus [-delta, delta]^M, integrated directly.

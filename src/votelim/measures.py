@@ -3,8 +3,8 @@
 The measure algebra is deliberately closed: point-mass mixtures, uniform
 boxes, Gaussians, products of 1-D measures, and finite mixtures.  Every
 member supports exact characteristic functions, exact (or erf-accurate)
-box masses, seeded sampling, pushforward under componentwise scaling, and
-a weighted-node view used by the integration routines.  Arbitrary
+1-D CDFs, seeded sampling, pushforward under componentwise scaling, and a
+weighted-node view used by the integration routines.  Arbitrary
 user-supplied densities are intentionally excluded so that the exact
 oracles elsewhere in the package stay exact.
 
@@ -67,9 +67,11 @@ class BaseMeasure:
 
     Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)`` ((K, dim)
     frequencies in, (K,) complex values out), ``contract(eps)``,
-    ``negate()``, ``mass_in_box(lower, upper)``, ``quad_nodes(level)``,
-    ``marginal(coords)``, ``cdf(x)`` (1-D only, evaluated elementwise on an
-    array), and a canonical ``_key()`` used for structural comparisons.
+    ``negate()``, ``quad_nodes(level)``, ``marginal(coords)``, ``cdf(x)``
+    (1-D only, evaluated elementwise on an array), and a canonical
+    ``_key()``.  Keys leave out zero-weight atoms and components, so two
+    measures with equal keys are equal; comparing a measure's key with its
+    image's decides invariance under x -> -x or x -> 2x.
     """
 
     dim: int
@@ -118,12 +120,6 @@ class PointMassMixture(BaseMeasure):
     def negate(self) -> "PointMassMixture":
         return PointMassMixture(list(zip(-self.locations, self.weights)))
 
-    def mass_in_box(self, lower, upper) -> float:
-        lower = _vector(lower, self.dim)
-        upper = _vector(upper, self.dim)
-        inside = np.all((self.locations >= lower) & (self.locations <= upper), axis=1)
-        return float(self.weights[inside].sum())
-
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         return self.locations, self.weights
 
@@ -141,7 +137,7 @@ class PointMassMixture(BaseMeasure):
 
     def _key(self):
         items = sorted(
-            (tuple(loc), float(w)) for loc, w in zip(self.locations, self.weights)
+            (tuple(loc), float(w)) for loc, w in zip(self.locations, self.weights) if w > 0
         )
         return ("atoms", tuple(items))
 
@@ -175,13 +171,6 @@ class UniformBox(BaseMeasure):
 
     def negate(self) -> "UniformBox":
         return UniformBox(-self.upper, -self.lower)
-
-    def mass_in_box(self, lower, upper) -> float:
-        lower = _vector(lower, self.dim)
-        upper = _vector(upper, self.dim)
-        overlap = np.minimum(upper, self.upper) - np.maximum(lower, self.lower)
-        overlap = np.clip(overlap, 0.0, None)
-        return float(np.prod(overlap / (self.upper - self.lower)))
 
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         points, weights = tensor_rule(self.lower, self.upper, level)
@@ -245,27 +234,6 @@ class Gaussian(BaseMeasure):
     def negate(self) -> "Gaussian":
         return Gaussian(-self.mean, self.covariance)
 
-    def mass_in_box(self, lower, upper) -> float:
-        lower = _vector(lower, self.dim)
-        upper = _vector(upper, self.dim)
-        diag = np.diag(np.diag(self.covariance))
-        if np.allclose(self.covariance, diag, atol=0.0):
-            sigma = np.sqrt(np.diag(self.covariance))
-            total = 1.0
-            for k in range(self.dim):
-                if sigma[k] == 0.0:
-                    total *= 1.0 if lower[k] <= self.mean[k] <= upper[k] else 0.0
-                else:
-                    z_hi = (upper[k] - self.mean[k]) / sigma[k]
-                    z_lo = (lower[k] - self.mean[k]) / sigma[k]
-                    total *= ndtr(z_hi) - ndtr(z_lo)
-            return float(total)
-        # correlated case: Genz quasi-Monte Carlo rectangle probability
-        from scipy.stats import multivariate_normal
-
-        dist = multivariate_normal(mean=self.mean, cov=self.covariance, allow_singular=True)
-        return float(np.clip(dist.cdf(upper, lower_limit=lower), 0.0, 1.0))
-
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         if self._is_degenerate:
             raise UnsupportedMeasureError(
@@ -328,14 +296,6 @@ class Product(BaseMeasure):
     def negate(self) -> "Product":
         return Product([f.negate() for f in self.factors])
 
-    def mass_in_box(self, lower, upper) -> float:
-        lower = _vector(lower, self.dim)
-        upper = _vector(upper, self.dim)
-        out = 1.0
-        for k, f in enumerate(self.factors):
-            out *= f.mass_in_box(lower[k : k + 1], upper[k : k + 1])
-        return float(out)
-
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         parts = [f.quad_nodes(level) for f in self.factors]
         grids = np.meshgrid(*[p[0][:, 0] for p in parts], indexing="ij")
@@ -392,11 +352,6 @@ class Mixture(BaseMeasure):
     def negate(self) -> "Mixture":
         return Mixture([(c.negate(), w) for c, w in zip(self.components, self.weights)])
 
-    def mass_in_box(self, lower, upper) -> float:
-        return float(
-            sum(w * c.mass_in_box(lower, upper) for c, w in zip(self.components, self.weights))
-        )
-
     def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         points, weights = [], []
         for comp, w in zip(self.components, self.weights):
@@ -413,7 +368,9 @@ class Mixture(BaseMeasure):
         return sum(w * c.cdf(x) for c, w in zip(self.components, self.weights))
 
     def _key(self):
-        items = sorted((c._key(), float(w)) for c, w in zip(self.components, self.weights))
+        items = sorted(
+            (c._key(), float(w)) for c, w in zip(self.components, self.weights) if w > 0
+        )
         return ("mix", tuple(items))
 
 
@@ -434,15 +391,6 @@ def sample(measure: BaseMeasure, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ConfigError("count must be at least 1")
     return measure.sample(np.random.default_rng(seed), count)
-
-
-def mass_in_box(measure: BaseMeasure, lower, upper) -> float:
-    """Probability of the closed box [lower, upper]; boundary atoms count fully."""
-    lower = _vector(lower, measure.dim)
-    upper = _vector(upper, measure.dim)
-    if np.any(lower > upper):
-        raise ConfigError("mass_in_box requires lower <= upper componentwise")
-    return measure.mass_in_box(lower, upper)
 
 
 # -- bias maps ---------------------------------------------------------------
@@ -551,9 +499,6 @@ class PowerLawSchedule:
             for c, a in zip(self.coefficients, self.exponents)
         )
 
-    def _key(self):
-        return ("power-law", self.coefficients, self.exponents)
-
 
 class ExplicitSchedule:
     """Tabulated eps vectors keyed by overall population size n.
@@ -600,6 +545,3 @@ class ExplicitSchedule:
         return tuple(
             hv if r == CRITICAL else None for hv, r in zip(self.h, self.declared)
         )
-
-    def _key(self):
-        return ("explicit", tuple(sorted(self.table.items())), self.declared, self.h)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, DataError, ResourceError
 from .measures import (
     CLAMP,
     BaseMeasure,
@@ -85,9 +85,6 @@ class GroupStructure:
             base[short] += 1
         return tuple(int(s) for s in base)
 
-    def _key(self):
-        return ("groups", self.m, self.proportions)
-
 
 @dataclass(frozen=True)
 class StaticSequence:
@@ -107,9 +104,6 @@ class StaticSequence:
     def mixing_measure(self, groups: GroupStructure, n: int) -> BaseMeasure:
         return self.base
 
-    def _key(self):
-        return ("static", self.base._key())
-
 
 @dataclass(frozen=True)
 class ContractedSequence:
@@ -127,9 +121,6 @@ class ContractedSequence:
 
     def mixing_measure(self, groups: GroupStructure, n: int) -> BaseMeasure:
         return self.base.contract(self.schedule.eps(n, groups.sizes(n)))
-
-    def _key(self):
-        return ("contracted", self.base._key(), self.schedule._key())
 
 
 def _check_dim(base: BaseMeasure, groups: GroupStructure) -> None:
@@ -174,9 +165,6 @@ class DeFinettiModel:
         tag = "static" if seq.kind == "static" else "cwm"
         return np.sqrt(sizes), (tag,) * self.groups.m
 
-    def _key(self):
-        return (self.groups._key(), self.sequence._key(), self.bias_map.name)
-
 
 # -- margin probability tables -------------------------------------------------
 
@@ -193,7 +181,7 @@ class MarginPmf:
         self.group_sizes = tuple(int(s) for s in group_sizes)
         expected = tuple(s + 1 for s in self.group_sizes)
         if probs.shape != expected:
-            raise ValueError(f"probs shape {probs.shape} != lattice shape {expected}")
+            raise DataError(f"probs shape {probs.shape} != lattice shape {expected}")
         self.probs = probs
 
     @property
@@ -232,7 +220,7 @@ class MarginPmf:
 
     def max_abs_diff(self, other: "MarginPmf") -> float:
         if self.group_sizes != other.group_sizes:
-            raise ValueError("margin laws live on different lattices")
+            raise DataError("margin laws live on different lattices")
         return float(np.max(np.abs(self.probs - other.probs)))
 
     def group_marginal(self, g: int) -> np.ndarray:

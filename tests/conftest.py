@@ -1,9 +1,11 @@
-"""Shared model builders and hypothesis strategies."""
+"""Shared model builders, the oracle model matrix, and hypothesis strategies."""
 
 import hypothesis.strategies as st
+import numpy as np
 
 from votelim import (
     CLAMP,
+    TANH,
     ContractedSequence,
     DeFinettiModel,
     Gaussian,
@@ -37,6 +39,42 @@ def contracted(base, exponent, groups=None, bias=CLAMP, coefficient=1.0):
     groups = groups or (GROUPS_1 if base.dim == 1 else GROUPS_2)
     schedule = PowerLawSchedule(coefficient, exponent, m=groups.m)
     return DeFinettiModel(groups, ContractedSequence(base, schedule), bias)
+
+
+def oracle_matrix():
+    """>= 12 models: static and contracted bases at all three exponents, M in {1, 2}."""
+    models = [
+        ("static-delta0-m1", static_delta0()),
+        ("static-two-atom-m1", DeFinettiModel(GROUPS_1, StaticSequence(TWO_ATOM_HALF), CLAMP)),
+    ]
+    for tag, base, bias in [("uniform", UNIFORM_1, CLAMP), ("gaussian", GAUSS_1, TANH), ("two-atom", TWO_ATOM_2, CLAMP)]:
+        for a in (0.75, 0.5, 0.15):
+            models.append((f"{tag}-a{a}-m1", contracted(base, a, bias=bias)))
+    two2 = PointMassMixture([([-2.0, -2.0], 0.5), ([2.0, 2.0], 0.5)])
+    models += [
+        ("static-delta0-m2", static_delta0(2)),
+        ("uniform-a0.75-m2", contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75)),
+        ("gaussian-a0.5-m2", contracted(Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), 0.5, bias=TANH)),
+        ("two-atom-a0.15-m2", contracted(two2, 0.15)),
+    ]
+    return models
+
+
+# -- sampler against an exact law ----------------------------------------------
+
+def sample_tv(sample, pmf) -> float:
+    """Total variation between a sample's joint margin histogram and an exact law."""
+    index = tuple((sample.raw[:, g] + s) // 2 for g, s in enumerate(pmf.group_sizes))
+    counts = np.zeros(pmf.probs.shape)
+    np.add.at(counts, index, 1.0)
+    return 0.5 * float(np.abs(counts / sample.count - pmf.probs).sum())
+
+
+def multinomial_tv_quantile(pmf, count, q=0.999, draws=2000) -> float:
+    """Quantile of the TV of ``count`` i.i.d. draws from the exact law itself."""
+    probs = pmf.probs.ravel() / pmf.probs.sum()
+    counts = np.random.default_rng(0).multinomial(count, probs, size=draws)
+    return float(np.quantile(0.5 * np.abs(counts / count - probs).sum(axis=1), q))
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -16,11 +16,9 @@ from scipy.special import ndtr
 
 from votelim import (
     CLAMP,
-    TANH,
     ContractedSequence,
     CouplingSpec,
     DeFinettiModel,
-    Gaussian,
     GroupStructure,
     PointMassMixture,
     PowerLawSchedule,
@@ -40,6 +38,7 @@ from votelim import (
 )
 from votelim.cli import run as run_experiment
 from votelim.verify import cf_factorization_discrepancy, llt_sup_error
+from conftest import oracle_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,28 +55,6 @@ def record(criterion: int, description: str, ok: bool, detail: str = "") -> None
 def _contracted(base, exponent, groups, bias):
     schedule = PowerLawSchedule(1.0, exponent, m=groups.m)
     return DeFinettiModel(groups, ContractedSequence(base, schedule), bias)
-
-
-def oracle_matrix():
-    """>= 12 models: static and contracted bases at all three exponents, M in {1, 2}."""
-    uniform1 = UniformBox([-1.0], [1.0])
-    gauss1 = Gaussian([0.0], [[1.0]])
-    two1 = PointMassMixture([([-2.0], 0.5), ([2.0], 0.5)])
-    models = [
-        ("static-delta0-m1", DeFinettiModel(GROUPS_1, StaticSequence(PointMassMixture([(0.0, 1.0)])), CLAMP)),
-        ("static-two-atom-m1", DeFinettiModel(GROUPS_1, StaticSequence(PointMassMixture([([-0.5], 0.5), ([0.5], 0.5)])), CLAMP)),
-    ]
-    for tag, base, bias in [("uniform", uniform1, CLAMP), ("gaussian", gauss1, TANH), ("two-atom", two1, CLAMP)]:
-        for a in (0.75, 0.5, 0.15):
-            models.append((f"{tag}-a{a}-m1", _contracted(base, a, GROUPS_1, bias)))
-    uniform2 = UniformBox([-1.0, -1.0], [1.0, 1.0])
-    gauss2 = Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-    two2 = PointMassMixture([([-2.0, -2.0], 0.5), ([2.0, 2.0], 0.5)])
-    models.append(("static-delta0-m2", DeFinettiModel(GROUPS_2, StaticSequence(PointMassMixture([([0.0, 0.0], 1.0)])), CLAMP)))
-    models.append(("uniform-a0.75-m2", _contracted(uniform2, 0.75, GROUPS_2, CLAMP)))
-    models.append(("gaussian-a0.5-m2", _contracted(gauss2, 0.5, GROUPS_2, TANH)))
-    models.append(("two-atom-a0.15-m2", _contracted(two2, 0.15, GROUPS_2, CLAMP)))
-    return models
 
 
 _matrix_cache: dict = {}

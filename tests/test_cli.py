@@ -153,6 +153,45 @@ def test_concentration_grid_must_hold_positive_integers(grid):
         config_from_dict(small_clt_doc(concentration_grid=grid))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", "abc"),
+        ("n", 10000.7),
+        ("workers", "two"),
+        ("n_grid", 5),
+        ("count", 2.5),
+        ("seed", True),
+        ("seed", -1),
+        ("thresholds.ks", "abc"),
+        ("thresholds.cross_correlation", [1]),
+        ("thresholds.target_law", "gausian"),
+    ],
+)
+def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
+    doc = yaml.safe_load((CONFIGS / "fast_clt.yaml").read_text())
+    if key.startswith("thresholds."):
+        doc["thresholds"][key.split(".")[1]] = value
+    else:
+        doc[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line " in capsys.readouterr().err
+    assert not (out / "margins.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [{"alpha_range": [0.3, 0.1]}, {"alpha_range": [0.1]}, {"alpha_range": "0.1"},
+     {"llt": True}, {"r2": None}],
+)
+def test_threshold_values_are_checked(thresholds):
+    with pytest.raises(ConfigError, match=f"thresholds.{next(iter(thresholds))}"):
+        config_from_dict(small_clt_doc(thresholds=thresholds))
+
+
 def test_load_config_applies_overrides_and_keeps_line_anchors(tmp_path):
     cfg = tmp_path / "c.yaml"
     text = yaml.safe_dump(small_clt_doc(), sort_keys=False)
@@ -232,6 +271,27 @@ def _node_at(doc, path):
     for part in path.replace("]", "").replace("[", ".").split("."):
         node = node[int(part)] if part.isdigit() else node[part]
     return node
+
+
+@pytest.mark.parametrize(
+    "doc, path, key",
+    [
+        (_static(_UNIFORM), "model.groups", "m"),
+        (_static(_UNIFORM), "model.groups", "proportions"),
+        (_static(_UNIFORM), "model.sequence.base", "lower"),
+        (_contracted(_POWER), "model.sequence.schedule", "coefficient"),
+        (_CW_BETA, "model.sequence.coupling", "beta"),
+    ],
+    ids=["groups-m", "proportions", "box-lower", "coefficient", "beta"],
+)
+def test_non_numeric_model_values_exit_2(tmp_path, capsys, doc, path, key):
+    doc = yaml.safe_load(yaml.safe_dump(doc))
+    node = _node_at(doc, path)
+    node[key] = ["x"] * len(node[key]) if isinstance(node[key], list) else "x"
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "line " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", list(_STRICT_CASES))
@@ -507,6 +567,50 @@ def test_verify_clt_without_a_limit_law_samples_nothing(tmp_path, capsys, model)
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
     assert "limit" in capsys.readouterr().err
     assert not (out / "margins.csv").exists()
+
+
+_DELTA0 = {"variant": "point-mass-mixture", "atoms": [{"location": [0.0], "weight": 1.0}]}
+
+#: case -> (static base, group count, whether it is the point mass at the origin)
+_ORIGIN_CASES = {
+    "one-atom": (_DELTA0, 1, True),
+    "two-atoms": ({"variant": "point-mass-mixture",
+                   "atoms": [{"location": [0.0], "weight": 0.5}, {"location": [0.0], "weight": 0.5}]}, 1, True),
+    "atom-m2": ({"variant": "point-mass-mixture", "atoms": [{"location": [0.0, 0.0], "weight": 1.0}]}, 2, True),
+    "product": ({"variant": "product", "factors": [_DELTA0, _DELTA0]}, 2, True),
+    "mixture": ({"variant": "mixture",
+                 "components": [{"measure": _DELTA0, "weight": 0.5}, {"measure": _DELTA0, "weight": 0.5}]}, 1, True),
+    "zero-gaussian": ({"variant": "gaussian", "mean": [0.0], "covariance": [[0.0]]}, 1, True),
+    "zero-gaussian-m2": ({"variant": "gaussian", "mean": [0.0, 0.0], "covariance": [[0.0, 0.0], [0.0, 0.0]]}, 2, True),
+    "zero-weight-atom": ({"variant": "point-mass-mixture",
+                          "atoms": [{"location": [0.0], "weight": 1.0}, {"location": [1.0], "weight": 0.0}]}, 1, True),
+    "uniform": (_UNIFORM, 1, False),
+    "atoms": (_ATOMS, 1, False),
+    "gaussian": (_GAUSSIAN, 1, False),
+    "atom-times-uniform": ({"variant": "product", "factors": [_DELTA0, _UNIFORM]}, 2, False),
+    "singular-gaussian": ({"variant": "gaussian", "mean": [0.0, 0.0], "covariance": [[1.0, 1.0], [1.0, 1.0]]}, 2, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORIGIN_CASES))
+def test_static_target_law_is_gaussian_only_at_the_origin(tmp_path, capsys, case):
+    # the point mass at the origin, however it is written, is the
+    # independent-voter baseline; any other static base has no limit to test
+    base, m, at_origin = _ORIGIN_CASES[case]
+    doc = small_clt_doc(model=_static(base, m=m)["model"],
+                        thresholds={"ks": 0.08, "cross_correlation": 0.1})
+    cfg = tmp_path / "static.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    code = main(["verify-clt", "--config", str(cfg), "--out", str(out)])
+    if at_origin:
+        assert code == 0
+        reports = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert [r["details"]["law"] for r in reports if "law" in r["details"]] == ["gaussian"] * m
+    else:
+        assert code == 2
+        assert "no dispatchable limit" in capsys.readouterr().err
+        assert not (out / "margins.csv").exists()
 
 
 def test_nested_product_mixture_measure_from_config(tmp_path):

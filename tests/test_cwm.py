@@ -11,23 +11,22 @@ from votelim import (
     CouplingSpec,
     CurieWeissSequence,
     DeFinettiModel,
+    FreeEnergySurface,
     GroupStructure,
     ResourceError,
     TANH,
     brute_force_pmf,
     concentration_profile,
     exact_margin_pmf,
-    free_energy_surface,
     gibbs_pmf,
     pair_correlation,
     representation_equivalence_check,
     sample_margins,
 )
-from votelim import cwm
-from votelim.cwm import SURFACE_CACHE_SIZE, CompactMixingDensity
+from votelim.cwm import CompactMixingDensity
 from votelim.models import SAMPLE_BLOCK
 from votelim.quadrature import tensor_rule
-from conftest import GROUPS_1, GROUPS_2
+from conftest import GROUPS_1, GROUPS_2, multinomial_tv_quantile, sample_tv
 
 BETA_HALF = CouplingSpec.single_group(0.5)
 J_TWO = CouplingSpec([[0.5, 0.2], [0.2, 0.5]])
@@ -80,7 +79,7 @@ def test_single_group_free_energy_value():
 
 
 def test_free_energy_zero_at_origin_and_even():
-    surface = free_energy_surface(J_TWO, GROUPS_2, 8)
+    surface = FreeEnergySurface(J_TWO, GROUPS_2, 8)
     assert surface.value(np.zeros((1, 2)))[0] == 0.0
     grid = np.random.default_rng(0).uniform(-2, 2, size=(50, 2))
     assert np.max(np.abs(surface.value(grid) - surface.value(-grid))) < 1e-14
@@ -96,7 +95,7 @@ def test_high_temperature_unique_minimum_and_phase_transition_witness():
 
 
 def test_compact_and_latent_free_energies_agree():
-    surface = free_energy_surface(BETA_HALF, GROUPS_1, 8)
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 8)
     for m in (0.1, 0.4, 0.7):
         assert surface.value(np.array([[math.atanh(m)]]))[0] == pytest.approx(
             single_group_free_energy(0.5, m), abs=1e-13
@@ -105,7 +104,7 @@ def test_compact_and_latent_free_energies_agree():
 
 @pytest.mark.parametrize("spec, groups, n", [(BETA_HALF, GROUPS_1, 8), (J_TWO, GROUPS_2, 9)])
 def test_free_energy_value_matches_per_row_loop(spec, groups, n):
-    surface = free_energy_surface(spec, groups, n)
+    surface = FreeEnergySurface(spec, groups, n)
     x = np.random.default_rng(3).uniform(-3, 3, size=(40, groups.m))
     expected = [
         0.5 * float(row @ surface.q_matrix @ row)
@@ -173,12 +172,12 @@ def test_gibbs_enumeration_guard():
 # -- mixing density ------------------------------------------------------------------
 
 def test_density_is_one_at_origin():
-    assert free_energy_surface(BETA_HALF, GROUPS_1, 12).density(np.zeros((1, 1)))[0] == 1.0
-    assert free_energy_surface(J_TWO, GROUPS_2, 8).density(np.zeros((1, 2)))[0] == 1.0
+    assert FreeEnergySurface(BETA_HALF, GROUPS_1, 12).density(np.zeros((1, 1)))[0] == 1.0
+    assert FreeEnergySurface(J_TWO, GROUPS_2, 8).density(np.zeros((1, 2)))[0] == 1.0
 
 
 def test_density_peaks_at_origin_in_high_temperature():
-    surface = free_energy_surface(BETA_HALF, GROUPS_1, 10)
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
     grid = np.linspace(-3, 3, 301)[:, None]
     values = surface.density(grid)
     assert values.argmax() == 150  # the origin
@@ -186,21 +185,14 @@ def test_density_peaks_at_origin_in_high_temperature():
 
 def test_density_needs_positive_definite_coupling():
     with pytest.raises(ConfigError):
-        free_energy_surface(CouplingSpec.single_group(0.0), GROUPS_1, 8)
-
-
-def test_surface_cache_is_bounded():
-    for n in range(10, 10 + SURFACE_CACHE_SIZE + 5):
-        free_energy_surface(BETA_HALF, GROUPS_1, n)
-    info = cwm._cached_surface.cache_info()
-    assert info.currsize == info.maxsize == SURFACE_CACHE_SIZE
+        FreeEnergySurface(CouplingSpec.single_group(0.0), GROUPS_1, 8)
 
 
 def test_normalizer_cached_and_stable():
-    surface = free_energy_surface(BETA_HALF, GROUPS_1, 10)
-    assert surface is free_energy_surface(BETA_HALF, GROUPS_1, 10)
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
     z1 = surface.normalizer()
     assert z1 == surface.normalizer()
+    assert z1 == FreeEnergySurface(BETA_HALF, GROUPS_1, 10).normalizer()
     assert z1 > 0
 
 
@@ -254,8 +246,12 @@ def test_curie_weiss_model_requires_tanh():
 # -- compact representation --------------------------------------------------------------
 
 def test_compact_density_integrates_to_one():
+    # a tensor Gauss-Legendre rule on the compact variable against the
+    # normalizer, which is integrated in the latent variable
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    assert compact.mass_in_box([-1.0], [1.0]) == pytest.approx(1.0, abs=1e-10)
+    points, weights = tensor_rule([-1.0], [1.0], 512)
+    mass = float(weights @ np.exp(compact.log_density_unnormalized(points)))
+    assert mass / compact.surface.normalizer() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_compact_density_zero_on_boundary_and_even():
@@ -275,15 +271,16 @@ def test_compact_transformed_mean_is_zero():
 
 
 def test_change_of_variables_box_masses_agree():
-    # mass of [-a, a] in the compact variable equals mass of
-    # [-artanh a, artanh a] under the latent-variable density
+    # mass outside [-a, a] in the compact variable, the tail verify-cwm
+    # reports, equals 1 - the mass of [-artanh a, artanh a] under the
+    # latent-variable density
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
     surface = compact.surface
     for a in (0.2, 0.5, 0.8):
         x = math.atanh(a)
         points, weights = tensor_rule([-x], [x], 512)
         latent_mass = float(weights @ surface.density(points)) / surface.normalizer()
-        assert compact.mass_in_box([-a], [a]) == pytest.approx(latent_mass, abs=1e-10)
+        assert compact.mass_outside_symmetric_box(a) == pytest.approx(1.0 - latent_mass, abs=1e-10)
 
 
 # -- concentration -------------------------------------------------------------------------
@@ -399,21 +396,6 @@ def test_envelope_acceptance_guard_near_criticality():
         sample_cwm(CouplingSpec.single_group(0.99999), GROUPS_1, 10, 5000, 1)
 
 
-def _sample_tv(sample, pmf) -> float:
-    """Total variation between a sample's joint margin histogram and an exact law."""
-    index = tuple((sample.raw[:, g] + s) // 2 for g, s in enumerate(pmf.group_sizes))
-    counts = np.zeros(pmf.probs.shape)
-    np.add.at(counts, index, 1.0)
-    return 0.5 * float(np.abs(counts / sample.count - pmf.probs).sum())
-
-
-def _multinomial_tv_quantile(pmf, count, q=0.999, draws=2000) -> float:
-    """Quantile of the TV of ``count`` i.i.d. draws from the exact law itself."""
-    probs = pmf.probs.ravel() / pmf.probs.sum()
-    counts = np.random.default_rng(0).multinomial(count, probs, size=draws)
-    return float(np.quantile(0.5 * np.abs(counts / count - probs).sum(axis=1), q))
-
-
 @pytest.mark.parametrize(
     "j, proportions",
     [
@@ -431,7 +413,7 @@ def test_sampler_matches_exact_law_m2(j, proportions):
     n, count = 16, 20_000
     pmf = exact_margin_pmf(cwm_model(spec, groups), n)
     sample = sample_cwm(spec, groups, n, count, 17)
-    assert _sample_tv(sample, pmf) < _multinomial_tv_quantile(pmf, count)
+    assert sample_tv(sample, pmf) < multinomial_tv_quantile(pmf, count)
 
 
 def test_envelope_acceptance_guard_near_criticality_m2():

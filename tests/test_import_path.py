@@ -1,13 +1,14 @@
 """scipy.stats stays off the import path, the verify-clt path and the exact layer.
 
 Importing scipy.stats costs about a second, several times what a verify-clt,
-verify-llt or verify-cwm run spends on its work.  Only the box probability
-of a correlated Gaussian uses it: binomial tables come from the ufunc behind
-``scipy.stats.binom.pmf`` and Gaussian quadrature nodes compute their
-density in numpy.  The checks run in a fresh interpreter, since this test
-process has long since loaded scipy.stats.  That interpreter refuses every
-import of scipy.stats, so the first caller that tries one is named without
-paying for the load.
+verify-llt or verify-cwm run spends on its work.  No path uses it: binomial
+tables come from the ufunc behind ``scipy.stats.binom.pmf`` and Gaussian
+quadrature nodes compute their density in numpy.  The run-time checks run in
+a fresh interpreter, since this test process has long since loaded
+scipy.stats.  That interpreter refuses every import of scipy.stats, so the
+first caller that tries one is named without paying for the load.  A static
+check finds the one import the source may hold: the public fallback inside
+``_binom_table``, for a scipy without the private ufunc.
 
 The package's modules also import each other without a cycle, lazy imports
 inside functions included.
@@ -85,12 +86,11 @@ def run_config(name):
 
 for name in ("llt_baseline", "cwm_equivalence"):
     stages[name] = attempt(lambda: run_config(name))
-stages["gaussian-box"] = attempt(lambda: correlated.mass_in_box([-1.0, -1.0], [1.0, 0.5]))
 print(json.dumps({"stages": stages, "kinds": kinds, "codes": codes}))
 """
 
 
-def test_scipy_stats_loads_only_for_a_correlated_gaussian_box():
+def test_no_stage_loads_scipy_stats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -109,7 +109,6 @@ def test_scipy_stats_loads_only_for_a_correlated_gaussian_box():
         "brute-force": "no import",
         "llt_baseline": "no import",
         "cwm_equivalence": "no import",
-        "gaussian-box": "import of scipy.stats refused",
     }
     assert result["codes"] == {"llt_baseline": 0, "cwm_equivalence": 0}
 
@@ -145,3 +144,48 @@ def test_package_modules_import_without_cycles():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def scipy_stats_imports(source: str) -> list[tuple]:
+    """(enclosing function, inside ``except ImportError``) for each import of scipy.stats."""
+    found = []
+
+    def is_stats(name: str) -> bool:
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+    def visit(node, function, guarded):
+        if isinstance(node, ast.Import):
+            hit = any(is_stats(a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = is_stats(module) or (module == "scipy" and any(a.name == "stats" for a in node.names))
+        else:
+            hit = False
+        if hit:
+            found.append((function, guarded))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            guarded = isinstance(node.type, ast.Name) and node.type.id == "ImportError"
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, guarded)
+
+    visit(ast.parse(source), None, False)
+    return found
+
+
+def test_scipy_stats_is_imported_only_as_the_binomial_fallback():
+    sample = (
+        "import scipy.stats\n"
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ImportError:\n"
+        "        from scipy import stats\n"
+        "    from scipy.stats import norm\n"
+    )
+    assert scipy_stats_imports(sample) == [(None, False), ("f", True), ("f", False)]
+    found = {p.stem: scipy_stats_imports(p.read_text()) for p in (SRC / "votelim").glob("*.py")}
+    assert {name: hits for name, hits in found.items() if hits} == {
+        "models": [("_binom_table", True)]
+    }

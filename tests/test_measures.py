@@ -18,7 +18,6 @@ from votelim import (
     Product,
     UniformBox,
     apply_bias_map,
-    mass_in_box,
     sample,
 )
 from votelim.measures import GAUSSIAN_BOX_SIGMAS
@@ -74,6 +73,11 @@ def test_cf_product_and_mixture_rules():
 
 # -- contraction ---------------------------------------------------------------
 
+def interval_mass(measure, a, b) -> float:
+    """Mass of the interval (a, b] under a 1-D measure, from its CDF."""
+    return float(np.diff(measure.cdf(np.array([a, b])))[0])
+
+
 def test_contract_box():
     c = UNIFORM_1.contract(0.1)
     assert np.allclose(c.lower, [-0.1]) and np.allclose(c.upper, [0.1])
@@ -94,35 +98,40 @@ def test_contract_gaussian_scales_variance():
 @settings(max_examples=60, deadline=None)
 def test_pushforward_consistency(measure, eps, a, width):
     b = a + width
-    direct = mass_in_box(measure.contract(eps), [a], [b])
-    pulled = mass_in_box(measure, [a / eps], [b / eps])
+    direct = interval_mass(measure.contract(eps), a, b)
+    pulled = interval_mass(measure, a / eps, b / eps)
     assert direct == pytest.approx(pulled, abs=1e-12)
 
 
-# -- box masses ------------------------------------------------------------------
+# -- interval masses from the CDF ----------------------------------------------------
 
 def test_mass_uniform_proportional():
     narrow = UniformBox([-0.1], [0.1])
-    assert mass_in_box(narrow, [-0.05], [0.05]) == pytest.approx(0.5, abs=1e-15)
+    assert interval_mass(narrow, -0.05, 0.05) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_mass_atom_boundary_counts_fully():
-    assert mass_in_box(DELTA_0, [-1e-9], [1e-9]) == 1.0
+    # the CDF is right-continuous: an atom at the right end counts fully
+    assert interval_mass(DELTA_0, -1e-9, 1e-9) == 1.0
+    assert interval_mass(DELTA_0, -1e-9, 0.0) == 1.0
     edge = PointMassMixture([([1.0], 1.0)])
-    assert mass_in_box(edge, [0.0], [1.0]) == 1.0
+    assert interval_mass(edge, 0.0, 1.0) == 1.0
 
 
 def test_mass_gaussian_matches_density_quadrature():
     # independent oracle: quadrature of the normal density
     expected, _ = quad(lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi), -1, 1,
                        epsabs=1e-13)
-    assert mass_in_box(GAUSS_1, [-1], [1]) == pytest.approx(expected, abs=1e-12)
-    assert mass_in_box(GAUSS_1, [-1], [1]) == pytest.approx(0.682689492137, abs=1e-12)
+    assert interval_mass(GAUSS_1, -1, 1) == pytest.approx(expected, abs=1e-12)
+    assert interval_mass(GAUSS_1, -1, 1) == pytest.approx(0.682689492137, abs=1e-12)
 
 
 def test_mass_correlated_gaussian_agrees_with_sampling():
+    # the Genz quasi-Monte Carlo box probability against the seeded sampler
+    from scipy.stats import multivariate_normal
+
     g = Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
-    p = mass_in_box(g, [-1, -1], [1, 1])
+    p = multivariate_normal(mean=g.mean, cov=g.covariance).cdf([1, 1], lower_limit=[-1, -1])
     draws = sample(g, 5, 200_000)
     hit = np.all(np.abs(draws) <= 1.0, axis=1).mean()
     assert p == pytest.approx(hit, abs=4 * math.sqrt(0.25 / 200_000))
@@ -145,11 +154,6 @@ def test_gaussian_quad_nodes_weight_the_normal_density(mean, cov):
     assert np.array_equal(points, box_points)
     expected = box_weights * multivariate_normal(mean=mean, cov=cov).pdf(points)
     assert np.max(np.abs(weights / expected - 1.0)) <= 1e-14
-
-
-def test_mass_in_box_rejects_inverted_bounds():
-    with pytest.raises(ConfigError):
-        mass_in_box(UNIFORM_1, [1.0], [-1.0])
 
 
 # -- sampling ---------------------------------------------------------------------

@@ -18,6 +18,9 @@ from votelim import (
     TANH,
     ConfigError,
     ContractedSequence,
+    CouplingSpec,
+    CurieWeissSequence,
+    DataError,
     DeFinettiModel,
     ExplicitSchedule,
     Gaussian,
@@ -38,7 +41,7 @@ from votelim import (
 )
 from votelim import models
 from votelim.measures import apply_bias_map
-from votelim.models import CSV_CHUNK, MarginSample
+from votelim.models import CSV_CHUNK, MarginPmf, MarginSample
 from votelim.quadrature import refine_until_stable
 from conftest import (
     GAUSS_1,
@@ -46,6 +49,9 @@ from conftest import (
     GROUPS_2,
     UNIFORM_1,
     contracted,
+    multinomial_tv_quantile,
+    oracle_matrix,
+    sample_tv,
     static_delta0,
     symmetric_gaussians_1d,
     symmetric_measures_1d,
@@ -124,6 +130,17 @@ def test_margin_pmf_rejects_malformed_margin_vectors(k):
     pmf = conditional_margin_pmf([0.3, -0.6], GROUPS_2, 10)
     with pytest.raises(ConfigError):
         pmf.prob(k)
+
+
+def test_margin_pmf_rejects_a_table_off_its_lattice():
+    with pytest.raises(DataError, match="lattice shape"):
+        MarginPmf((4, 2), np.zeros((5, 2)))
+
+
+def test_margin_pmf_difference_needs_one_lattice():
+    pmf = conditional_margin_pmf([0.3, -0.6], GROUPS_2, 10)
+    with pytest.raises(DataError, match="different lattices"):
+        pmf.max_abs_diff(conditional_margin_pmf([0.3, -0.6], GROUPS_2, 12))
 
 
 def test_conditional_pmf_rejects_bias_outside_range():
@@ -288,6 +305,47 @@ def test_normalization_per_regime():
     assert s.gamma[0] == pytest.approx(10**4 * (10**4) ** -0.15)
     fast = contracted(UNIFORM_1, 0.75)
     assert sample_margins(fast, 10**4, 10, 3).gamma[0] == pytest.approx(100.0)
+
+
+SAMPLER_MODELS = oracle_matrix() + [
+    (
+        "static-mixture-m2",
+        DeFinettiModel(GROUPS_2, StaticSequence(Mixture([
+            (UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.5),
+            (PointMassMixture([([-0.5, -0.5], 0.5), ([0.5, 0.5], 0.5)]), 0.5),
+        ])), CLAMP),
+    ),
+    (
+        "static-gaussian-rho0.6-m2",
+        DeFinettiModel(GROUPS_2, StaticSequence(Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])), TANH),
+    ),
+    (
+        "product-mixed-regimes-m3",
+        DeFinettiModel(
+            GroupStructure(3, [1 / 3, 1 / 3, 1 / 3]),
+            ContractedSequence(
+                Product([UNIFORM_1, GAUSS_1, PointMassMixture([([-2.0], 0.5), ([2.0], 0.5)])]),
+                PowerLawSchedule([1.0, 1.0, 1.0], [0.75, 0.5, 0.15]),
+            ),
+            TANH,
+        ),
+    ),
+    (
+        "curie-weiss-m1",
+        DeFinettiModel(GROUPS_1, CurieWeissSequence(CouplingSpec.single_group(0.5)), TANH),
+    ),
+]
+
+
+@pytest.mark.parametrize("model", [m for _, m in SAMPLER_MODELS], ids=[name for name, _ in SAMPLER_MODELS])
+def test_sampler_matches_exact_law(model):
+    # every sampler's joint margin histogram must sit as close to the exact
+    # law as i.i.d. draws from that law do: above the band's 99.9% quantile
+    # a sampler is biased or its draws are correlated
+    n, count = 12, 200_000
+    pmf = exact_margin_pmf(model, n)
+    sample = sample_margins(model, n, count, 7)
+    assert sample_tv(sample, pmf) < multinomial_tv_quantile(pmf, count, draws=300)
 
 
 def test_monte_carlo_matches_exact_pmf():

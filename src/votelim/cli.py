@@ -16,13 +16,14 @@ import json
 import platform
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import EXPERIMENT_KINDS, ExperimentConfig, load_config
+from .config import KINDS, ExperimentConfig, load_config
 from .cwm import concentration_profile, representation_equivalence_check
 from .errors import ConfigError, DataError, ResourceError, VotelimError
 from .limits import LimitLaw, limit_for
@@ -134,8 +135,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _target_law(cfg: ExperimentConfig) -> LimitLaw:
-    target = cfg.thresholds.get("target_law", "auto")
-    if target == "gaussian":
+    if cfg.threshold("target_law") == "gaussian":
         return LimitLaw.standard_gaussian(cfg.model.groups.m)
     model = cfg.model
     if model.sequence.kind == "static":
@@ -166,7 +166,7 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
                         details={"n": cfg.n, "count": cfg.count, "law": marginal.kind})
         )
     if cfg.model.groups.m >= 2:
-        rho_threshold = float(cfg.thresholds.get("cross_correlation", 0.02))
+        rho_threshold = float(cfg.threshold("cross_correlation"))
         corr = np.corrcoef(sample.normalized, rowvar=False)
         for a in range(cfg.model.groups.m):
             for b in range(a + 1, cfg.model.groups.m):
@@ -184,7 +184,7 @@ def _run_verify_llt(cfg: ExperimentConfig, out_dir: Path) -> int:
         make_report(cfg.experiment, "llt-error-increase", increase, 0.0,
                     n_grid=cfg.n_grid, details={"errors": errors}),
         make_report(cfg.experiment, "llt-terminal-error", errors[-1],
-                    float(cfg.thresholds.get("llt", 0.01)), n_grid=cfg.n_grid,
+                    float(cfg.threshold("llt")), n_grid=cfg.n_grid,
                     details={"errors": errors}),
     ]
     return _finish(out_dir, cfg, reports, [])
@@ -194,13 +194,13 @@ def _run_verify_cwm(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec = cfg.model.sequence.coupling
     groups = cfg.model.groups
     reports = []
-    eq_threshold = float(cfg.thresholds.get("equivalence", 1e-8))
-    for n in cfg.n_grid or [cfg.n]:
+    eq_threshold = float(cfg.threshold("equivalence"))
+    for n in cfg.n_grid:
         disc = representation_equivalence_check(spec, groups, int(n))
         reports.append(
             make_report(cfg.experiment, f"representation-equivalence-n{n}", disc, eq_threshold)
         )
-    if cfg.delta is not None and cfg.concentration_grid:
+    if cfg.delta is not None:
         profile = concentration_profile(spec, groups, cfg.concentration_grid, cfg.delta)
         tails = [p.tail_mass for p in profile]
         ns = [p.n for p in profile]
@@ -210,7 +210,7 @@ def _run_verify_cwm(cfg: ExperimentConfig, out_dir: Path) -> int:
             r2 = _linear_fit_r2(np.asarray(ns, float), np.log(tails))
         reports.append(
             make_report(cfg.experiment, "concentration-log-linearity", 1.0 - r2,
-                        1.0 - float(cfg.thresholds.get("r2", 0.999)),
+                        1.0 - float(cfg.threshold("r2")),
                         n_grid=ns, details={"tail_masses": tails, "r_squared": r2})
         )
     return _finish(out_dir, cfg, reports, [])
@@ -225,27 +225,12 @@ def _linear_fit_r2(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _run_estimate_alpha(cfg: ExperimentConfig, out_dir: Path) -> int:
-    if cfg.input_path:
-        points = ingest_margins(cfg.input_path)
-    else:
-        points = [tuple(p) for p in cfg.raw["points"]]
-    estimate = estimate_alpha(points)
+    # inline points were checked at load: [population, margin] pairs, population > 0
+    estimate = estimate_alpha(ingest_margins(cfg.input_path) if cfg.input_path else cfg.raw["points"])
     print(f"alpha = {estimate.alpha:.4f}")
-    (out_dir / "alpha.json").write_text(
-        json.dumps(
-            {
-                "alpha": estimate.alpha,
-                "intercept": estimate.intercept,
-                "residual_variance": estimate.residual_variance,
-                "n_points": estimate.n_points,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    (out_dir / "alpha.json").write_text(json.dumps(asdict(estimate), sort_keys=True, indent=2) + "\n")
     reports = []
-    alpha_range = cfg.thresholds.get("alpha_range")
+    alpha_range = cfg.threshold("alpha_range")
     if alpha_range:
         lo, hi = float(alpha_range[0]), float(alpha_range[1])
         outside = max(lo - estimate.alpha, estimate.alpha - hi, 0.0)
@@ -257,7 +242,7 @@ def _run_estimate_alpha(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _run_correlation_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
-    threshold = float(cfg.thresholds.get("correlation", 0.01))
+    threshold = float(cfg.threshold("correlation"))
     report = correlation_decay_report(cfg.model, cfg.n_grid, threshold,
                                       experiment=cfg.experiment)
     return _finish(out_dir, cfg, [report], [])
@@ -286,7 +271,7 @@ def main(argv=None) -> int:
         description="seeded voting-model experiments: simulation and limit-law verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment from a config file")
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")

@@ -1,8 +1,9 @@
 """Declarative experiment configs: YAML loading, validation, and hashing.
 
 One file describes one experiment (model, experiment kind, n or n grid,
-sample count, mandatory seed, thresholds).  Validation errors cite the
-line of the offending key when the config came from a file.  The config
+sample count, mandatory seed, thresholds); ``KINDS`` says which keys and
+thresholds each kind takes, and any other is an error.  Validation errors
+cite the line of the offending key when the config came from a file.  The config
 hash is the SHA-256 of the canonical JSON form of the effective document
 without ``out`` and ``workers`` (results are the same for any output
 directory and worker count) and is embedded in every output artifact.
@@ -30,24 +31,41 @@ from .measures import (
 )
 from .models import ContractedSequence, DeFinettiModel, GroupStructure, StaticSequence
 
-EXPERIMENT_KINDS = (
-    "simulate",
-    "verify-clt",
-    "verify-llt",
-    "verify-cwm",
-    "estimate-alpha",
-    "correlation-decay",
-)
 
-#: the keys a config document may carry; any other key is an error
-TOP_LEVEL_KEYS = (
-    "experiment", "seed", "model", "n", "n_grid", "count", "workers", "out",
-    "thresholds", "input", "points", "delta", "concentration_grid",
-)
-THRESHOLD_KEYS = (
-    "target_law", "ks", "cross_correlation", "llt", "equivalence", "r2",
-    "alpha_range", "correlation",
-)
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind reads besides ``experiment``, ``seed``, ``workers`` and ``out``.
+
+    Its ``required`` keys, exactly one key of ``one_of``, the keys of ``pair``
+    all or none, and ``thresholds``, each with its default (None: ``ks`` is
+    computed from ``count``; without ``alpha_range`` no range is checked).  A
+    ``sequence`` names the only sequence kind its model may have.
+    """
+
+    required: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
+    pair: tuple[str, ...] = ()
+    thresholds: dict = field(default_factory=dict)
+    sequence: str | None = None
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Every top-level key the kind takes; ``workers`` and ``out`` change no result."""
+        return (("experiment", "seed", "workers", "out") + self.required + self.one_of
+                + self.pair + (("thresholds",) if self.thresholds else ()))
+
+
+#: what each experiment kind reads; its keys are the subcommands
+KINDS = {
+    "simulate": Kind(("model", "n", "count")),
+    "verify-clt": Kind(("model", "n", "count"), thresholds={
+        "target_law": "auto", "ks": None, "cross_correlation": 0.02}),
+    "verify-llt": Kind(("model", "n_grid"), thresholds={"llt": 0.01}),
+    "verify-cwm": Kind(("model",), ("n", "n_grid"), ("delta", "concentration_grid"),
+                       {"equivalence": 1e-8, "r2": 0.999}, "curie-weiss"),
+    "estimate-alpha": Kind(one_of=("input", "points"), thresholds={"alpha_range": None}),
+    "correlation-decay": Kind(("model", "n_grid"), thresholds={"correlation": 0.01}),
+}
 TARGET_LAWS = ("auto", "gaussian")
 
 
@@ -59,8 +77,8 @@ def config_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def _yaml_line_map(text: str) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers of a YAML document."""
+def _yaml_line_map(root: yaml.Node | None) -> dict[str, int]:
+    """Map dotted key paths to 1-based line numbers of a composed YAML document."""
     lines: dict[str, int] = {}
 
     def walk(node, path):
@@ -75,7 +93,6 @@ def _yaml_line_map(text: str) -> dict[str, int]:
                 lines[sub] = item.start_mark.line + 1
                 walk(item, sub)
 
-    root = yaml.compose(text)
     if root is not None:
         walk(root, "")
     return lines
@@ -97,26 +114,14 @@ class _Doc:
         raise ConfigError(f"{anchor}{where}{message}")
 
     def child(self, key):
-        if not isinstance(self.doc, dict) or key not in self.doc:
-            self.error(f"missing required key {key!r}")
-        return _Doc(self.doc[key], self.lines, f"{self.path}.{key}" if self.path else key)
-
-    def item(self, idx):
-        if not isinstance(self.doc, (list, tuple)) or idx >= len(self.doc):
-            self.error(f"expected a list with at least {idx + 1} entries")
-        return _Doc(self.doc[idx], self.lines, f"{self.path}[{idx}]")
+        return _Doc(self.require(key), self.lines, f"{self.path}.{key}" if self.path else key)
 
     def entries(self, key):
         """The items of the list under ``key``, each anchored to its own line."""
         items = self.child(key)
         if not isinstance(items.doc, list):
             items.error("expected a list")
-        return [items.item(i) for i in range(len(items.doc))]
-
-    def get(self, key, default=None):
-        if not isinstance(self.doc, dict):
-            self.error("expected a mapping")
-        return self.doc.get(key, default)
+        return [_Doc(item, self.lines, f"{items.path}[{i}]") for i, item in enumerate(items.doc)]
 
     def require(self, key):
         if not isinstance(self.doc, dict) or key not in self.doc:
@@ -176,7 +181,7 @@ def _build_schedule(node: _Doc):
         _reject_unknown_keys(node, ("kind", "table", "regimes", "h"))
         return node.wrap(
             lambda: ExplicitSchedule(
-                node.require("table"), node.require("regimes"), node.get("h")
+                node.require("table"), node.require("regimes"), node.doc.get("h")
             )
         )
     node.error(f"unknown schedule kind {kind!r}", "kind")
@@ -227,7 +232,10 @@ def build_model(node: _Doc) -> DeFinettiModel:
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment plus the raw document it was built from."""
+    """A validated experiment plus the raw document it was built from.
+
+    ``thresholds`` are those the document gives; a single ``n`` is an ``n_grid`` of one.
+    """
 
     experiment: str
     seed: int
@@ -246,10 +254,9 @@ class ExperimentConfig:
     def hash(self) -> str:
         return config_hash({k: v for k, v in self.raw.items() if k not in ("out", "workers")})
 
-
-_NEEDS_MODEL = {"simulate", "verify-clt", "verify-llt", "verify-cwm", "correlation-decay"}
-_NEEDS_COUNT = {"simulate", "verify-clt"}
-_NEEDS_GRID = {"verify-llt", "correlation-decay"}
+    def threshold(self, name: str):
+        """The document's value of threshold ``name``, else its kind's default."""
+        return self.thresholds.get(name, KINDS[self.experiment].thresholds[name])
 
 
 def _reject_unknown_keys(node: _Doc, known) -> None:
@@ -269,8 +276,8 @@ def _is_integer(value) -> bool:
     return _is_number(value, int) or (_is_number(value, float) and value.is_integer())
 
 
-def _check_thresholds(node: _Doc) -> None:
-    _reject_unknown_keys(node, THRESHOLD_KEYS)
+def _check_thresholds(node: _Doc, known) -> None:
+    _reject_unknown_keys(node, known)
     for key, value in node.doc.items():
         if key == "target_law":
             if value not in TARGET_LAWS:
@@ -287,11 +294,15 @@ def _check_thresholds(node: _Doc) -> None:
 
 def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     root = _Doc(doc, lines)
-    _reject_unknown_keys(root, TOP_LEVEL_KEYS)
+    experiment = root.require("experiment")
+    if not isinstance(experiment, str) or experiment not in KINDS:
+        root.error(f"unknown experiment kind {experiment!r}; expected one of {tuple(KINDS)}", "experiment")
+    kind = KINDS[experiment]
+    _reject_unknown_keys(root, kind.keys)
     thresholds = doc.get("thresholds") or {}
     if not isinstance(thresholds, dict):
         root.error("expected a mapping of threshold names to values", "thresholds")
-    _check_thresholds(_Doc(thresholds, lines, "thresholds"))
+    _check_thresholds(_Doc(thresholds, lines, "thresholds"), kind.thresholds)
     delta = doc.get("delta")
     if delta is not None and not (_is_number(delta) and 0 < delta < float("inf")):
         root.error("delta must be a positive number", "delta")
@@ -306,65 +317,67 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     for key in ("n", "count", "workers"):
         if doc.get(key) is not None and not _is_integer(doc[key]):
             root.error(f"{key} must be an integer", key)
-    experiment = root.require("experiment")
-    if experiment not in EXPERIMENT_KINDS:
-        root.error(f"unknown experiment kind {experiment!r}; expected one of {EXPERIMENT_KINDS}", "experiment")
+    points = doc.get("points")
+    if points is not None and not (isinstance(points, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) and p[0] > 0
+        for p in points
+    )):
+        root.error("points must be a list of [population, margin] number pairs "
+                   "with population > 0", "points")
     seed = root.require("seed")
     if not (_is_integer(seed) and seed >= 0):
         root.error(
             "seed must be a nonnegative integer (no wall-clock default is provided)", "seed"
         )
+    workers = int(doc["workers"]) if doc.get("workers") is not None else 1
+    if workers < 1:
+        root.error("workers must be at least 1", "workers")
+    # an empty value (a zero count, an empty grid) counts as absent
+    for key in kind.required:
+        if not doc.get(key):
+            root.error(f"this experiment needs {key!r}", key)
+    for group, counts, rule in ((kind.one_of, {1}, "exactly one of"),
+                                (kind.pair, {0, len(kind.pair)}, "all or none of")):
+        given = [key for key in group if doc.get(key)]
+        if group and len(given) not in counts:
+            root.error(f"this experiment takes {rule} {group}", (given or group)[-1])
 
-    model = None
-    if experiment in _NEEDS_MODEL:
-        if "model" not in doc:
-            root.error("this experiment needs a model", "model")
-        model = build_model(root.child("model"))
-        if experiment == "verify-cwm" and model.sequence.kind != "curie-weiss":
-            root.error("verify-cwm needs a curie-weiss sequence", "model")
-
-    cfg = ExperimentConfig(
+    model = build_model(root.child("model")) if "model" in kind.required else None
+    if kind.sequence and model.sequence.kind != kind.sequence:
+        root.error(f"{experiment} needs a {kind.sequence} sequence", "model")
+    n = int(doc["n"]) if doc.get("n") is not None else None
+    return ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
         raw=doc,
         model=model,
-        n=int(doc["n"]) if doc.get("n") is not None else None,
-        n_grid=grids["n_grid"],
+        n=n,
+        n_grid=grids["n_grid"] or ((n,) if n is not None else None),
         count=int(doc["count"]) if doc.get("count") is not None else None,
-        workers=int(doc["workers"]) if doc.get("workers") is not None else 1,
+        workers=workers,
         out=doc.get("out"),
         thresholds=thresholds,
         input_path=doc.get("input"),
         delta=delta,
         concentration_grid=grids["concentration_grid"],
     )
-    if experiment in _NEEDS_COUNT and not cfg.count:
-        root.error("this experiment needs a sample count", "count")
-    if experiment in _NEEDS_GRID and not cfg.n_grid:
-        root.error("this experiment needs an n_grid", "n_grid")
-    if experiment in _NEEDS_MODEL and experiment != "verify-cwm" and cfg.n is None and cfg.n_grid is None:
-        root.error("this experiment needs n or n_grid", "n")
-    if experiment == "verify-cwm" and cfg.n is None and cfg.n_grid is None:
-        root.error("verify-cwm needs n or n_grid for the equivalence check", "n")
-    if experiment == "estimate-alpha" and not cfg.input_path and "points" not in doc:
-        root.error("estimate-alpha needs an input CSV path or inline points", "input")
-    if cfg.workers < 1:
-        root.error("workers must be at least 1", "workers")
-    return cfg
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a YAML config; non-None ``overrides`` replace its top-level keys.
 
-    Errors in keys read from the file cite their line.
+    The text is parsed once: the composed node gives both the document and
+    the line of every key, so errors in keys read from the file cite their line.
     """
     with open(path) as fh:
         text = fh.read()
     try:
-        doc = yaml.safe_load(text)
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        doc = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     doc.update({key: value for key, value in (overrides or {}).items() if value is not None})
-    return config_from_dict(doc, _yaml_line_map(text))
+    return config_from_dict(doc, _yaml_line_map(node))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, QuadratureError, ResourceError
 from .measures import TANH, PointMassMixture
-from .models import DeFinettiModel, GroupStructure, MarginPmf, exact_margin_pmf
+from .models import DeFinettiModel, GroupStructure, MarginPmf, _integrate, exact_margin_pmf
 from .quadrature import refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
@@ -149,9 +149,7 @@ class FreeEnergySurface:
     def normalizer(self) -> float:
         """Z = integral of exp(-n F), cached after the first quadrature."""
         if self._normalizer is None:
-            value, _ = refine_until_stable(
-                lambda level: np.array([self.quad_nodes(level)[1].sum()]), tol=1e-12
-            )
+            value = _integrate(self, lambda points, weights: np.array([weights.sum()]))
             self._normalizer = float(value[0])
         return self._normalizer
 
@@ -310,7 +308,7 @@ class CompactMixingDensity:
         vals = np.exp(self.log_density_unnormalized(points))
         return float(weights @ vals) / self.surface.normalizer()
 
-    def mass_outside_symmetric_box(self, delta: float, rtol: float = 1e-9) -> float:
+    def mass_outside_symmetric_box(self, delta: float) -> float:
         """Mass of (-1,1)^M minus [-delta, delta]^M, integrated directly.
 
         The complement is partitioned into 2M disjoint slabs (first
@@ -333,7 +331,7 @@ class CompactMixingDensity:
                 value, _ = refine_until_stable(
                     lambda level: np.array([self._box_integral(lower, upper, level)]),
                     tol=1e-300,
-                    rtol=rtol,
+                    rtol=1e-9,
                 )
                 total += float(value[0])
         return total

@@ -65,13 +65,13 @@ class LimitLaw:
             return LimitLaw(self.kind, 1, gauss, base, (0,))
         return LimitLaw("gaussian" if gauss[0] else self.kind, 1, gauss, None, ())
 
-    def cdf(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def cdf(self, x: np.ndarray) -> np.ndarray:
         """Exact CDF of a one-dimensional law, elementwise on an array.
 
         With Gaussian noise this is the mixture E_Y Phi(x - Y), integrated
         over the base by ``models._integrate``: an exact sum over atoms, or
         Gauss-Legendre nodes for a continuous base, doubled until no entry
-        of the whole array moves by more than ``tol``.
+        of the whole array moves by more than ``quadrature.DEFAULT_TOL``.
         """
         if self.dim != 1:
             raise ConfigError("cdf is defined for 1-D laws; take a marginal first")
@@ -80,7 +80,7 @@ class LimitLaw:
             return self.base.cdf(x)
         if self.base is None:
             return ndtr(x)
-        return _integrate(self.base, lambda p, w: _smoothed_cdf(x, p, w), tol)
+        return _integrate(self.base, lambda p, w: _smoothed_cdf(x, p, w))
 
 
 #: elements of one block of the (points x nodes) matrix in _smoothed_cdf

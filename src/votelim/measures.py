@@ -136,10 +136,12 @@ class PointMassMixture(BaseMeasure):
         return cumulative[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
 
     def _key(self):
-        items = sorted(
-            (tuple(loc), float(w)) for loc, w in zip(self.locations, self.weights) if w > 0
-        )
-        return ("atoms", tuple(items))
+        # repeated locations are one atom; math.fsum rounds its summed weight once
+        merged: dict[tuple, list[float]] = {}
+        for loc, w in zip(self.locations, self.weights):
+            merged.setdefault(tuple(loc), []).append(float(w))
+        items = ((loc, math.fsum(ws)) for loc, ws in merged.items())
+        return ("atoms", tuple(sorted(item for item in items if item[1] > 0)))
 
 
 class UniformBox(BaseMeasure):

@@ -332,20 +332,20 @@ def _factorizes(measure: BaseMeasure) -> bool:
     return False
 
 
-def _integrate(measure, integrand, tol: float) -> np.ndarray:
+def _integrate(measure, integrand) -> np.ndarray:
     """``integrand(points, weights)`` on mu's nodes: summed once if atomic, else refined."""
     if _is_atomic(measure):
         return integrand(*measure.quad_nodes(0))
-    values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)), tol=tol)
+    values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)))
     return values
 
 
-def exact_margin_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
+def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     """Exact margin law: the conditional binomial law mixed over mu_n.
 
     Atomic mixing measures are summed exactly; continuous ones use
     Gauss-Legendre nodes doubled until no pmf entry moves by more than
-    ``tol``.  When mu_n has independent coordinates (a ``Product``, a
+    ``quadrature.DEFAULT_TOL``.  When mu_n has independent coordinates (a ``Product``, a
     ``UniformBox`` or a diagonal ``Gaussian``), the bias map, which acts
     componentwise, keeps them independent: the law is the outer product of
     one 1-D mixed binomial law per group.  Any other measure, the mean-field
@@ -360,7 +360,7 @@ def exact_margin_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margi
         def integrand(points, weights):
             return _pmf_from_nodes(points, weights, lattice, model.bias_map)
 
-        return _integrate(mu, integrand, tol)
+        return _integrate(mu, integrand)
 
     if _factorizes(measure):
         laws = [mixed_law(measure.marginal([g]), (s,)) for g, s in enumerate(sizes)]
@@ -398,7 +398,7 @@ def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     return table
 
 
-def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> MarginPmf:
+def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     """Independent oracle: enumerate every one of the 2^n vote configurations.
 
     Voters are independent given the bias vector, across groups as well as
@@ -425,7 +425,7 @@ def brute_force_pmf(model: DeFinettiModel, n: int, tol: float = 1e-12) -> Margin
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, points))
         return _mix(_enumerated_count_table, sizes, p, np.asarray(weights, dtype=float))
 
-    return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate, tol))
+    return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate))
 
 
 # -- sampling -------------------------------------------------------------------
@@ -598,7 +598,7 @@ def expected_abs_margin(
     raise ConfigError(f"unknown mode {mode!r}; expected 'exact' or 'monte-carlo'")
 
 
-def pair_correlation(model: DeFinettiModel, n: int, tol: float = 1e-12) -> np.ndarray:
+def pair_correlation(model: DeFinettiModel, n: int) -> np.ndarray:
     """E[m_bar_g^2] per group, which equals the within-group pair correlation.
 
     Under the conditional product law, E X_g1 X_g2 = E[(E_m X)^2] = E[m_bar^2].
@@ -612,5 +612,5 @@ def pair_correlation(model: DeFinettiModel, n: int, tol: float = 1e-12) -> np.nd
         return np.asarray(weights) @ (m_bar**2)
 
     return np.concatenate(
-        [_integrate(measure.marginal([g]), second_moment, tol) for g in range(measure.dim)]
+        [_integrate(measure.marginal([g]), second_moment) for g in range(measure.dim)]
     )

@@ -11,9 +11,10 @@ import yaml
 import votelim.cli as cli
 from votelim import ConfigError, DataError
 from votelim.cli import ingest_margins, main, run
-from votelim.config import canonical_json, config_from_dict, config_hash, load_config
+from votelim.config import KINDS, canonical_json, config_from_dict, config_hash, load_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def small_clt_doc(**overrides):
@@ -35,6 +36,16 @@ def small_clt_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def small_simulate_doc():
+    doc = small_clt_doc(experiment="simulate")
+    del doc["thresholds"]
+    return doc
+
+
+def shipped_doc(name, **overrides):
+    return {**yaml.safe_load((CONFIGS / f"{name}.yaml").read_text()), **overrides}
 
 
 # -- config handling --------------------------------------------------------------
@@ -144,13 +155,13 @@ def test_unknown_threshold_name_is_an_anchored_error(tmp_path):
 @pytest.mark.parametrize("delta", [0, -0.5, "0.5", True, float("inf")])
 def test_delta_must_be_a_positive_number(delta):
     with pytest.raises(ConfigError, match="delta must be a positive number"):
-        config_from_dict(small_clt_doc(delta=delta))
+        config_from_dict(shipped_doc("cwm_equivalence", delta=delta))
 
 
 @pytest.mark.parametrize("grid", [[20, 0], [20, 40.5], [True], "20", 20])
 def test_concentration_grid_must_hold_positive_integers(grid):
     with pytest.raises(ConfigError, match="concentration_grid must be a list of positive integers"):
-        config_from_dict(small_clt_doc(concentration_grid=grid))
+        config_from_dict(shipped_doc("cwm_equivalence", concentration_grid=grid))
 
 
 @pytest.mark.parametrize(
@@ -182,14 +193,20 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     assert not (out / "margins.csv").exists()
 
 
+_ALPHA_DOC = {"experiment": "estimate-alpha", "seed": 1, "points": [[100, 0.1], [10000, 0.01]]}
+
+
 @pytest.mark.parametrize(
     "thresholds",
     [{"alpha_range": [0.3, 0.1]}, {"alpha_range": [0.1]}, {"alpha_range": "0.1"},
      {"llt": True}, {"r2": None}],
 )
 def test_threshold_values_are_checked(thresholds):
-    with pytest.raises(ConfigError, match=f"thresholds.{next(iter(thresholds))}"):
-        config_from_dict(small_clt_doc(thresholds=thresholds))
+    # on a document of the kind that reads the threshold
+    name = next(iter(thresholds))
+    kind = next(kind for kind, spec in KINDS.items() if name in spec.thresholds)
+    with pytest.raises(ConfigError, match=f"thresholds.{name}"):
+        config_from_dict({**_KIND_DOCS[kind](), "thresholds": thresholds})
 
 
 def test_load_config_applies_overrides_and_keeps_line_anchors(tmp_path):
@@ -207,13 +224,111 @@ def test_load_config_applies_overrides_and_keeps_line_anchors(tmp_path):
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_shipped_configs_load_strictly(path):
-    overrides = {"count": 4000, "workers": 2, "thresholds": {"cross_correlation": 0.1}}
+    # the overrides a benchmark applies: workers on every config, a smaller
+    # count and a cross-correlation bound on the verify-clt ones
+    doc = yaml.safe_load(path.read_text())
+    overrides = {"workers": 2}
+    if doc["experiment"] == "verify-clt":
+        overrides.update(count=4000, thresholds={"cross_correlation": 0.1})
     cfg = load_config(path, overrides)
-    assert (cfg.workers, cfg.thresholds) == (2, {"cross_correlation": 0.1})
+    assert (cfg.workers, cfg.thresholds) == (2, overrides.get("thresholds", doc["thresholds"]))
+
+
+#: a document of each kind that loads
+_KIND_DOCS = {
+    "simulate": small_simulate_doc,
+    "verify-clt": small_clt_doc,
+    "verify-llt": lambda: shipped_doc("llt_baseline"),
+    "verify-cwm": lambda: shipped_doc("cwm_equivalence"),
+    "estimate-alpha": lambda: dict(_ALPHA_DOC),
+    "correlation-decay": lambda: shipped_doc("subcritical_decay"),
+}
+#: a value each top-level key and threshold may hold in a kind that takes it
+_KEY_VALUES = {"model": small_clt_doc()["model"], "n": 400, "n_grid": [100, 200], "count": 7,
+               "thresholds": {}, "input": "margins.csv", "points": _ALPHA_DOC["points"],
+               "delta": 0.5, "concentration_grid": [20, 40]}
+_THRESHOLD_VALUES = {"target_law": "gaussian", "ks": 0.5, "cross_correlation": 0.1, "llt": 0.5,
+                     "equivalence": 1e-6, "r2": 0.9, "alpha_range": [0.1, 0.2], "correlation": 0.1}
+
+
+def _untaken_cases():
+    """Each top-level key and threshold a kind does not take, added to its document."""
+    for name, kind in KINDS.items():
+        for key in sorted(_KEY_VALUES.keys() - set(kind.keys)):
+            yield pytest.param(name, {key: _KEY_VALUES[key]}, {}, (), (key,), id=f"{name}:{key}")
+        for key in sorted(_THRESHOLD_VALUES.keys() - kind.thresholds.keys()):
+            # a kind without thresholds rejects the whole mapping
+            blamed = (f"thresholds.{key}",) + (() if kind.thresholds else ("thresholds",))
+            yield pytest.param(name, {}, {key: _THRESHOLD_VALUES[key]}, (), blamed,
+                               id=f"{name}:thresholds.{key}")
+
+
+#: (kind, keys set, thresholds set, keys dropped, keys the error may cite)
+_PROBES = [
+    pytest.param("verify-clt", {"n_grid": [100, 200]}, {}, ("n",), ("n_grid",), id="clt-n_grid-without-n"),
+    pytest.param("simulate", {"n_grid": [100, 200]}, {}, ("n",), ("n_grid",), id="simulate-n_grid-without-n"),
+    pytest.param("verify-clt", {"delta": 0.5, "concentration_grid": [20, 40]}, {"llt": 0.5, "r2": 3}, (),
+                 ("delta", "concentration_grid", "thresholds.llt", "thresholds.r2"), id="clt-llt-r2-delta"),
+    pytest.param("verify-llt", {"count": 7}, {"ks": 0.5}, (), ("count", "thresholds.ks"), id="llt-count-ks"),
+    pytest.param("verify-cwm", {}, {}, ("concentration_grid",), ("delta",), id="cwm-delta-alone"),
+    pytest.param("estimate-alpha", {"points": 5}, {}, (), ("points",), id="alpha-scalar-points"),
+    pytest.param("estimate-alpha", {"points": [[100, 0.1], [1000]]}, {}, (), ("points",),
+                 id="alpha-short-point"),
+    pytest.param("estimate-alpha", {"points": [[0, 0.1], [1000, 0.01]]}, {}, (), ("points",),
+                 id="alpha-zero-population"),
+    pytest.param("verify-clt", {"input": "margins.csv", "points": _ALPHA_DOC["points"]}, {}, (),
+                 ("input", "points"), id="clt-input-points"),
+]
+
+
+def _key_line(text, path):
+    """The line of a top-level key, or of ``thresholds.<name>``, in safe_dump's block style."""
+    pattern = rf"^  {path[len('thresholds.'):]}:" if path.startswith("thresholds.") else rf"^{path}:"
+    return text[: re.search(pattern, text, re.M).start()].count("\n") + 1
+
+
+@pytest.mark.parametrize("kind, keys, thresholds, drop, blamed", [*_PROBES, *_untaken_cases()])
+def test_keys_a_kind_does_not_read_exit_2_citing_their_line(tmp_path, capsys, kind, keys, thresholds,
+                                                            drop, blamed):
+    doc = _KIND_DOCS[kind]()
+    for key in drop:
+        del doc[key]
+    doc.update(keys)
+    if thresholds:
+        doc["thresholds"] = {**doc.get("thresholds", {}), **thresholds}
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    cited = re.match(r"error: line (\d+): ", capsys.readouterr().err)
+    assert cited and int(cited[1]) in {_key_line(text, path) for path in blamed}
+
+
+def test_readme_config_table_matches_the_kinds():
+    assert {key for kind in KINDS.values() for key in kind.keys} == {
+        "experiment", "seed", "workers", "out", *_KEY_VALUES}
+    assert {name for kind in KINDS.values() for name in kind.thresholds} == set(_THRESHOLD_VALUES)
+    assert cli._RUNNERS.keys() == KINDS.keys()
+
+    def keys(names):
+        return ", ".join(f"`{key}`" for key in names)
+
+    def row(name, kind):
+        required = keys(kind.required)
+        if kind.sequence:
+            required += f" with a `{kind.sequence}` sequence"
+        thresholds = ", ".join(
+            f"`{t}`" + ("" if d is None else f" = `{d}`") for t, d in kind.thresholds.items()
+        )
+        return f"| `{name}` | {required} | {keys(kind.one_of)} | {keys(kind.pair)} | {thresholds} |"
+
+    readme = (ROOT / "README.md").read_text().split("### Config document")[1].split("\n### ")[0]
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert rows == [row(name, kind) for name, kind in KINDS.items()]
 
 
 def _model_doc(m, bias, sequence):
-    doc = small_clt_doc(experiment="simulate")
+    doc = small_simulate_doc()
     doc["model"] = {
         "groups": {"m": m, "proportions": [1.0 / m] * m},
         "bias_map": bias,
@@ -361,7 +476,7 @@ def test_model_typos_exit_2(tmp_path, capsys):
 # -- experiment runs ---------------------------------------------------------------
 
 def test_simulate_writes_artifacts(tmp_path):
-    doc = small_clt_doc(experiment="simulate")
+    doc = small_simulate_doc()
     cfg = config_from_dict(doc)
     out = tmp_path / "run"
     assert run(cfg, out) == 0
@@ -446,7 +561,7 @@ def test_verify_clt_computes_the_default_ks_threshold_only_without_ks(tmp_path, 
 
 def test_seed_override_changes_hash_and_samples(tmp_path):
     cfg_file = tmp_path / "cfg.yaml"
-    cfg_file.write_text(yaml.safe_dump(small_clt_doc(experiment="simulate")))
+    cfg_file.write_text(yaml.safe_dump(small_simulate_doc()))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg_file), "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", str(cfg_file), "--out", str(out_b), "--seed", "7"]) == 0
@@ -666,3 +781,11 @@ def test_estimate_alpha_two_point_ingest(tmp_path, capsys):
     cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1, "input": str(data)}))
     assert main(["estimate-alpha", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert "alpha = 0.2000" in capsys.readouterr().out
+
+
+def test_estimate_alpha_inline_points(tmp_path, capsys):
+    assert run(config_from_dict(_ALPHA_DOC), tmp_path / "out") == 0
+    assert "alpha = 0.5000" in capsys.readouterr().out
+    saved = json.loads((tmp_path / "out" / "alpha.json").read_text())
+    assert sorted(saved) == ["alpha", "intercept", "n_points", "residual_variance"]
+    assert saved["n_points"] == 2 and saved["alpha"] == pytest.approx(0.5, abs=1e-12)

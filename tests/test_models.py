@@ -198,6 +198,13 @@ def test_static_sequence_requires_symmetric_base():
         StaticSequence(UniformBox([0.0], [1.0]))
 
 
+def test_static_sequence_accepts_atoms_split_at_one_location():
+    # the two atoms at -1 weigh as much as the one at +1, so the measure is symmetric
+    base = PointMassMixture([([-1.0], 0.25), ([-1.0], 0.25), ([1.0], 0.5)])
+    assert base.is_symmetric
+    StaticSequence(base)
+
+
 # -- brute force oracle -----------------------------------------------------------------
 
 def test_brute_force_binomial_counts():

@@ -51,7 +51,11 @@ def ingest_margins(path) -> list[tuple]:
     import csv as _csv
 
     path = Path(path)
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
         reader = _csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")

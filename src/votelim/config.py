@@ -39,7 +39,8 @@ class Kind:
     Its ``required`` keys, exactly one key of ``one_of``, the keys of ``pair``
     all or none, and ``thresholds``, each with its default (None: ``ks`` is
     computed from ``count``; without ``alpha_range`` no range is checked).  A
-    ``sequence`` names the only sequence kind its model may have.
+    ``sequence`` names the only sequence kind its model may have; the
+    ``pair_thresholds`` are read only when the ``pair`` is given.
     """
 
     required: tuple[str, ...] = ()
@@ -47,6 +48,7 @@ class Kind:
     pair: tuple[str, ...] = ()
     thresholds: dict = field(default_factory=dict)
     sequence: str | None = None
+    pair_thresholds: tuple[str, ...] = ()
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -62,7 +64,7 @@ KINDS = {
         "target_law": "auto", "ks": None, "cross_correlation": 0.02}),
     "verify-llt": Kind(("model", "n_grid"), thresholds={"llt": 0.01}),
     "verify-cwm": Kind(("model",), ("n", "n_grid"), ("delta", "concentration_grid"),
-                       {"equivalence": 1e-8, "r2": 0.999}, "curie-weiss"),
+                       {"equivalence": 1e-8, "r2": 0.999}, "curie-weiss", ("r2",)),
     "estimate-alpha": Kind(one_of=("input", "points"), thresholds={"alpha_range": None}),
     "correlation-decay": Kind(("model", "n_grid"), thresholds={"correlation": 0.01}),
 }
@@ -324,6 +326,8 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     )):
         root.error("points must be a list of [population, margin] number pairs "
                    "with population > 0", "points")
+    if "input" in doc and not (isinstance(doc["input"], str) and doc["input"]):
+        root.error("input must be a nonempty path", "input")
     seed = root.require("seed")
     if not (_is_integer(seed) and seed >= 0):
         root.error(
@@ -341,6 +345,10 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         given = [key for key in group if doc.get(key)]
         if group and len(given) not in counts:
             root.error(f"this experiment takes {rule} {group}", (given or group)[-1])
+    unread = [name for name in kind.pair_thresholds if name in thresholds]
+    if unread and not doc.get(kind.pair[0]):
+        _Doc(thresholds, lines, "thresholds").error(
+            f"read only with {kind.pair}; give those keys or drop the threshold", unread[0])
 
     model = build_model(root.child("model")) if "model" in kind.required else None
     if kind.sequence and model.sequence.kind != kind.sequence:

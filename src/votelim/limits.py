@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError
 from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL, _grid
@@ -79,6 +78,8 @@ class LimitLaw:
         if not self.gauss_mask[0]:
             return self.base.cdf(x)
         if self.base is None:
+            from scipy.special import ndtr
+
             return ndtr(x)
         return _integrate(self.base, lambda p, w: _smoothed_cdf(x, p, w))
 
@@ -89,6 +90,8 @@ CDF_BLOCK = 1 << 18
 
 def _smoothed_cdf(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j weights_j * Phi(x - points_j), in row blocks of bounded size."""
+    from scipy.special import ndtr
+
     flat = x.reshape(-1)
     nodes = points[:, 0]
     out = np.empty(flat.size)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, UnsupportedMeasureError
 from .quadrature import tensor_rule
@@ -134,6 +133,15 @@ class PointMassMixture(BaseMeasure):
         cumulative = np.concatenate(([0.0], np.cumsum(self.weights[order])))
         # side="right" counts atoms equal to x: the CDF is right-continuous
         return cumulative[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
+
+    @property
+    def is_symmetric(self) -> bool:
+        # a merged weight is a rounded sum (0.1 + 0.2 != 0.3), so the two
+        # keys need the same locations but only weights within WEIGHT_TOL
+        atoms, image = self._key()[1], self.negate()._key()[1]
+        return len(atoms) == len(image) and all(
+            loc == neg and abs(w - v) <= WEIGHT_TOL for (loc, w), (neg, v) in zip(atoms, image)
+        )
 
     def _key(self):
         # repeated locations are one atom; math.fsum rounds its summed weight once
@@ -267,6 +275,8 @@ class Gaussian(BaseMeasure):
         sigma = math.sqrt(float(self.covariance[0, 0]))
         if sigma == 0.0:
             return np.where(x >= mean, 1.0, 0.0)
+        from scipy.special import ndtr
+
         return ndtr((x - mean) / sigma)
 
     def _key(self):

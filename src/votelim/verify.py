@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogi
 
 from .errors import DataError
 from .limits import LimitLaw
@@ -125,6 +124,8 @@ def ks_threshold(count: int, quantile: float = 0.999, safety: float = 1.5) -> fl
     with a safety factor; the theorems give no rates, so this is an
     engineering calibration, fixed in configuration.
     """
+    from scipy.special import kolmogi
+
     return float(safety * kolmogi(1.0 - quantile) / math.sqrt(count))
 
 

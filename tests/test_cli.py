@@ -278,6 +278,10 @@ _PROBES = [
                  id="alpha-zero-population"),
     pytest.param("verify-clt", {"input": "margins.csv", "points": _ALPHA_DOC["points"]}, {}, (),
                  ("input", "points"), id="clt-input-points"),
+    pytest.param("estimate-alpha", {"input": 5}, {}, ("points",), ("input",), id="alpha-scalar-input"),
+    pytest.param("estimate-alpha", {"input": ""}, {}, (), ("input",), id="alpha-empty-input"),
+    pytest.param("verify-cwm", {}, {"r2": 0.5}, ("delta", "concentration_grid"), ("thresholds.r2",),
+                 id="cwm-r2-without-pair"),
 ]
 
 
@@ -318,7 +322,9 @@ def test_readme_config_table_matches_the_kinds():
         if kind.sequence:
             required += f" with a `{kind.sequence}` sequence"
         thresholds = ", ".join(
-            f"`{t}`" + ("" if d is None else f" = `{d}`") for t, d in kind.thresholds.items()
+            f"`{t}`" + ("" if d is None else f" = `{d}`")
+            + (f" (needs {keys(kind.pair)})" if t in kind.pair_thresholds else "")
+            for t, d in kind.thresholds.items()
         )
         return f"| `{name}` | {required} | {keys(kind.one_of)} | {keys(kind.pair)} | {thresholds} |"
 
@@ -768,6 +774,16 @@ def test_verify_cwm_config_runs(tmp_path):
     stats = {r["statistic"] for r in reports}
     assert "concentration-log-linearity" in stats
     assert any(s.startswith("representation-equivalence") for s in stats)
+
+
+def test_estimate_alpha_missing_input_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    missing = tmp_path / "nope.csv"
+    cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1, "input": str(missing)}))
+    assert main(["estimate-alpha", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: cannot open: No such file or directory\n"
+    with pytest.raises(DataError, match="cannot open"):
+        ingest_margins(tmp_path)
 
 
 def test_estimate_alpha_two_point_ingest(tmp_path, capsys):

@@ -1,14 +1,22 @@
-"""scipy.stats stays off the import path, the verify-clt path and the exact layer.
+"""scipy.stats and scipy.special stay off the import path; scipy.stats off every run.
 
-Importing scipy.stats costs about a second, several times what a verify-clt,
-verify-llt or verify-cwm run spends on its work.  No path uses it: binomial
-tables come from the ufunc behind ``scipy.stats.binom.pmf`` and Gaussian
-quadrature nodes compute their density in numpy.  The run-time checks run in
-a fresh interpreter, since this test process has long since loaded
-scipy.stats.  That interpreter refuses every import of scipy.stats, so the
-first caller that tries one is named without paying for the load.  A static
-check finds the one import the source may hold: the public fallback inside
-``_binom_table``, for a scipy without the private ufunc.
+``import votelim, votelim.cli`` loads numpy, PyYAML and bare ``scipy`` (for
+the manifest's version) and nothing else heavy.  ``scipy.special`` (about a
+quarter second to import) loads at first use: the first Gaussian or
+Gaussian-smoothed CDF (``ndtr``), the default KS threshold (``kolmogi``) or
+an exact binomial table.  So ``subcritical_base``, ``subcritical_decay`` and
+``decay_negative_control`` never load it.  ``scipy.stats`` (about a second)
+loads on no path: binomial tables come from the ufunc behind
+``scipy.stats.binom.pmf`` and Gaussian quadrature nodes compute their
+density in numpy.
+
+The run-time checks run in a fresh interpreter, since this test process has
+long since loaded both.  That interpreter refuses every import of the
+modules under test, so the first caller that tries one is named without
+paying for the load.  Static checks find the imports the source may hold:
+``scipy.special`` only inside functions, and ``scipy.stats`` only as the
+public fallback inside ``_binom_table``, for a scipy without the private
+ufunc.
 
 The package's modules also import each other without a cycle, lazy imports
 inside functions included.
@@ -27,17 +35,48 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-SCRIPT = r"""
+#: the head of every fresh-interpreter script: ``refuse(name)`` makes every
+#: later import of module ``name`` or its submodules raise ImportError, and
+#: ``run_config(name)`` runs a shipped config through ``cli.run``
+REFUSE = r"""
 import json, sys, tempfile
 from pathlib import Path
 
-class RefuseScipyStats:
+class Refuse:
+    def __init__(self, name):
+        self.name = name
+
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy.stats" or name.startswith("scipy.stats."):
-            raise ImportError("import of scipy.stats refused")
+        if name == self.name or name.startswith(self.name + "."):
+            raise ImportError(f"import of {self.name} refused")
         return None
 
-sys.meta_path.insert(0, RefuseScipyStats())
+def refuse(name):
+    sys.meta_path.insert(0, Refuse(name))
+
+def run_config(name):
+    from votelim.cli import run
+    from votelim.config import load_config
+
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(load_config(Path(sys.argv[1]) / f"{name}.yaml"), tmp)
+"""
+
+
+def run_script(body: str) -> dict:
+    """Run ``REFUSE + body`` in a fresh interpreter; its last stdout line is JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE + body, str(ROOT / "configs")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+STATS_SCRIPT = r"""
+refuse("scipy.stats")
 
 def loaded():
     return "scipy.stats" in sys.modules
@@ -49,7 +88,6 @@ stages["import"] = loaded()
 from votelim import (CLAMP, ContractedSequence, DeFinettiModel, Gaussian, GroupStructure,
                      PowerLawSchedule, UniformBox, brute_force_pmf, exact_margin_pmf,
                      ks_statistic, limit_for, sample_margins)
-from votelim.config import load_config
 
 model = DeFinettiModel(
     GroupStructure(2, [0.5, 0.5]),
@@ -80,24 +118,17 @@ stages["exact"] = attempt(lambda: exact_margin_pmf(model, 6))
 stages["brute-force"] = attempt(lambda: brute_force_pmf(model, 6))
 codes = {}
 
-def run_config(name):
-    with tempfile.TemporaryDirectory() as tmp:
-        codes[name] = votelim.cli.run(load_config(Path(sys.argv[1]) / f"{name}.yaml"), tmp)
+def record(name):
+    codes[name] = run_config(name)
 
 for name in ("llt_baseline", "cwm_equivalence"):
-    stages[name] = attempt(lambda: run_config(name))
+    stages[name] = attempt(lambda: record(name))
 print(json.dumps({"stages": stages, "kinds": kinds, "codes": codes}))
 """
 
 
 def test_no_stage_loads_scipy_stats():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "configs")], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = run_script(STATS_SCRIPT)
     # a fast and a critical group: Gaussian noise alone, and Gaussian noise
     # convolved with the uniform base (the quadrature-refined CDF)
     assert result["kinds"] == [[True, False], [True, True]]
@@ -111,6 +142,25 @@ def test_no_stage_loads_scipy_stats():
         "cwm_equivalence": "no import",
     }
     assert result["codes"] == {"llt_baseline": 0, "cwm_equivalence": 0}
+
+
+SPECIAL_SCRIPT = r"""
+refuse("scipy.special")
+import votelim, votelim.cli
+loaded = "scipy.special" in sys.modules
+codes = {name: run_config(name)
+         for name in ("subcritical_base", "subcritical_decay", "decay_negative_control")}
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_subcritical_configs_run_without_scipy_special():
+    """The import and the three configs that evaluate no Phi, KS quantile or binomial table."""
+    result = run_script(SPECIAL_SCRIPT)
+    assert result == {
+        "loaded": False,
+        "codes": {"subcritical_base": 0, "subcritical_decay": 0, "decay_negative_control": 1},
+    }
 
 
 # -- layering -------------------------------------------------------------------
@@ -146,19 +196,20 @@ def test_package_modules_import_without_cycles():
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
 
 
-def scipy_stats_imports(source: str) -> list[tuple]:
-    """(enclosing function, inside ``except ImportError``) for each import of scipy.stats."""
+def scipy_imports(source: str, sub: str) -> list[tuple]:
+    """(enclosing function, inside ``except ImportError``) for each import of ``scipy.<sub>``."""
     found = []
+    target = f"scipy.{sub}"
 
-    def is_stats(name: str) -> bool:
-        return name == "scipy.stats" or name.startswith("scipy.stats.")
+    def is_target(name: str) -> bool:
+        return name == target or name.startswith(target + ".")
 
     def visit(node, function, guarded):
         if isinstance(node, ast.Import):
-            hit = any(is_stats(a.name) for a in node.names)
+            hit = any(is_target(a.name) for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            hit = is_stats(module) or (module == "scipy" and any(a.name == "stats" for a in node.names))
+            hit = is_target(module) or (module == "scipy" and any(a.name == sub for a in node.names))
         else:
             hit = False
         if hit:
@@ -174,6 +225,12 @@ def scipy_stats_imports(source: str) -> list[tuple]:
     return found
 
 
+def source_imports(sub: str) -> dict[str, list[tuple]]:
+    """``scipy_imports`` of every module of the package that has any."""
+    found = {p.stem: scipy_imports(p.read_text(), sub) for p in (SRC / "votelim").glob("*.py")}
+    return {name: hits for name, hits in found.items() if hits}
+
+
 def test_scipy_stats_is_imported_only_as_the_binomial_fallback():
     sample = (
         "import scipy.stats\n"
@@ -184,8 +241,20 @@ def test_scipy_stats_is_imported_only_as_the_binomial_fallback():
         "        from scipy import stats\n"
         "    from scipy.stats import norm\n"
     )
-    assert scipy_stats_imports(sample) == [(None, False), ("f", True), ("f", False)]
-    found = {p.stem: scipy_stats_imports(p.read_text()) for p in (SRC / "votelim").glob("*.py")}
-    assert {name: hits for name, hits in found.items() if hits} == {
-        "models": [("_binom_table", True)]
-    }
+    assert scipy_imports(sample, "stats") == [(None, False), ("f", True), ("f", False)]
+    assert source_imports("stats") == {"models": [("_binom_table", True)]}
+
+
+def test_scipy_special_is_imported_only_inside_functions():
+    sample = (
+        "from scipy.special import ndtr\n"
+        "import scipy.special._ufuncs\n"
+        "from scipy import special, stats\n"
+        "import scipy\n"
+        "def f():\n"
+        "    from scipy.special import kolmogi\n"
+    )
+    assert scipy_imports(sample, "special") == [(None, False)] * 3 + [("f", False)]
+    found = source_imports("special")
+    assert {"limits", "measures", "models", "verify"} <= found.keys()
+    assert {name for name, hits in found.items() if any(f is None for f, _ in hits)} == set()

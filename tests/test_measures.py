@@ -16,6 +16,7 @@ from votelim import (
     PointMassMixture,
     PowerLawSchedule,
     Product,
+    StaticSequence,
     UniformBox,
     apply_bias_map,
     sample,
@@ -315,6 +316,21 @@ def test_negation_detects_asymmetry():
     assert not shifted.is_symmetric
     assert shifted.negate().is_symmetric is False
     assert UNIFORM_1.is_symmetric
+
+
+def test_atom_symmetry_compares_merged_weights_within_tolerance():
+    # the two atoms at -1 merge to 0.30000000000000004, the one at +1 weighs 0.3
+    rounded = PointMassMixture([([-1.0], 0.1), ([-1.0], 0.2), ([1.0], 0.3), ([0.0], 0.4)])
+    assert rounded.is_symmetric
+    StaticSequence(rounded)
+    # a gap of 2e-12 is a different weight, not rounding
+    skewed = PointMassMixture(
+        [([-1.0], 0.1), ([-1.0], 0.2 + 2e-12), ([1.0], 0.3), ([0.0], 0.4 - 2e-12)]
+    )
+    assert not skewed.is_symmetric
+    with pytest.raises(ConfigError, match="symmetric"):
+        StaticSequence(skewed)
+    assert not PointMassMixture([([-1.0], 0.5), ([2.0], 0.5)]).is_symmetric
 
 
 def test_mixture_symmetry_via_paired_components():

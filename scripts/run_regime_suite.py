@@ -30,13 +30,14 @@ EXPERIMENTS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/regimes", help="output root directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="sampler threads for every run (default: the config's "
+                             "workers, else one per CPU)")
     args = parser.parse_args()
 
     failures = 0
     for name, expected in EXPERIMENTS:
-        cfg = load_config(ROOT / "configs" / name)
-        cfg.workers = args.workers
+        cfg = load_config(ROOT / "configs" / name, {"workers": args.workers})
         out_dir = Path(args.out) / name.removesuffix(".yaml")
         print(f"== {name} -> {out_dir}")
         code = run(cfg, out_dir)

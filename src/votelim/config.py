@@ -237,6 +237,8 @@ class ExperimentConfig:
     """A validated experiment plus the raw document it was built from.
 
     ``thresholds`` are those the document gives; a single ``n`` is an ``n_grid`` of one.
+    ``workers`` is None when the document gives none, and the sampler then
+    uses one per CPU the process may use.
     """
 
     experiment: str
@@ -246,7 +248,7 @@ class ExperimentConfig:
     n: int | None = None
     n_grid: tuple[int, ...] | None = None
     count: int | None = None
-    workers: int = 1
+    workers: int | None = None
     out: str | None = None
     thresholds: dict = field(default_factory=dict)
     input_path: str | None = None
@@ -333,8 +335,8 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         root.error(
             "seed must be a nonnegative integer (no wall-clock default is provided)", "seed"
         )
-    workers = int(doc["workers"]) if doc.get("workers") is not None else 1
-    if workers < 1:
+    workers = int(doc["workers"]) if doc.get("workers") is not None else None
+    if workers is not None and workers < 1:
         root.error("workers must be at least 1", "workers")
     # an empty value (a zero count, an empty grid) counts as absent
     for key in kind.required:

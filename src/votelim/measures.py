@@ -16,6 +16,7 @@ frequencies to the (K,) complex array of the characteristic function, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,9 +69,9 @@ class BaseMeasure:
     frequencies in, (K,) complex values out), ``contract(eps)``,
     ``negate()``, ``quad_nodes(level)``, ``marginal(coords)``, ``cdf(x)``
     (1-D only, evaluated elementwise on an array), and a canonical
-    ``_key()``.  Keys leave out zero-weight atoms and components, so two
-    measures with equal keys are equal; comparing a measure's key with its
-    image's decides invariance under x -> -x or x -> 2x.
+    ``_key()``.  Keys merge repeated atoms and components and leave out
+    zero-weight ones, so two measures with equal keys are equal; comparing a
+    measure's key with its image's decides invariance under x -> -x or x -> 2x.
     """
 
     dim: int
@@ -78,7 +79,7 @@ class BaseMeasure:
     @property
     def is_symmetric(self) -> bool:
         """True if the measure is invariant under x -> -x (structural check)."""
-        return self._key() == self.negate()._key()
+        return _keys_match(self._key(), self.negate()._key())
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedMeasureError(
@@ -134,22 +135,8 @@ class PointMassMixture(BaseMeasure):
         # side="right" counts atoms equal to x: the CDF is right-continuous
         return cumulative[np.searchsorted(atoms, np.asarray(x, dtype=float), side="right")]
 
-    @property
-    def is_symmetric(self) -> bool:
-        # a merged weight is a rounded sum (0.1 + 0.2 != 0.3), so the two
-        # keys need the same locations but only weights within WEIGHT_TOL
-        atoms, image = self._key()[1], self.negate()._key()[1]
-        return len(atoms) == len(image) and all(
-            loc == neg and abs(w - v) <= WEIGHT_TOL for (loc, w), (neg, v) in zip(atoms, image)
-        )
-
     def _key(self):
-        # repeated locations are one atom; math.fsum rounds its summed weight once
-        merged: dict[tuple, list[float]] = {}
-        for loc, w in zip(self.locations, self.weights):
-            merged.setdefault(tuple(loc), []).append(float(w))
-        items = ((loc, math.fsum(ws)) for loc, ws in merged.items())
-        return ("atoms", tuple(sorted(item for item in items if item[1] > 0)))
+        return _merged_key("atoms", ((tuple(loc), w) for loc, w in zip(self.locations, self.weights)))
 
 
 class UniformBox(BaseMeasure):
@@ -380,10 +367,39 @@ class Mixture(BaseMeasure):
         return sum(w * c.cdf(x) for c, w in zip(self.components, self.weights))
 
     def _key(self):
-        items = sorted(
-            (c._key(), float(w)) for c, w in zip(self.components, self.weights) if w > 0
-        )
-        return ("mix", tuple(items))
+        return _merged_key("mix", ((c._key(), w) for c, w in zip(self.components, self.weights)))
+
+
+def _merged_key(tag: str, parts) -> tuple:
+    """``(tag, sorted (part, weight) pairs)`` of an atomic or mixture measure.
+
+    Equal parts are one, weighted by the ``math.fsum`` of their weights, which
+    rounds once; parts of zero total weight are left out.
+    """
+    merged: dict[tuple, list[float]] = {}
+    for part, w in parts:
+        merged.setdefault(part, []).append(float(w))
+    items = ((part, math.fsum(ws)) for part, ws in merged.items())
+    return (tag, tuple(sorted(item for item in items if item[1] > 0)))
+
+
+def _keys_match(a: tuple, b: tuple) -> bool:
+    """Key equality, except that atom and component weights need only agree within WEIGHT_TOL.
+
+    A merged weight is a rounded sum (0.1 + 0.2 != 0.3), so a symmetric
+    measure and its image can differ in those bits alone.  Locations,
+    boxes and Gaussian parameters must be equal; a product matches factor
+    by factor, so it is symmetric when all its factors are.
+    """
+    tag, parts = a[0], a[1]
+    if tag != b[0] or tag not in ("atoms", "mix", "prod") or len(parts) != len(b[1]):
+        return a == b
+    if tag == "prod":
+        return all(map(_keys_match, parts, b[1]))
+    same = _keys_match if tag == "mix" else operator.eq
+    return all(
+        same(x, y) and abs(w - v) <= WEIGHT_TOL for (x, w), (y, v) in zip(parts, b[1])
+    )
 
 
 def _positive_eps(eps, dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -496,62 +497,67 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _block_sizes(count: int) -> list[int]:
-    full, rest = divmod(count, SAMPLE_BLOCK)
-    return [SAMPLE_BLOCK] * full + ([rest] if rest else [])
+def binomial_margins(
+    rng: np.random.Generator, sizes: np.ndarray, p: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Margins 2*Binomial(n_g, p_g) - n_g, vectorized over rows of p, written into ``out`` if given."""
+    counts = rng.binomial(sizes[None, :], p)
+    counts *= 2
+    return np.subtract(counts, sizes[None, :], out=out)
 
 
-def binomial_margins(rng: np.random.Generator, sizes: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Margins 2*Binomial(n_g, p_g) - n_g, vectorized over rows of p."""
-    return 2 * rng.binomial(sizes[None, :], p) - sizes[None, :]
-
-
-def _sample_blocks(draw, seed: int, count: int, workers: int) -> np.ndarray:
-    """Stack ``draw(block_rng(seed, j), size_j)`` over the fixed blocks of ``count``.
-
-    Blocks may run on a thread pool; each depends only on its own stream,
-    so the stacked result is the same for every worker count.
-    """
-
-    def job(args) -> np.ndarray:
-        block, block_count = args
-        return draw(block_rng(seed, block), block_count)
-
-    jobs = list(enumerate(_block_sizes(count)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.vstack(list(pool.map(job, jobs)))
-    return np.vstack([job(j) for j in jobs])
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def sample_margins(
-    model: DeFinettiModel, n: int, count: int, seed: int, workers: int = 1
+    model: DeFinettiModel, n: int, count: int, seed: int, workers: int | None = None
 ) -> MarginSample:
     """Seeded two-stage sampler: bias from mu_n, then binomial margins.
 
-    Sampling is split into fixed-size blocks whose RNG streams depend only
-    on (seed, block index), so the result is bitwise identical for any
-    worker count.
+    Sampling is split into fixed blocks of ``SAMPLE_BLOCK`` samples whose RNG
+    streams depend only on (seed, block index).  Each block draws its biases
+    and margins and writes its raw and normalized margins into its own rows
+    of two preallocated arrays, so the result is bitwise identical for any
+    worker count.  Blocks run on a thread pool of ``workers`` threads; by
+    default one per CPU the process may use.  Either count is capped at the
+    number of blocks, and a single worker runs the blocks with no pool.
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ConfigError("workers must be at least 1")
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
     measure = model.mixing_measure(n)
-
-    def draw(rng, block_count) -> np.ndarray:
-        m_vals = measure.sample(rng, block_count)
-        p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
-        return binomial_margins(rng, sizes, p)
-
-    raw = _sample_blocks(draw, seed, count, workers)
     gamma, regimes = model.normalization(n)
+    raw = np.empty((count, sizes.size), dtype=np.int64)
+    normalized = np.empty((count, sizes.size))
+
+    def fill(block: int) -> None:
+        rows = slice(block * SAMPLE_BLOCK, min((block + 1) * SAMPLE_BLOCK, count))
+        rng = block_rng(seed, block)
+        m_vals = measure.sample(rng, rows.stop - rows.start)
+        p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
+        binomial_margins(rng, sizes, p, out=raw[rows])
+        np.divide(raw[rows], gamma, out=normalized[rows])
+
+    blocks = range(-(-count // SAMPLE_BLOCK))
+    workers = min(workers or _cpus(), len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, blocks))
+    else:
+        for block in blocks:
+            fill(block)
     return MarginSample(
         n=n,
         group_sizes=tuple(int(s) for s in sizes),
         raw=raw,
-        normalized=raw / gamma,
+        normalized=normalized,
         gamma=tuple(float(g) for g in gamma),
         regimes=regimes,
         seed=seed,

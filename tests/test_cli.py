@@ -170,6 +170,8 @@ def test_concentration_grid_must_hold_positive_integers(grid):
         ("n", "abc"),
         ("n", 10000.7),
         ("workers", "two"),
+        ("workers", 0),
+        ("workers", -2),
         ("n_grid", 5),
         ("count", 2.5),
         ("seed", True),
@@ -551,6 +553,21 @@ def test_manifest_is_identical_for_any_out_and_workers(tmp_path):
     assert (manifest["python_version"], manifest["numpy_version"], manifest["scipy_version"]) == (
         platform.python_version(), np.__version__, scipy.__version__
     )
+
+
+def test_verify_clt_without_workers_writes_the_artifacts_of_one_worker(tmp_path):
+    # three sample blocks, so the default runs them on a pool wherever the
+    # process may use more than one CPU
+    doc = small_clt_doc(count=20000)
+    assert config_from_dict(doc).workers is None
+    outs = {}
+    for label, workers in (("default", {}), ("one", {"workers": 1})):
+        cfg_file = tmp_path / f"{label}.yaml"
+        cfg_file.write_text(yaml.safe_dump({**doc, **workers}))
+        outs[label] = tmp_path / label
+        assert main(["verify-clt", "--config", str(cfg_file), "--out", str(outs[label])]) == 0
+    for artifact in ("margins.csv", "reports.jsonl", "manifest.json"):
+        assert (outs["default"] / artifact).read_bytes() == (outs["one"] / artifact).read_bytes()
 
 
 def test_verify_clt_computes_the_default_ks_threshold_only_without_ks(tmp_path, monkeypatch):

@@ -41,7 +41,7 @@ from votelim import (
 )
 from votelim import models
 from votelim.measures import apply_bias_map
-from votelim.models import CSV_CHUNK, MarginPmf, MarginSample
+from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample
 from votelim.quadrature import refine_until_stable
 from conftest import (
     GAUSS_1,
@@ -205,6 +205,28 @@ def test_static_sequence_accepts_atoms_split_at_one_location():
     StaticSequence(base)
 
 
+def test_static_sequence_accepts_products_and_mixtures_of_rounded_weights():
+    # 0.1 + 0.2 sums to 0.30000000000000004, the weight of the image's atom at -1 is 0.3
+    rounded = PointMassMixture([([-1.0], 0.1), ([-1.0], 0.2), ([1.0], 0.3), ([0.0], 0.4)])
+    box = UniformBox([-1.0], [1.0])
+    for base in (rounded, Product([rounded, box]), Mixture([(rounded, 0.5), (box, 0.5)])):
+        assert base.is_symmetric
+        StaticSequence(base)
+    # a component split in two merges like an atom
+    left, right = UniformBox([-1.0], [0.0]), UniformBox([0.0], [1.0])
+    StaticSequence(Mixture([(left, 0.25), (left, 0.25), (right, 0.5)]))
+
+
+def test_static_sequence_rejects_mixture_weights_apart_by_more_than_the_tolerance():
+    lopsided = Mixture([(UniformBox([-1.0], [0.0]), 0.5 + 1e-9),
+                        (UniformBox([0.0], [1.0]), 0.5 - 1e-9)])
+    assert not lopsided.is_symmetric
+    with pytest.raises(ConfigError, match="symmetric"):
+        StaticSequence(lopsided)
+    with pytest.raises(ConfigError, match="symmetric"):
+        StaticSequence(Product([lopsided, UniformBox([-1.0], [1.0])]))
+
+
 # -- brute force oracle -----------------------------------------------------------------
 
 def test_brute_force_binomial_counts():
@@ -283,10 +305,52 @@ def test_sample_margins_deterministic_and_parity():
 
 
 def test_sample_margins_worker_invariance():
+    # blocks write disjoint rows of shared arrays: switch threads often, with
+    # more threads than cores, so a block writing outside its rows would show
     model = contracted(UNIFORM_1, 0.75)
-    one = sample_margins(model, 1000, 30000, 9, workers=1)
-    many = sample_margins(model, 1000, 30000, 9, workers=8)
-    assert np.array_equal(one.raw, many.raw)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        default = sample_margins(model, 1000, 30000, 9)
+        for workers in (1, 8):
+            other = sample_margins(model, 1000, 30000, 9, workers=workers)
+            assert np.array_equal(default.raw, other.raw)
+            assert default.normalized.tobytes() == other.normalized.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_block_sample_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-block sample started a thread pool")
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", refuse)
+    sample = sample_margins(contracted(UNIFORM_1, 0.75), 1000, SAMPLE_BLOCK, 9)
+    assert sample.count == SAMPLE_BLOCK
+
+
+def test_default_pool_has_one_thread_per_cpu_up_to_the_block_count(monkeypatch):
+    pools = []
+
+    class Recording(models.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(models, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(models, "_cpus", lambda: 3)
+    model = contracted(UNIFORM_1, 0.75)
+    for count in (2 * SAMPLE_BLOCK, 5 * SAMPLE_BLOCK):
+        sample_margins(model, 1000, count, 9)
+    assert pools == [2, 3]
+
+
+def test_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(models.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(models.os, "cpu_count", lambda: 5)
+    assert models._cpus() == 5
+    monkeypatch.setattr(models.os, "cpu_count", lambda: None)
+    assert models._cpus() == 1
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -170,8 +170,6 @@ def test_concentration_grid_must_hold_positive_integers(grid):
         ("n", "abc"),
         ("n", 10000.7),
         ("workers", "two"),
-        ("workers", 0),
-        ("workers", -2),
         ("n_grid", 5),
         ("count", 2.5),
         ("seed", True),
@@ -179,6 +177,8 @@ def test_concentration_grid_must_hold_positive_integers(grid):
         ("thresholds.ks", "abc"),
         ("thresholds.cross_correlation", [1]),
         ("thresholds.target_law", "gausian"),
+        ("workers", 0),
+        ("workers", -2),
     ],
 )
 def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):

@@ -171,7 +171,9 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
     if cfg.model.groups.m >= 2:
         rho_threshold = float(cfg.threshold("cross_correlation"))
-        corr = np.corrcoef(sample.normalized, rowvar=False)
+        # a sample-major copy: on the group-major array np.corrcoef takes
+        # another BLAS path and moves the last bits of the pinned reports
+        corr = np.corrcoef(np.ascontiguousarray(sample.normalized), rowvar=False)
         for a in range(cfg.model.groups.m):
             for b in range(a + 1, cfg.model.groups.m):
                 reports.append(

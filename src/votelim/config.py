@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -294,6 +295,26 @@ def _check_thresholds(node: _Doc, known) -> None:
                 node.error("alpha_range must be two numbers lo <= hi", key)
         elif not _is_number(value):
             node.error(f"{key} must be a number", key)
+        elif not (0 < value < math.inf) or (key == "r2" and value > 1):
+            # a run against a threshold at or below 0 can only fail; r2 above 1 too
+            bound = "in (0, 1]" if key == "r2" else "positive and finite"
+            node.error(f"{key} must be {bound}, got {value}", key)
+
+
+def _check_finite(root: _Doc) -> None:
+    """Every number in the document is finite: an inf or nan is an error at its own line."""
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else str(key))
+        elif isinstance(value, list):
+            for idx, item in enumerate(value):
+                walk(item, f"{path}[{idx}]")
+        elif isinstance(value, float) and not math.isfinite(value):
+            root.error(f"must be a finite number, got {value}", path)
+
+    walk(root.doc, "")
 
 
 def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
@@ -352,9 +373,17 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         _Doc(thresholds, lines, "thresholds").error(
             f"read only with {kind.pair}; give those keys or drop the threshold", unread[0])
 
+    _check_finite(root)
+
     model = build_model(root.child("model")) if "model" in kind.required else None
     if kind.sequence and model.sequence.kind != kind.sequence:
         root.error(f"{experiment} needs a {kind.sequence} sequence", "model")
+    if "count" in kind.required:
+        # verify-clt correlates every pair of groups, which takes two samples
+        least = 2 if experiment == "verify-clt" and model.groups.m > 1 else 1
+        if doc["count"] < least:
+            why = " for the cross-correlation of two groups" if least > 1 else ""
+            root.error(f"count must be at least {least}{why}", "count")
     n = int(doc["n"]) if doc.get("n") is not None else None
     return ExperimentConfig(
         experiment=experiment,

@@ -152,8 +152,13 @@ class UniformBox(BaseMeasure):
         self.dim = self.lower.size
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Group-major draws: the broadcast ``lower + (upper - lower) * u``, one column at a time."""
         u = rng.random((count, self.dim))
-        return self.lower + (self.upper - self.lower) * u
+        out = np.empty((count, self.dim), order="F")
+        for k, (lo, width) in enumerate(zip(self.lower, self.upper - self.lower)):
+            np.multiply(width, u[:, k], out=out[:, k])
+            np.add(lo, out[:, k], out=out[:, k])
+        return out
 
     def cf(self, t) -> np.ndarray:
         # per coordinate: e^{i t c} sin(t h)/(t h) with c the center, h the halfwidth

@@ -433,12 +433,19 @@ def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
 
 @dataclass(frozen=True)
 class MarginSample:
-    """A seeded batch of margin vectors with their normalization metadata."""
+    """A seeded batch of margin vectors with their normalization metadata.
+
+    ``raw`` and ``normalized`` are (count, M) arrays stored group-major
+    (Fortran order): each group's column ``raw[:, g]`` is contiguous, since
+    every limit theorem, and so every check, reads one group at a time.
+    Element values do not depend on the layout; ``tobytes()`` still gives
+    them sample-major.
+    """
 
     n: int
     group_sizes: tuple[int, ...]
-    raw: np.ndarray          # (count, M) integer margins
-    normalized: np.ndarray   # raw / gamma
+    raw: np.ndarray          # (count, M) integer margins, group-major
+    normalized: np.ndarray   # raw / gamma, group-major
     gamma: tuple[float, ...]
     regimes: tuple[str, ...]
     seed: int
@@ -468,9 +475,9 @@ class MarginSample:
                 cells = np.empty((stop - start, m, 6), dtype=object)
                 cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
                 cells[:, :, 1] = [f",{g}," for g in range(m)]
-                cells[:, :, 2] = _distinct_reprs(self.raw[start:stop].astype(np.int64))
+                cells[:, :, 2] = _distinct_reprs(np.ascontiguousarray(self.raw[start:stop], np.int64))
                 cells[:, :, 3] = ","
-                cells[:, :, 4] = _distinct_reprs(self.normalized[start:stop].astype(np.float64))
+                cells[:, :, 4] = _distinct_reprs(np.ascontiguousarray(self.normalized[start:stop], np.float64))
                 cells[:, :, 5] = "\r\n"
                 fh.write("".join(cells.reshape(-1).tolist()))
 
@@ -498,12 +505,18 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def binomial_margins(
-    rng: np.random.Generator, sizes: np.ndarray, p: np.ndarray, out: np.ndarray | None = None
+    rng: np.random.Generator, sizes: np.ndarray, p: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Margins 2*Binomial(n_g, p_g) - n_g, vectorized over rows of p, written into ``out`` if given."""
+    """Margins 2*Binomial(n_g, p_g) - n_g, vectorized over rows of p, written into ``out``.
+
+    The counts are drawn row by row as one broadcast call; each group's
+    column of ``out`` is then written with its scalar n_g.
+    """
     counts = rng.binomial(sizes[None, :], p)
     counts *= 2
-    return np.subtract(counts, sizes[None, :], out=out)
+    for g, n_g in enumerate(sizes):
+        np.subtract(counts[:, g], n_g, out=out[:, g])
+    return out
 
 
 def _cpus() -> int:
@@ -522,10 +535,11 @@ def sample_margins(
     Sampling is split into fixed blocks of ``SAMPLE_BLOCK`` samples whose RNG
     streams depend only on (seed, block index).  Each block draws its biases
     and margins and writes its raw and normalized margins into its own rows
-    of two preallocated arrays, so the result is bitwise identical for any
-    worker count.  Blocks run on a thread pool of ``workers`` threads; by
-    default one per CPU the process may use.  Either count is capped at the
-    number of blocks, and a single worker runs the blocks with no pool.
+    of two preallocated group-major arrays, one column at a time, so the
+    result is bitwise identical for any worker count.  Blocks run on a
+    thread pool of ``workers`` threads; by default one per CPU the process
+    may use.  Either count is capped at the number of blocks, and a single
+    worker runs the blocks with no pool.
     """
     if count < 1:
         raise ConfigError("sample count must be at least 1")
@@ -534,8 +548,8 @@ def sample_margins(
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
     measure = model.mixing_measure(n)
     gamma, regimes = model.normalization(n)
-    raw = np.empty((count, sizes.size), dtype=np.int64)
-    normalized = np.empty((count, sizes.size))
+    raw = np.empty((count, sizes.size), dtype=np.int64, order="F")
+    normalized = np.empty((count, sizes.size), order="F")
 
     def fill(block: int) -> None:
         rows = slice(block * SAMPLE_BLOCK, min((block + 1) * SAMPLE_BLOCK, count))
@@ -543,7 +557,8 @@ def sample_margins(
         m_vals = measure.sample(rng, rows.stop - rows.start)
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
         binomial_margins(rng, sizes, p, out=raw[rows])
-        np.divide(raw[rows], gamma, out=normalized[rows])
+        for g, gamma_g in enumerate(gamma):
+            np.divide(raw[rows, g], gamma_g, out=normalized[rows, g])
 
     blocks = range(-(-count // SAMPLE_BLOCK))
     workers = min(workers or _cpus(), len(blocks))
@@ -595,12 +610,12 @@ def expected_abs_margin(
         if count is None or seed is None:
             raise ConfigError("monte-carlo mode needs count and seed")
         sample = sample_margins(model, n, count, seed)
-        per_cap = np.abs(sample.raw) / np.asarray(sizes, dtype=float)
-        means = per_cap.mean(axis=0)
-        ses = per_cap.std(axis=0, ddof=1) / math.sqrt(count)
-        return AbsMarginEstimate(
-            tuple(float(v) for v in means), tuple(float(s) for s in ses), "monte-carlo"
-        )
+        means, ses = [], []
+        for g, n_g in enumerate(sizes):
+            per_cap = np.abs(sample.raw[:, g]) / float(n_g)
+            means.append(float(per_cap.mean()))
+            ses.append(float(per_cap.std(ddof=1)) / math.sqrt(count))
+        return AbsMarginEstimate(tuple(means), tuple(ses), "monte-carlo")
     raise ConfigError(f"unknown mode {mode!r}; expected 'exact' or 'monte-carlo'")
 
 

@@ -50,9 +50,15 @@ class VerificationReport:
 
 
 def make_report(experiment, statistic, observed, threshold, seed=None, n_grid=None, details=None):
-    """Build a report; the pass flag is derived, never set independently."""
+    """Build a report; the pass flag is derived, never set independently.
+
+    A NaN observed value or threshold is a DataError: the statistic is
+    undefined on this input, and NaN would pass no comparison.
+    """
     observed = float(observed)
     threshold = float(threshold)
+    if math.isnan(observed) or math.isnan(threshold):
+        raise DataError(f"{experiment} {statistic} is undefined (NaN) on this input")
     return VerificationReport(
         experiment=experiment,
         statistic=statistic,
@@ -66,11 +72,19 @@ def make_report(experiment, statistic, observed, threshold, seed=None, n_grid=No
 
 
 def _jsonable(obj):
+    """Plain JSON types; a NaN anywhere is a DataError.
+
+    Infinity stays: it is the observed value of a report that must fail
+    (``correlation_decay_report``), so ``allow_nan=False``, which refuses
+    both, cannot serve here.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
+        if math.isnan(obj):
+            raise DataError("a report value is NaN, which strict JSON cannot hold")
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -80,9 +94,9 @@ def _jsonable(obj):
 
 
 def write_reports_jsonl(reports, path) -> None:
+    text = "".join(report.to_json() + "\n" for report in reports)
     with open(path, "w") as fh:
-        for report in reports:
-            fh.write(report.to_json() + "\n")
+        fh.write(text)
 
 
 def write_reports_csv(reports, path) -> None:

@@ -179,6 +179,9 @@ def test_concentration_grid_must_hold_positive_integers(grid):
         ("thresholds.target_law", "gausian"),
         ("workers", 0),
         ("workers", -2),
+        ("thresholds.ks", float("nan")),
+        ("thresholds.ks", -1),
+        ("count", 1),
     ],
 )
 def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
@@ -195,13 +198,46 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     assert not (out / "margins.csv").exists()
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_number_exits_2_at_its_line(tmp_path, capsys, value):
+    # an infinite coefficient would reach Generator.binomial as p = nan
+    doc = yaml.safe_load((CONFIGS / "fast_clt.yaml").read_text())
+    doc["model"]["sequence"]["schedule"]["coefficient"] = value
+    cfg = tmp_path / "bad.yaml"
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg.write_text(text)
+    line = 1 + next(i for i, row in enumerate(text.splitlines()) if "coefficient" in row)
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: model.sequence.schedule.coefficient: must be a finite number" in err
+    assert "Traceback" not in err and not (out / "margins.csv").exists()
+
+
+def test_non_finite_list_items_and_points_are_refused():
+    doc = small_clt_doc()
+    doc["model"]["sequence"]["base"]["lower"] = [float("-inf")]
+    with pytest.raises(ConfigError, match=r"model\.sequence\.base\.lower\[0\]: must be a finite"):
+        config_from_dict(doc)
+    with pytest.raises(ConfigError, match=r"points\[1\]\[1\]: must be a finite"):
+        config_from_dict({**_ALPHA_DOC, "points": [[100, 0.1], [10000, float("nan")]]})
+
+
+def test_one_sample_is_enough_for_one_group():
+    # a single group has no cross-correlation, so count 1 still loads
+    assert config_from_dict(small_clt_doc(count=1)).count == 1
+    with pytest.raises(ConfigError, match="count must be at least 1"):
+        config_from_dict(small_clt_doc(count=-3))
+
+
 _ALPHA_DOC = {"experiment": "estimate-alpha", "seed": 1, "points": [[100, 0.1], [10000, 0.01]]}
 
 
 @pytest.mark.parametrize(
     "thresholds",
     [{"alpha_range": [0.3, 0.1]}, {"alpha_range": [0.1]}, {"alpha_range": "0.1"},
-     {"llt": True}, {"r2": None}],
+     {"llt": True}, {"r2": None}, {"ks": 0}, {"cross_correlation": float("inf")},
+     {"r2": 1.5}, {"equivalence": -1e-8}],
 )
 def test_threshold_values_are_checked(thresholds):
     # on a document of the kind that reads the threshold

@@ -190,6 +190,21 @@ def test_sampling_matches_cf_on_grid():
     assert np.all(np.abs(emp - UNIFORM_1.cf(t[:, None])) < bound)
 
 
+def test_box_and_product_draws_equal_the_broadcast_formula():
+    # group-major draws, one column at a time, keep the bits of the
+    # broadcast lower + (upper - lower) * u over the same uniform stream
+    lower, upper = np.array([-1.0, -0.3, 0.1]), np.array([1.0, 2.7, 0.35])
+    box = UniformBox(lower, upper)
+    drawn = box.sample(np.random.default_rng(5), 1000)
+    u = np.random.default_rng(5).random((1000, 3))
+    assert drawn.tobytes() == (lower + (upper - lower) * u).tobytes()
+    assert all(drawn[:, k].flags.c_contiguous for k in range(3))
+    product = Product([UniformBox([lo], [hi]) for lo, hi in zip(lower, upper)])
+    rng = np.random.default_rng(5)
+    columns = [lo + (hi - lo) * rng.random((1000, 1)) for lo, hi in zip(lower, upper)]
+    assert product.sample(np.random.default_rng(5), 1000).tobytes() == np.hstack(columns).tobytes()
+
+
 def test_sample_requires_positive_count():
     with pytest.raises(ConfigError):
         sample(UNIFORM_1, 1, 0)

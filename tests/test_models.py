@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import itertools
 import math
@@ -318,6 +319,48 @@ def test_sample_margins_worker_invariance():
             assert default.normalized.tobytes() == other.normalized.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+#: sha256 of (raw.tobytes(), normalized.tobytes()) of a two-block sample at
+#: n = 2000, seed 11; tobytes() is sample-major whatever the storage order,
+#: so these pin every element and the RNG draw order of each model
+_SAMPLE_PINS = {
+    "box-m2": ("d6b29f9ff33477082a76a6d21bad4a864cda889b97e6b48c5a4d9247ebf6aa94",
+               "8fbcaa9decca9413403b5fc4d90ea0e8e891b2ea2d2b4f6f13579b4714e62107"),
+    "product-m3": ("0849653967772c2f2062947212600118a075773ec1248e5b1d963a6a33cb5832",
+                   "5f1f954a12a32f26df2ff3603f781bcf96454cccac041d52de9ff15907fbd16c"),
+}
+
+
+def _layout_models():
+    groups_3 = GroupStructure(3, [0.25, 0.25, 0.5])
+    product = Product([UNIFORM_1, GAUSS_1, UniformBox([-0.5], [2.0])])
+    return {
+        "box-m1": contracted(UNIFORM_1, 0.15),
+        "box-m2": contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75, groups=GROUPS_2),
+        "product-m3": DeFinettiModel(groups_3, ContractedSequence(
+            product, PowerLawSchedule([1.0, 1.0, 1.0], [0.75, 0.5, 0.15])), TANH),
+        "gaussian-m2": contracted(Gaussian([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]]), 0.5, bias=TANH),
+        "mean-field-m2": DeFinettiModel(
+            GROUPS_2, CurieWeissSequence(CouplingSpec([[0.5, 0.2], [0.2, 0.5]])), TANH),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLE_PINS))
+def test_multi_group_sample_bytes_pinned(name):
+    sample = sample_margins(_layout_models()[name], 2000, SAMPLE_BLOCK + 100, 11)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (sample.raw, sample.normalized))
+    assert digests == _SAMPLE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_layout_models()))
+def test_sample_margins_stores_each_group_contiguously(name):
+    # every per-group pass (KS, E|S_g|/n_g, the CSV columns) reads one column
+    sample = sample_margins(_layout_models()[name], 2000, SAMPLE_BLOCK + 100, 3, workers=2)
+    for array in (sample.raw, sample.normalized):
+        assert array.flags.f_contiguous
+        for g in range(array.shape[1]):
+            assert array[:, g].flags.c_contiguous
 
 
 def test_one_block_sample_starts_no_pool(monkeypatch):

@@ -242,6 +242,23 @@ def test_report_serialization_roundtrip(tmp_path):
     assert len(rows) == 3
 
 
+def test_reports_hold_no_nan(tmp_path):
+    with pytest.raises(DataError, match="cross-correlation-0-1 is undefined"):
+        make_report("exp", "cross-correlation-0-1", float("nan"), 0.02)
+    with pytest.raises(DataError):
+        make_report("exp", "a", 0.5, np.nan)
+    # a NaN inside the details is refused before any line is written
+    reports = [make_report("exp", "a", 0.5, 1.0),
+               make_report("exp", "b", 0.5, 1.0, details={"errors": [0.1, np.nan]})]
+    path = tmp_path / "reports.jsonl"
+    with pytest.raises(DataError, match="NaN"):
+        write_reports_jsonl(reports, path)
+    assert not path.exists()
+    # infinity stays: it is the observed value of a decay report that must fail
+    line = make_report("exp", "c", math.inf, 0.01).to_json()
+    assert json.loads(line)["observed"] == math.inf
+
+
 def test_baseline_model_passes_all_three_statistics():
     # fully independent voters at n = 10^4: KS, ECF, and LLT all small
     model = static_delta0()

@@ -161,19 +161,26 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = float(cfg.thresholds["ks"]) if "ks" in cfg.thresholds else ks_threshold(cfg.count)
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
+    normalized = sample.normalized
     reports = []
     for g in range(cfg.model.groups.m):
         marginal = law.marginal(g)
-        ks = ks_statistic(sample.normalized[:, g], marginal.cdf)
+        ks = ks_statistic(normalized[:, g], marginal.cdf)
         reports.append(
             make_report(cfg.experiment, f"ks-group-{g}", ks, threshold, seed=cfg.seed,
                         details={"n": cfg.n, "count": cfg.count, "law": marginal.kind})
         )
     if cfg.model.groups.m >= 2:
         rho_threshold = float(cfg.threshold("cross_correlation"))
+        for g in range(cfg.model.groups.m):
+            if np.all(sample.raw[:, g] == sample.raw[0, g]):
+                raise DataError(
+                    f"group {g}'s margin is {sample.raw[0, g]} in every sample, "
+                    "so its cross-correlation is undefined"
+                )
         # a sample-major copy: on the group-major array np.corrcoef takes
         # another BLAS path and moves the last bits of the pinned reports
-        corr = np.corrcoef(np.ascontiguousarray(sample.normalized), rowvar=False)
+        corr = np.corrcoef(np.ascontiguousarray(normalized), rowvar=False)
         for a in range(cfg.model.groups.m):
             for b in range(a + 1, cfg.model.groups.m):
                 reports.append(

@@ -435,20 +435,23 @@ def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
 class MarginSample:
     """A seeded batch of margin vectors with their normalization metadata.
 
-    ``raw`` and ``normalized`` are (count, M) arrays stored group-major
-    (Fortran order): each group's column ``raw[:, g]`` is contiguous, since
-    every limit theorem, and so every check, reads one group at a time.
-    Element values do not depend on the layout; ``tobytes()`` still gives
-    them sample-major.
+    ``raw`` is a (count, M) array stored group-major (Fortran order): each
+    group's column ``raw[:, g]`` is contiguous, since every limit theorem,
+    and so every check, reads one group at a time.  Element values do not
+    depend on the layout; ``tobytes()`` still gives them sample-major.
+    ``normalized`` is not stored: each read divides ``raw`` by ``gamma``.
     """
 
     n: int
     group_sizes: tuple[int, ...]
     raw: np.ndarray          # (count, M) integer margins, group-major
-    normalized: np.ndarray   # raw / gamma, group-major
     gamma: tuple[float, ...]
     regimes: tuple[str, ...]
     seed: int
+
+    @property
+    def normalized(self) -> np.ndarray:
+        return np.divide(self.raw, self.gamma)  # group-major like raw
 
     @property
     def count(self) -> int:
@@ -477,7 +480,7 @@ class MarginSample:
                 cells[:, :, 1] = [f",{g}," for g in range(m)]
                 cells[:, :, 2] = _distinct_reprs(np.ascontiguousarray(self.raw[start:stop], np.int64))
                 cells[:, :, 3] = ","
-                cells[:, :, 4] = _distinct_reprs(np.ascontiguousarray(self.normalized[start:stop], np.float64))
+                cells[:, :, 4] = _distinct_reprs(np.divide(self.raw[start:stop], self.gamma, order="C"))
                 cells[:, :, 5] = "\r\n"
                 fh.write("".join(cells.reshape(-1).tolist()))
 
@@ -534,9 +537,9 @@ def sample_margins(
 
     Sampling is split into fixed blocks of ``SAMPLE_BLOCK`` samples whose RNG
     streams depend only on (seed, block index).  Each block draws its biases
-    and margins and writes its raw and normalized margins into its own rows
-    of two preallocated group-major arrays, one column at a time, so the
-    result is bitwise identical for any worker count.  Blocks run on a
+    and margins and writes its raw margins into its own rows of one
+    preallocated group-major array, one column at a time, so the result is
+    bitwise identical for any worker count.  Blocks run on a
     thread pool of ``workers`` threads; by default one per CPU the process
     may use.  Either count is capped at the number of blocks, and a single
     worker runs the blocks with no pool.
@@ -549,7 +552,6 @@ def sample_margins(
     measure = model.mixing_measure(n)
     gamma, regimes = model.normalization(n)
     raw = np.empty((count, sizes.size), dtype=np.int64, order="F")
-    normalized = np.empty((count, sizes.size), order="F")
 
     def fill(block: int) -> None:
         rows = slice(block * SAMPLE_BLOCK, min((block + 1) * SAMPLE_BLOCK, count))
@@ -557,8 +559,6 @@ def sample_margins(
         m_vals = measure.sample(rng, rows.stop - rows.start)
         p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
         binomial_margins(rng, sizes, p, out=raw[rows])
-        for g, gamma_g in enumerate(gamma):
-            np.divide(raw[rows, g], gamma_g, out=normalized[rows, g])
 
     blocks = range(-(-count // SAMPLE_BLOCK))
     workers = min(workers or _cpus(), len(blocks))
@@ -572,7 +572,6 @@ def sample_margins(
         n=n,
         group_sizes=tuple(int(s) for s in sizes),
         raw=raw,
-        normalized=normalized,
         gamma=tuple(float(g) for g in gamma),
         regimes=regimes,
         seed=seed,

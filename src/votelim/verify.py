@@ -82,14 +82,14 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         if math.isnan(obj):
             raise DataError("a report value is NaN, which strict JSON cannot hold")
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -113,21 +113,20 @@ def ks_statistic(sample, cdf) -> float:
     """Two-sided KS statistic sup_x |F_hat(x) - F(x)| against a 1-D CDF.
 
     ``cdf`` maps an array to the array of its CDF values; it is called
-    once, on the sorted sample, and the gaps are taken at those points on
-    both sides, which attains the supremum for right-continuous empirical
-    CDFs.
+    once, on the sample's distinct values, and the gaps on both sides are
+    taken there from the cumulative counts: a run of ties has its widest
+    gaps at its ends, so this attains the supremum for right-continuous
+    empirical CDFs.
     """
-    sample = np.sort(np.asarray(sample, dtype=float).reshape(-1))
-    if sample.size == 0:
+    values, counts = np.unique(np.asarray(sample, dtype=float), return_counts=True)
+    if values.size == 0:
         raise DataError("KS statistic needs a nonempty sample")
-    count = sample.size
-    f_vals = np.asarray(cdf(sample), dtype=float)
-    if f_vals.shape != sample.shape:
-        raise DataError(
-            f"the CDF returned shape {f_vals.shape} for a sample of shape {sample.shape}"
-        )
-    upper = np.arange(1, count + 1) / count - f_vals
-    lower = f_vals - np.arange(0, count) / count
+    f_vals = np.asarray(cdf(values), dtype=float)
+    if f_vals.shape != values.shape:
+        raise DataError(f"the CDF returned shape {f_vals.shape} for {values.size} distinct sample values")
+    reached = np.cumsum(counts)
+    upper = reached / reached[-1] - f_vals
+    lower = f_vals - (reached - counts) / reached[-1]
     return float(max(upper.max(), lower.max(), 0.0))
 
 

@@ -9,7 +9,7 @@ import scipy
 import yaml
 
 import votelim.cli as cli
-from votelim import ConfigError, DataError
+from votelim import ConfigError, DataError, LimitLaw
 from votelim.cli import ingest_margins, main, run
 from votelim.config import KINDS, canonical_json, config_from_dict, config_hash, load_config
 
@@ -545,6 +545,41 @@ def test_verify_clt_exit_one_on_failed_threshold(tmp_path):
     doc = small_clt_doc()
     doc["thresholds"]["ks"] = 1e-6
     assert run(config_from_dict(doc), tmp_path / "run") == 1
+
+
+def test_constant_group_margin_is_a_data_error_naming_the_group(tmp_path, capsys):
+    # clamp sends the atom to bias 1 at every n: each group votes unanimously,
+    # so its margin never varies and no correlation with it is defined
+    atom = {"variant": "point-mass-mixture", "atoms": [{"location": [1e9, 1e9], "weight": 1.0}]}
+    model = _model_doc(2, "clamp", {"kind": "contracted", "base": atom, "schedule": _POWER})["model"]
+    cfg = tmp_path / "constant.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc(model=model, n=2000, count=3000,
+                                                thresholds={"target_law": "gaussian"})))
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "group 0" in captured.err and "cross-correlation" in captured.err
+    assert "cross-correlation-0-1" not in captured.out
+
+
+#: distinct normalized values per group in each shipped verify-clt sample
+_DISTINCT_VALUES = {"fast_clt": [278, 276], "critical_clt": [559], "subcritical_base": [69245]}
+
+
+@pytest.mark.parametrize("name", sorted(_DISTINCT_VALUES))
+def test_verify_clt_calls_each_limit_cdf_once_per_group_on_distinct_values(tmp_path, monkeypatch, name):
+    points = []
+    cdf = LimitLaw.cdf
+
+    def counted(self, x):
+        points.append(np.asarray(x).size)
+        return cdf(self, x)
+
+    monkeypatch.setattr(LimitLaw, "cdf", counted)
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    assert run(cfg, tmp_path / "run") == 0
+    assert points == _DISTINCT_VALUES[name]
+    sizes = cfg.model.groups.sizes(cfg.n)
+    assert all(p <= n_g + 1 for p, n_g in zip(points, sizes))
 
 
 def test_negative_control_config_fails(tmp_path):

@@ -508,27 +508,32 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
     path = tmp_path / "margins.csv"
     sample.to_csv(path)
     assert path.read_bytes() == _reference_csv_bytes(sample)
-    # hand-built: repeated values, -0.0 beside 0.0, and a column-major
-    # ``normalized`` that is not raw / gamma
+    # hand-built: a sample-major ``raw`` with repeated values and divisors
+    # whose quotients need all 17 digits
     rng = np.random.default_rng(count + m)
-    pool = np.array([0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 0.1 + 0.2, 0.3, 5e-324, -1e300, 2.5, np.inf, np.nan])
-    normalized = np.asfortranarray(pool[rng.integers(0, len(pool), size=(count, m))])
     raw = rng.integers(-1000, 1001, size=(count, m))
-    built = MarginSample(30 * m, sample.group_sizes, raw, normalized, sample.gamma, sample.regimes, 11)
+    built = MarginSample(30 * m, sample.group_sizes, raw, (3.0, 7.0, 0.1)[:m], sample.regimes, 11)
     built.to_csv(path)
-    text = path.read_bytes()
-    assert text == _reference_csv_bytes(built)
-    assert b",-0.0\r\n" in text and b",0.0\r\n" in text
-    # one sample; every value of every chunk equal; int32 raw beside float32
-    # normalized, whose distinct values must be told apart by float64 bits
-    for raw_v, normalized_v in [
-        (raw[:1], normalized[:1]),
-        (np.full_like(raw, -7), np.full_like(normalized, 0.1 + 0.2)),
-        (raw.astype(np.int32), (raw / 7.0).astype(np.float32)),
-    ]:
-        edge = dataclasses.replace(built, raw=raw_v, normalized=normalized_v)
+    assert path.read_bytes() == _reference_csv_bytes(built)
+    # one sample; every value of every chunk equal; int32 raw
+    for raw_v in (raw[:1], np.full_like(raw, -7), raw.astype(np.int32)):
+        edge = dataclasses.replace(built, raw=raw_v)
         edge.to_csv(path)
         assert path.read_bytes() == _reference_csv_bytes(edge)
+
+
+def test_distinct_reprs_tell_float_bit_patterns_apart():
+    # pairs that compare equal, or print alike at fewer digits, keep their own text
+    values = np.array([[0.0, -0.0], [0.1 + 0.2, 0.3], [5e-324, -5e-324], [np.inf, -np.inf],
+                       [np.nan, 1.0 / 3.0], [-0.0, 0.0], [-1e300, 2.5]])
+    assert models._distinct_reprs(values).tolist() == [[repr(float(v)) for v in row] for row in values]
+    # float32 neighbours, widened to float64, print as different numbers
+    single = np.array([0.1, np.nextafter(np.float32(0.1), np.float32(1.0)), 0.1], dtype=np.float32)
+    texts = models._distinct_reprs(single.astype(np.float64)).tolist()
+    assert texts == [repr(float(v)) for v in single]
+    assert texts[0] == texts[2] != texts[1]
+    ints = np.array([[-7, 0], [2**62, -7]])
+    assert models._distinct_reprs(ints).tolist() == [["-7", "0"], [repr(2**62), "-7"]]
 
 
 # -- summary statistics --------------------------------------------------------------------

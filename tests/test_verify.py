@@ -26,7 +26,7 @@ from votelim.verify import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from conftest import UNIFORM_1, contracted, static_delta0, GROUPS_1
+from conftest import UNIFORM_1, contracted, oracle_matrix, static_delta0, GROUPS_1
 
 
 # -- KS statistic -----------------------------------------------------------------
@@ -73,6 +73,41 @@ def test_ks_affine_equivariance(values, scale, shift):
         scale * sample + shift, lambda x: base_cdf((x - shift) / scale)
     )
     assert transformed == pytest.approx(direct, abs=1e-12)
+
+
+def _sorted_points_ks(sample, cdf) -> float:
+    """KS with the CDF at every sorted sample point, ties included."""
+    sample = np.sort(np.asarray(sample, dtype=float).reshape(-1))
+    count = sample.size
+    f_vals = np.asarray(cdf(sample), dtype=float)
+    upper = np.arange(1, count + 1) / count - f_vals
+    lower = f_vals - np.arange(0, count) / count
+    return float(max(upper.max(), lower.max(), 0.0))
+
+
+@pytest.mark.parametrize("name, model", oracle_matrix(), ids=[name for name, _ in oracle_matrix()])
+def test_ks_on_distinct_values_keeps_the_bits_of_every_sorted_point(name, model):
+    sample = sample_margins(model, 60, 3000, 5)
+    normalized = sample.normalized
+    for g in range(normalized.shape[1]):
+        column = normalized[:, g]
+        assert ks_statistic(column, ndtr) == _sorted_points_ks(column, ndtr)
+
+
+@pytest.mark.parametrize("case", ["all-distinct", "heavily-tied"])
+def test_ks_on_distinct_values_keeps_the_bits_off_the_lattice(case):
+    rng = np.random.default_rng(17)
+    sample = rng.standard_normal(5001)
+    if case == "heavily-tied":
+        sample = np.round(sample * 2.0) / 2.0
+        assert np.unique(sample).size < 20
+    else:
+        assert np.unique(sample).size == sample.size
+
+    def shifted(x):  # a law the sample is not drawn from
+        return ndtr((x - 0.05) / 1.1)
+
+    assert ks_statistic(sample, shifted) == _sorted_points_ks(sample, shifted)
 
 
 def test_ks_threshold_calibration():
@@ -240,6 +275,15 @@ def test_report_serialization_roundtrip(tmp_path):
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "experiment,statistic,observed,threshold,passed"
     assert len(rows) == 3
+
+
+def test_boolean_details_serialize_as_json_booleans():
+    # bool is a subclass of int, so a bool detail must not pass for a number
+    details = {"strictly_decreasing": False, "flags": [True, np.bool_(False)], "count": 3}
+    line = make_report("exp", "a", 0.5, 1.0, details=details).to_json()
+    assert '"strictly_decreasing": false' in line and "[true, false]" in line
+    assert json.loads(line)["details"] == {"strictly_decreasing": False, "flags": [True, False], "count": 3}
+    assert type(json.loads(line)["details"]["count"]) is int
 
 
 def test_reports_hold_no_nan(tmp_path):

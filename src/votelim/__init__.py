@@ -23,7 +23,6 @@ from .measures import (
     UniformBox,
     apply_bias_map,
     bias_map,
-    sample,
 )
 from .models import (
     ContractedSequence,

@@ -417,15 +417,6 @@ def _positive_eps(eps, dim: int) -> np.ndarray:
     return eps
 
 
-# -- module-level operation surface -----------------------------------------
-
-def sample(measure: BaseMeasure, seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` vectors from the measure, deterministic in ``seed``."""
-    if count < 1:
-        raise ConfigError("count must be at least 1")
-    return measure.sample(np.random.default_rng(seed), count)
-
-
 # -- bias maps ---------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ POPULATION_GUARD = 10**12
 #: (seed, j), so results are identical no matter how blocks map to workers.
 SAMPLE_BLOCK = 8192
 
+#: most margins (count * M) one sample may hold, 800 MB of int64; more is a
+#: ResourceError before allocation, whatever memory the host has
+SAMPLE_GUARD = 10**8
+
 #: samples per write in MarginSample.to_csv
 CSV_CHUNK = 8192
 
@@ -173,9 +177,8 @@ class MarginPmf:
     """Exact joint law of the group margins on their parity lattice.
 
     Internally an array over count indices j (margin k_g = 2 j_g - n_g);
-    ``prob(k)`` (or ``pmf[k]``) takes an integer margin vector of length M
-    and gives probability 0 off the lattice.  Any other ``k`` is a
-    ConfigError.
+    ``prob(k)`` takes an integer margin vector of length M and gives
+    probability 0 off the lattice.  Any other ``k`` is a ConfigError.
     """
 
     def __init__(self, group_sizes, probs: np.ndarray):
@@ -208,9 +211,6 @@ class MarginPmf:
                 return 0.0
             idx.append((int(k[g]) + n_g) // 2)
         return float(self.probs[tuple(idx)])
-
-    def __getitem__(self, k) -> float:
-        return self.prob(k)
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -463,25 +463,25 @@ class MarginSample:
         One row per (sample, group), in sample-major order, with CRLF line
         ends and ``repr`` floats: the bytes of ``csv.writer``, so identical
         samples give identical files.  Written ``CSV_CHUNK`` samples at a
-        time, so memory stays bounded, with no Python call per row: within
-        a chunk each sample index is formatted once, each distinct raw and
-        normalized value once (margins live on a lattice, so a chunk of a
-        large group repeats few values), and the chunk's cells are joined
-        into one string.
+        time, so memory stays bounded, with no Python call per row.  A raw
+        margin k of group g fixes the rest of its row, ``,g,k,k/gamma_g``,
+        so within a chunk each group's column is reduced to its distinct
+        margins (a chunk of a large group repeats few lattice values), each
+        row tail is formatted once and scattered back beside the formatted
+        sample indices, and the chunk is joined into one string.
         """
         m = len(self.group_sizes)
         with open(path, "w", newline="") as fh:
             fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
             for start in range(0, self.count, CSV_CHUNK):
                 stop = min(start + CSV_CHUNK, self.count)
-                # row i, g: repr(i) ",g," repr(raw) "," repr(normalized) "\r\n"
-                cells = np.empty((stop - start, m, 6), dtype=object)
+                cells = np.empty((stop - start, m, 2), dtype=object)
                 cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
-                cells[:, :, 1] = [f",{g}," for g in range(m)]
-                cells[:, :, 2] = _distinct_reprs(np.ascontiguousarray(self.raw[start:stop], np.int64))
-                cells[:, :, 3] = ","
-                cells[:, :, 4] = _distinct_reprs(np.divide(self.raw[start:stop], self.gamma, order="C"))
-                cells[:, :, 5] = "\r\n"
+                for g, gamma_g in enumerate(self.gamma):
+                    # int / float rounds as numpy's int64 -> float64 divide does
+                    margins, inverse = np.unique(self.raw[start:stop, g], return_inverse=True)
+                    tails = [f",{g},{k!r},{k / gamma_g!r}\r\n" for k in margins.tolist()]
+                    cells[:, g, 1] = np.fromiter(tails, object, len(tails))[inverse]
                 fh.write("".join(cells.reshape(-1).tolist()))
 
     def manifest(self) -> dict:
@@ -493,13 +493,6 @@ class MarginSample:
             "gamma": list(self.gamma),
             "regimes": list(self.regimes),
         }
-
-
-def _distinct_reprs(values: np.ndarray) -> np.ndarray:
-    """``repr`` of every element of a 64-bit array, called once per distinct bit pattern."""
-    keys, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    texts = np.fromiter(map(repr, keys.view(values.dtype).tolist()), object, len(keys))
-    return texts[inverse].reshape(values.shape)
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:
@@ -549,6 +542,8 @@ def sample_margins(
     if workers is not None and workers < 1:
         raise ConfigError("workers must be at least 1")
     sizes = np.asarray(model.groups.sizes(n), dtype=np.int64)
+    if count * sizes.size > SAMPLE_GUARD:
+        raise ResourceError(f"{count} samples of {sizes.size} group margins exceed the {SAMPLE_GUARD:g}-margin budget")
     measure = model.mixing_measure(n)
     gamma, regimes = model.normalization(n)
     raw = np.empty((count, sizes.size), dtype=np.int64, order="F")

@@ -130,7 +130,11 @@ def ks_statistic(sample, cdf) -> float:
     return float(max(upper.max(), lower.max(), 0.0))
 
 
-def ks_threshold(count: int, quantile: float = 0.999, safety: float = 1.5) -> float:
+#: the default KS threshold's Kolmogorov-distribution quantile and safety factor
+KS_QUANTILE, KS_SAFETY = 0.999, 1.5
+
+
+def ks_threshold(count: int) -> float:
     """Default KS acceptance threshold for a given sample size.
 
     Asymptotic Kolmogorov-distribution quantile scaled by 1/sqrt(count)
@@ -139,7 +143,7 @@ def ks_threshold(count: int, quantile: float = 0.999, safety: float = 1.5) -> fl
     """
     from scipy.special import kolmogi
 
-    return float(safety * kolmogi(1.0 - quantile) / math.sqrt(count))
+    return float(KS_SAFETY * kolmogi(1.0 - KS_QUANTILE) / math.sqrt(count))
 
 
 # -- empirical characteristic function ---------------------------------------------

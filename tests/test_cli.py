@@ -1,15 +1,23 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import platform
 import re
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy
 import yaml
+from hypothesis import given, settings
 
 import votelim.cli as cli
-from votelim import ConfigError, DataError, LimitLaw
+from votelim import ConfigError, DataError, LimitLaw, models
 from votelim.cli import ingest_margins, main, run
 from votelim.config import KINDS, canonical_json, config_from_dict, config_hash, load_config
 
@@ -122,6 +130,21 @@ def test_memory_error_maps_to_resource_exit_code(tmp_path, monkeypatch, capsys):
     assert "out of memory" in capsys.readouterr().err
 
 
+def test_a_sample_over_the_budget_exits_3_before_sampling(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(models, "SAMPLE_GUARD", 1000)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc(count=2000)))
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource guard: 2000 samples of 1 group margins exceed the 1000-margin budget\n"
+    assert not (out / "margins.csv").exists()
+    # a sample of exactly the budget is drawn
+    cfg.write_text(yaml.safe_dump({**small_simulate_doc(), "count": 1000}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "margins.csv").exists()
+
+
 def test_subcommand_must_match_config(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(small_clt_doc()))
@@ -228,6 +251,77 @@ def test_one_sample_is_enough_for_one_group():
     assert config_from_dict(small_clt_doc(count=1)).count == 1
     with pytest.raises(ConfigError, match="count must be at least 1"):
         config_from_dict(small_clt_doc(count=-3))
+
+
+# -- generated misuse -------------------------------------------------------------
+
+#: sizes at which every shipped document runs in milliseconds
+_SMALL_SIZES = {"n": 200, "count": 200, "n_grid": [20, 40], "concentration_grid": [20, 40]}
+
+
+def _small_shipped_doc(path):
+    doc = yaml.safe_load(path.read_text())
+    doc.update(copy.deepcopy({key: value for key, value in _SMALL_SIZES.items() if key in doc}))
+    if doc["experiment"] == "verify-cwm":
+        doc["n_grid"] = [8]  # the Gibbs route enumerates every vote configuration
+    return doc
+
+
+def _value_paths(node, prefix=()):
+    """The key path of every value below ``node``: scalars, lists and list items, not sections."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if not isinstance(child, dict):
+            yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _wrong_length(value):
+    if isinstance(value, list):
+        return value + value[-1:] if value else [0]
+    return [value, value]
+
+
+_MUTATIONS = (float("inf"), float("-inf"), float("nan"), 0, -1, "abc", [], _wrong_length)
+
+
+@st.composite
+def _mutated_shipped_docs(draw):
+    doc = _small_shipped_doc(draw(st.sampled_from(sorted(CONFIGS.glob("*.yaml")))))
+    kind = doc["experiment"]
+    path = draw(st.sampled_from(list(_value_paths(doc))))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = mutation(parent[path[-1]]) if callable(mutation) else mutation
+    return kind, doc
+
+
+def _refuse_nan(constant):
+    # Infinity is the designed observed value of a failing correlation-decay report
+    if constant == "NaN":
+        raise ValueError("reports.jsonl holds NaN")
+    return float(constant)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_mutated_shipped_docs())
+def test_a_mutated_shipped_document_exits_with_its_code_and_at_most_one_error_line(case):
+    kind, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.yaml", Path(tmp) / "o"
+        cfg.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        err = err.getvalue()
+        assert err == "" or (err.startswith(("error: ", "resource guard: ")) and err.count("\n") == 1
+                             and err.endswith("\n")), err
+        assert err or code in (0, 1)
+        reports = out / "reports.jsonl"
+        if reports.exists():
+            for line in reports.read_text().splitlines():
+                json.loads(line, parse_constant=_refuse_nan)
 
 
 _ALPHA_DOC = {"experiment": "estimate-alpha", "seed": 1, "points": [[100, 0.1], [10000, 0.01]]}

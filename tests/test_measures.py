@@ -19,7 +19,6 @@ from votelim import (
     StaticSequence,
     UniformBox,
     apply_bias_map,
-    sample,
 )
 from votelim.measures import GAUSSIAN_BOX_SIGMAS
 from votelim.quadrature import tensor_rule
@@ -133,7 +132,7 @@ def test_mass_correlated_gaussian_agrees_with_sampling():
 
     g = Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
     p = multivariate_normal(mean=g.mean, cov=g.covariance).cdf([1, 1], lower_limit=[-1, -1])
-    draws = sample(g, 5, 200_000)
+    draws = g.sample(np.random.default_rng(5), 200_000)
     hit = np.all(np.abs(draws) <= 1.0, axis=1).mean()
     assert p == pytest.approx(hit, abs=4 * math.sqrt(0.25 / 200_000))
 
@@ -160,30 +159,31 @@ def test_gaussian_quad_nodes_weight_the_normal_density(mean, cov):
 # -- sampling ---------------------------------------------------------------------
 
 def test_sample_single_atom_is_constant():
-    draws = sample(PointMassMixture([(0.0, 1.0)]), 1, 5)
+    draws = PointMassMixture([(0.0, 1.0)]).sample(np.random.default_rng(1), 5)
     assert np.array_equal(draws, np.zeros((5, 1)))
 
 
 def test_sample_uniform_mean_near_zero():
-    draws = sample(UNIFORM_1, 7, 10**5)
+    draws = UNIFORM_1.sample(np.random.default_rng(7), 10**5)
     se = math.sqrt(1.0 / 3.0 / 10**5)
     assert abs(draws.mean()) < 3 * se
 
 
 def test_sample_gaussian_variance():
-    draws = sample(GAUSS_1, 7, 10**5)
+    draws = GAUSS_1.sample(np.random.default_rng(7), 10**5)
     se = math.sqrt(2.0 / 10**5)  # Monte Carlo SE of a unit-normal variance estimate
     assert abs(draws.var(ddof=1) - 1.0) < 3 * se
 
 
 def test_sampling_is_deterministic():
-    a = sample(Mixture([(UNIFORM_1, 0.5), (GAUSS_1, 0.5)]), 123, 1000)
-    b = sample(Mixture([(UNIFORM_1, 0.5), (GAUSS_1, 0.5)]), 123, 1000)
+    mix = Mixture([(UNIFORM_1, 0.5), (GAUSS_1, 0.5)])
+    a = mix.sample(np.random.default_rng(123), 1000)
+    b = mix.sample(np.random.default_rng(123), 1000)
     assert np.array_equal(a, b)
 
 
 def test_sampling_matches_cf_on_grid():
-    draws = sample(UNIFORM_1, 11, 10**5)[:, 0]
+    draws = UNIFORM_1.sample(np.random.default_rng(11), 10**5)[:, 0]
     bound = 5.0 / math.sqrt(10**5)
     t = np.linspace(-3, 3, 21)
     emp = np.exp(1j * np.outer(draws, t)).mean(axis=0)
@@ -203,11 +203,6 @@ def test_box_and_product_draws_equal_the_broadcast_formula():
     rng = np.random.default_rng(5)
     columns = [lo + (hi - lo) * rng.random((1000, 1)) for lo, hi in zip(lower, upper)]
     assert product.sample(np.random.default_rng(5), 1000).tobytes() == np.hstack(columns).tobytes()
-
-
-def test_sample_requires_positive_count():
-    with pytest.raises(ConfigError):
-        sample(UNIFORM_1, 1, 0)
 
 
 # -- construction validation ---------------------------------------------------------

@@ -490,9 +490,10 @@ def _reference_csv_bytes(sample) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["sample_index", "group", "raw_margin", "normalized_margin"])
+    normalized = sample.normalized  # one divide: each read of the property divides all of raw
     for i in range(sample.count):
         for g in range(len(sample.group_sizes)):
-            writer.writerow([i, g, int(sample.raw[i, g]), repr(float(sample.normalized[i, g]))])
+            writer.writerow([i, g, int(sample.raw[i, g]), repr(float(normalized[i, g]))])
     return buf.getvalue().encode()
 
 
@@ -520,20 +521,11 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
         edge = dataclasses.replace(built, raw=raw_v)
         edge.to_csv(path)
         assert path.read_bytes() == _reference_csv_bytes(edge)
-
-
-def test_distinct_reprs_tell_float_bit_patterns_apart():
-    # pairs that compare equal, or print alike at fewer digits, keep their own text
-    values = np.array([[0.0, -0.0], [0.1 + 0.2, 0.3], [5e-324, -5e-324], [np.inf, -np.inf],
-                       [np.nan, 1.0 / 3.0], [-0.0, 0.0], [-1e300, 2.5]])
-    assert models._distinct_reprs(values).tolist() == [[repr(float(v)) for v in row] for row in values]
-    # float32 neighbours, widened to float64, print as different numbers
-    single = np.array([0.1, np.nextafter(np.float32(0.1), np.float32(1.0)), 0.1], dtype=np.float32)
-    texts = models._distinct_reprs(single.astype(np.float64)).tolist()
-    assert texts == [repr(float(v)) for v in single]
-    assert texts[0] == texts[2] != texts[1]
-    ints = np.array([[-7, 0], [2**62, -7]])
-    assert models._distinct_reprs(ints).tolist() == [["-7", "0"], [repr(2**62), "-7"]]
+    # margins near the population guard, where 64-bit text and quotients are widest
+    huge = raw + np.where(raw < 0, -(10**12), 10**12)
+    wide = dataclasses.replace(built, raw=huge, gamma=(0.1,) * m)
+    wide.to_csv(path)
+    assert path.read_bytes() == _reference_csv_bytes(wide)
 
 
 # -- summary statistics --------------------------------------------------------------------

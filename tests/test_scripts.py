@@ -40,15 +40,31 @@ def test_run_cwm_suite_runs():
     assert "representation equivalence" in proc.stdout
 
 
-#: sha256 of (margins.csv, reports.jsonl) of each verify-clt config; a speedup
-#: that changes these bytes changes what the run reports
+#: sha256 of each pinned artifact of the regime suite's configs: margins.csv
+#: and reports.jsonl of each verify-clt config, reports.jsonl of the others; a
+#: speedup that changes these bytes changes what the run reports
 REGIME_ARTIFACTS = {
-    "fast_clt": ("3e94e21728db966781d97705d6842e52be36d043f8802ea96c0731d2ab86cb6e",
-                 "9d90add89c1147934fae05c115b9b412348e88b0b488bdc3af6827669c5eddc8"),
-    "critical_clt": ("4be008d809ed504e9797a448ce2599b9877a08fe3d74620bac719d6e5f5fe89d",
-                     "11a267988fa2954153219d35407759612ea9b2b5883a64dfc1427c5854375a7e"),
-    "subcritical_base": ("6204650329712894553d5f535d8a553c0856578479766d11df51746178ef1932",
-                         "3b150409585fc7782c88382897ab9d13308712fdbee2d2b1bdc4e1cbf2642f94"),
+    "fast_clt": {
+        "margins.csv": "3e94e21728db966781d97705d6842e52be36d043f8802ea96c0731d2ab86cb6e",
+        "reports.jsonl": "9d90add89c1147934fae05c115b9b412348e88b0b488bdc3af6827669c5eddc8",
+    },
+    "critical_clt": {
+        "margins.csv": "4be008d809ed504e9797a448ce2599b9877a08fe3d74620bac719d6e5f5fe89d",
+        "reports.jsonl": "11a267988fa2954153219d35407759612ea9b2b5883a64dfc1427c5854375a7e",
+    },
+    "subcritical_base": {
+        "margins.csv": "6204650329712894553d5f535d8a553c0856578479766d11df51746178ef1932",
+        "reports.jsonl": "3b150409585fc7782c88382897ab9d13308712fdbee2d2b1bdc4e1cbf2642f94",
+    },
+    "subcritical_decay": {
+        "reports.jsonl": "98cc09b2f4c78eb6c0214144eb819cf1d877c2b44188c27637a430b7ef20c941",
+    },
+    "decay_negative_control": {
+        "reports.jsonl": "0fd6e60630058d8ef5c74fa6d44d8cc89d2bffecfa912345a6b1d88368cc7493",
+    },
+    "llt_baseline": {
+        "reports.jsonl": "2197e0d29519879693e9663426a409657b759067f8c45bcc50cc0c1fb3d72f7c",
+    },
 }
 
 
@@ -56,8 +72,8 @@ def test_run_regime_suite_keeps_its_artifacts(tmp_path):
     proc = _run("run_regime_suite.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for name, digests in REGIME_ARTIFACTS.items():
-        got = tuple(
-            hashlib.sha256((tmp_path / name / artifact).read_bytes()).hexdigest()
-            for artifact in ("margins.csv", "reports.jsonl")
-        )
+        got = {
+            artifact: hashlib.sha256((tmp_path / name / artifact).read_bytes()).hexdigest()
+            for artifact in digests
+        }
         assert got == digests, name

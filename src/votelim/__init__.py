@@ -35,6 +35,7 @@ from .models import (
     conditional_margin_pmf,
     exact_margin_pmf,
     expected_abs_margin,
+    group_margin_pmf,
     pair_correlation,
     sample_margins,
 )

@@ -42,8 +42,9 @@ POPULATION_GUARD = 10**12
 #: (seed, j), so results are identical no matter how blocks map to workers.
 SAMPLE_BLOCK = 8192
 
-#: most margins (count * M) one sample may hold, 800 MB of int64; more is a
-#: ResourceError before allocation, whatever memory the host has
+#: most margins (count * M) one sample may hold: 400 MB as int32, 800 MB as
+#: int64 (see MarginSample); more is a ResourceError before allocation,
+#: whatever memory the host has
 SAMPLE_GUARD = 10**8
 
 #: samples per write in MarginSample.to_csv
@@ -356,17 +357,32 @@ def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     sizes = model.groups.sizes(n)
     _guard_lattice(sizes)
     measure = model.mixing_measure(n)
-
-    def mixed_law(mu, lattice) -> np.ndarray:
-        def integrand(points, weights):
-            return _pmf_from_nodes(points, weights, lattice, model.bias_map)
-
-        return _integrate(mu, integrand)
-
     if _factorizes(measure):
-        laws = [mixed_law(measure.marginal([g]), (s,)) for g, s in enumerate(sizes)]
+        laws = [group_margin_pmf(model, n, g).probs for g in range(len(sizes))]
         return MarginPmf(sizes, functools.reduce(np.multiply.outer, laws))
-    return MarginPmf(sizes, mixed_law(measure, sizes))
+    return MarginPmf(sizes, _mixed_law(model, measure, sizes))
+
+
+def group_margin_pmf(model: DeFinettiModel, n: int, g: int) -> MarginPmf:
+    """Exact law of group g's margin alone, a one-group ``MarginPmf``.
+
+    The bias map acts componentwise, so S_g depends on mu_n only through
+    its coordinate-g marginal: the law is the 1-D mixed binomial law over
+    ``mu_n.marginal([g])``, guarded by the lattice limit on n_g + 1 entries
+    rather than on the whole joint lattice.
+    """
+    n_g = model.groups.sizes(n)[g]
+    _guard_lattice((n_g,))
+    return MarginPmf((n_g,), _mixed_law(model, model.mixing_measure(n).marginal([g]), (n_g,)))
+
+
+def _mixed_law(model: DeFinettiModel, measure, sizes) -> np.ndarray:
+    """The conditional binomial law on the ``sizes`` lattice mixed over ``measure``."""
+
+    def integrand(points, weights):
+        return _pmf_from_nodes(points, weights, sizes, model.bias_map)
+
+    return _integrate(measure, integrand)
 
 
 def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
@@ -440,11 +456,17 @@ class MarginSample:
     and so every check, reads one group at a time.  Element values do not
     depend on the layout; ``tobytes()`` still gives them sample-major.
     ``normalized`` is not stored: each read divides ``raw`` by ``gamma``.
+
+    ``raw`` is int32 (4 bytes a margin) when every 2 * n_g fits in int32,
+    so sums such as ``raw + n_g`` cannot overflow, and int64 (8 bytes)
+    otherwise; compare ``raw.astype("<i8")`` to compare bytes across widths.
+    Products are not covered: ``raw**2`` overflows int32 once |k| > 46 340
+    (``subcritical_base`` has n = 10^6), so widen before multiplying.
     """
 
     n: int
     group_sizes: tuple[int, ...]
-    raw: np.ndarray          # (count, M) integer margins, group-major
+    raw: np.ndarray          # (count, M) int32 or int64 margins, group-major
     gamma: tuple[float, ...]
     regimes: tuple[str, ...]
     seed: int
@@ -505,8 +527,9 @@ def binomial_margins(
 ) -> np.ndarray:
     """Margins 2*Binomial(n_g, p_g) - n_g, vectorized over rows of p, written into ``out``.
 
-    The counts are drawn row by row as one broadcast call; each group's
-    column of ``out`` is then written with its scalar n_g.
+    The counts are drawn row by row as one broadcast call, as int64; each
+    group's column of ``out`` (int32 or int64) is then written with its
+    scalar n_g.
     """
     counts = rng.binomial(sizes[None, :], p)
     counts *= 2
@@ -528,6 +551,8 @@ def sample_margins(
 ) -> MarginSample:
     """Seeded two-stage sampler: bias from mu_n, then binomial margins.
 
+    Raw margins are stored as int32 when 2 * max(n_g) fits in it, else as
+    int64 (see ``MarginSample``); the values do not depend on the width.
     Sampling is split into fixed blocks of ``SAMPLE_BLOCK`` samples whose RNG
     streams depend only on (seed, block index).  Each block draws its biases
     and margins and writes its raw margins into its own rows of one
@@ -546,7 +571,8 @@ def sample_margins(
         raise ResourceError(f"{count} samples of {sizes.size} group margins exceed the {SAMPLE_GUARD:g}-margin budget")
     measure = model.mixing_measure(n)
     gamma, regimes = model.normalization(n)
-    raw = np.empty((count, sizes.size), dtype=np.int64, order="F")
+    width = np.int32 if 2 * int(sizes.max()) <= np.iinfo(np.int32).max else np.int64
+    raw = np.empty((count, sizes.size), dtype=width, order="F")
 
     def fill(block: int) -> None:
         rows = slice(block * SAMPLE_BLOCK, min((block + 1) * SAMPLE_BLOCK, count))
@@ -591,18 +617,23 @@ def expected_abs_margin(
     count: int | None = None,
     seed: int | None = None,
 ) -> AbsMarginEstimate:
-    """E(|S_g| / n_g) per group, exactly or by seeded Monte Carlo."""
+    """E(|S_g| / n_g) per group, exactly or by seeded Monte Carlo.
+
+    The exact mode sums each group's own law (``group_margin_pmf``), so it
+    never builds the joint lattice.
+    """
     sizes = model.groups.sizes(n)
     if mode == "exact":
-        pmf = exact_margin_pmf(model, n)
         values = []
         for g, n_g in enumerate(sizes):
-            marg = pmf.group_marginal(g)
-            values.append(float(np.abs(pmf.margin_axis(g)) @ marg) / n_g)
+            law = group_margin_pmf(model, n, g)
+            values.append(float(np.abs(law.margin_axis(0)) @ law.probs) / n_g)
         return AbsMarginEstimate(tuple(values), (0.0,) * len(sizes), "exact")
     if mode == "monte-carlo":
         if count is None or seed is None:
             raise ConfigError("monte-carlo mode needs count and seed")
+        if count < 2:
+            raise ConfigError(f"monte-carlo mode needs count >= 2 for a standard error, got {count}")
         sample = sample_margins(model, n, count, seed)
         means, ses = [], []
         for g, n_g in enumerate(sizes):

@@ -8,6 +8,7 @@ import math
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -37,10 +38,12 @@ from votelim import (
     conditional_margin_pmf,
     exact_margin_pmf,
     expected_abs_margin,
+    group_margin_pmf,
     pair_correlation,
     sample_margins,
 )
 from votelim import models
+from votelim.config import load_config
 from votelim.measures import apply_bias_map
 from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample
 from votelim.quadrature import refine_until_stable
@@ -57,6 +60,8 @@ from conftest import (
     symmetric_gaussians_1d,
     symmetric_measures_1d,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -- group structure -----------------------------------------------------------
@@ -321,9 +326,10 @@ def test_sample_margins_worker_invariance():
         sys.setswitchinterval(interval)
 
 
-#: sha256 of (raw.tobytes(), normalized.tobytes()) of a two-block sample at
-#: n = 2000, seed 11; tobytes() is sample-major whatever the storage order,
-#: so these pin every element and the RNG draw order of each model
+#: sha256 of (raw.astype("<i8").tobytes(), normalized.tobytes()) of a
+#: two-block sample at n = 2000, seed 11; tobytes() is sample-major whatever
+#: the storage order, and the cast fixes the width raw is stored at, so these
+#: pin every element and the RNG draw order of each model
 _SAMPLE_PINS = {
     "box-m2": ("d6b29f9ff33477082a76a6d21bad4a864cda889b97e6b48c5a4d9247ebf6aa94",
                "8fbcaa9decca9413403b5fc4d90ea0e8e891b2ea2d2b4f6f13579b4714e62107"),
@@ -349,8 +355,30 @@ def _layout_models():
 @pytest.mark.parametrize("name", sorted(_SAMPLE_PINS))
 def test_multi_group_sample_bytes_pinned(name):
     sample = sample_margins(_layout_models()[name], 2000, SAMPLE_BLOCK + 100, 11)
-    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (sample.raw, sample.normalized))
+    arrays = (sample.raw.astype("<i8"), sample.normalized)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
     assert digests == _SAMPLE_PINS[name]
+
+
+def test_raw_margins_are_int32_while_twice_every_group_size_fits():
+    # every population a shipped config samples
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        cfg = load_config(path)
+        doc = cfg.raw
+        for n in [doc["n"]] if "n" in doc else doc["n_grid"] + doc.get("concentration_grid", []):
+            assert sample_margins(cfg.model, n, 2, 1).raw.dtype == np.int32, (path.name, n)
+    # the widest int32 case: raw + n_g reaches 2 * n_g = 2^31 - 2 without wrapping
+    n_g = 2**30 - 1
+    edge = sample_margins(contracted(UNIFORM_1, 0.5), n_g, 1000, 4)
+    assert edge.raw.dtype == np.int32
+    index = (edge.raw[:, 0] + n_g) // 2
+    assert np.all((index >= 0) & (index <= n_g))
+    assert np.array_equal(index, (edge.raw[:, 0].astype(np.int64) + n_g) // 2)
+    # from n_g = 2^30 on, 2 * n_g does not fit
+    for n in (2**30, 2**31):
+        wide = sample_margins(DeFinettiModel(GROUPS_1, StaticSequence(UNIFORM_1), CLAMP), n, 3, 4)
+        assert wide.raw.dtype == np.int64
+        assert np.all((np.abs(wide.raw) <= n) & ((wide.raw + n) % 2 == 0))
 
 
 @pytest.mark.parametrize("name", sorted(_layout_models()))
@@ -552,6 +580,41 @@ def test_expected_abs_margin_monte_carlo_half_normal():
 def test_expected_abs_margin_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         expected_abs_margin(static_delta0(), 4, mode="guess")
+
+
+def test_expected_abs_margin_monte_carlo_needs_two_samples():
+    # one sample has no standard error
+    with pytest.raises(ConfigError, match="count >= 2"):
+        expected_abs_margin(static_delta0(), 100, mode="monte-carlo", count=1, seed=3)
+    est = expected_abs_margin(static_delta0(), 100, mode="monte-carlo", count=2, seed=3)
+    assert math.isfinite(est.standard_error[0])
+
+
+def test_expected_abs_margin_exact_needs_only_per_group_lattices():
+    # the joint (5001, 5001) lattice of fast_clt exceeds the lattice guard
+    model = load_config(CONFIGS / "fast_clt.yaml").model
+    with pytest.raises(ResourceError):
+        exact_margin_pmf(model, 10**4)
+    est = expected_abs_margin(model, 10**4)
+    assert all(math.isfinite(v) and 0.0 < v < 1.0 for v in est.per_capita)
+
+
+def test_group_margin_pmf_matches_the_joint_law_marginal():
+    cases = [(model, n) for _, model in oracle_matrix() for n in range(2 * model.groups.m, 11)]
+    # correlated groups whose laws differ, unlike those of the oracle matrix
+    cases += [
+        (contracted(Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 2.0]]), 0.5, bias=TANH), 8),
+        (DeFinettiModel(GROUPS_2, CurieWeissSequence(CouplingSpec([[0.5, 0.2], [0.2, 0.3]])), TANH), 8),
+    ]
+    for model, n in cases:
+        joint = exact_margin_pmf(model, n)
+        est = expected_abs_margin(model, n)
+        for g, n_g in enumerate(joint.group_sizes):
+            law = group_margin_pmf(model, n, g)
+            assert law.group_sizes == (n_g,)
+            assert np.max(np.abs(law.probs - joint.group_marginal(g))) < 1e-12
+            from_joint = float(np.abs(joint.margin_axis(g)) @ joint.group_marginal(g)) / n_g
+            assert abs(est.per_capita[g] - from_joint) < 1e-12
 
 
 def test_pair_correlation_static_delta0_is_zero():

@@ -5,7 +5,10 @@ Simulates per-capita absolute margins of a subcritically contracting
 uniform model over a grid of population sizes, writes them in the CSV
 schema the estimate-alpha command ingests, and fits the decay exponent.
 With eps_n = n^-0.15 the fitted alpha should land near 0.15, inside the
-empirically observed 0.1..0.2 band.
+empirically observed 0.1..0.2 band.  Exit codes are the command line's:
+2 for invalid arguments or data (a count below 2, a one-point grid, a
+nonpositive exponent), 3 for a tripped resource guard, each with one
+line on stderr.
 """
 
 import argparse
@@ -20,10 +23,11 @@ from votelim import (
     GroupStructure,
     PowerLawSchedule,
     UniformBox,
+    VotelimError,
     estimate_alpha,
     expected_abs_margin,
 )
-from votelim.cli import ingest_margins
+from votelim.cli import ingest_margins, report_error
 
 
 def main() -> int:
@@ -35,7 +39,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default="results/alpha")
     args = parser.parse_args()
+    try:
+        return experiment(args)
+    except (VotelimError, MemoryError) as exc:
+        return report_error(exc)
 
+
+def experiment(args) -> int:
+    """Simulate over the grid, write the CSV and print the fit."""
     model = DeFinettiModel(
         GroupStructure(1, [1.0]),
         ContractedSequence(UniformBox([-1.0], [1.0]), PowerLawSchedule(1.0, args.exponent)),

@@ -4,7 +4,9 @@
 Sweeps the single-group inverse temperature over a grid, checking that
 the Gibbs enumeration and the mixing-density quadrature give the same
 margin law, then profiles how fast the mixing measure concentrates and
-reports the slope of log tail mass in n.
+reports the slope of log tail mass in n.  Exits 0 when every check
+holds, 1 when one fails, and with the command line's codes (2 invalid
+arguments, 3 a tripped resource guard) on an error.
 """
 
 import argparse
@@ -15,9 +17,11 @@ import numpy as np
 from votelim import (
     CouplingSpec,
     GroupStructure,
+    VotelimError,
     concentration_profile,
     representation_equivalence_check,
 )
+from votelim.cli import report_error
 
 
 def main() -> int:
@@ -27,7 +31,14 @@ def main() -> int:
     parser.add_argument("--delta", type=float, default=0.5)
     parser.add_argument("--conc-grid", type=int, nargs="+", default=[20, 40, 80, 160])
     args = parser.parse_args()
+    try:
+        return checks(args)
+    except (VotelimError, MemoryError) as exc:
+        return report_error(exc)
 
+
+def checks(args) -> int:
+    """Run the equivalence sweep and the concentration profiles; 0 if all hold."""
     groups = GroupStructure(1, [1.0])
     ok = True
     print("representation equivalence (max |Gibbs - quadrature| per margin):")

@@ -4,14 +4,16 @@
 Each experiment comes from a config file in configs/ and writes its
 artifacts (margins CSV, report JSONL, manifest) into a subdirectory of
 the chosen output root.  The negative control is expected to fail; the
-script's exit status is 0 only when every run behaves as expected.
+script's exit status is 0 only when every run behaves as expected, 1
+otherwise, and the command line's 2 or 3 when a config cannot be loaded.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from votelim.cli import run
+from votelim import VotelimError
+from votelim.cli import report_error, run
 from votelim.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,7 +39,10 @@ def main() -> int:
 
     failures = 0
     for name, expected in EXPERIMENTS:
-        cfg = load_config(ROOT / "configs" / name, {"workers": args.workers})
+        try:
+            cfg = load_config(ROOT / "configs" / name, {"workers": args.workers})
+        except (VotelimError, MemoryError) as exc:
+            return report_error(exc)
         out_dir = Path(args.out) / name.removesuffix(".yaml")
         print(f"== {name} -> {out_dir}")
         code = run(cfg, out_dir)

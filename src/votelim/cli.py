@@ -303,18 +303,28 @@ def main(argv=None) -> int:
                 f"{args.command!r} subcommand was invoked"
             )
         return run(cfg)
-    except (ConfigError, DataError) as exc:
+    except (VotelimError, MemoryError) as exc:
+        return report_error(exc)
+
+
+def report_error(exc: VotelimError | MemoryError) -> int:
+    """Print one stderr line for an error that ends a run; return its exit code.
+
+    2 for invalid config or input data, 3 for a tripped resource guard or
+    exhausted memory, 1 for any other package error.  The command line and
+    the experiment scripts end their runs through it.
+    """
+    if isinstance(exc, (ConfigError, DataError)):
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceError as exc:
+    if isinstance(exc, ResourceError):
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
+    if isinstance(exc, MemoryError):
         print("resource guard: the run ran out of memory", file=sys.stderr)
         return 3
-    except VotelimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

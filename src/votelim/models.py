@@ -51,12 +51,27 @@ SAMPLE_GUARD = 10**8
 CSV_CHUNK = 8192
 
 
-class GroupStructure:
+class _Immutable:
+    """Attributes are set once, in ``__init__`` through ``object.__setattr__``.
+
+    Instances memoize what they compute from those attributes, so a later
+    assignment could make a memo stale; it raises instead.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class GroupStructure(_Immutable):
     """Fixed group count with proportions resolved to integer sizes.
 
     Sizes come from largest-remainder rounding of ``proportions * n`` with a
     floor of 2 per group (so pair correlations are always defined), repaired
-    so that the sizes sum to n exactly.
+    so that the sizes sum to n exactly.  Immutable: the sizes of each
+    population asked are memoized on the instance.
     """
 
     def __init__(self, m: int, proportions):
@@ -69,10 +84,17 @@ class GroupStructure:
             raise ConfigError("group proportions must be positive")
         if abs(float(props.sum()) - 1.0) > 1e-12:
             raise ConfigError("group proportions must sum to 1")
-        self.m = m
-        self.proportions = tuple(float(p) for p in props)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "proportions", tuple(float(p) for p in props))
+        object.__setattr__(self, "_sizes", {})
 
     def sizes(self, n: int) -> tuple[int, ...]:
+        sizes = self._sizes.get(n)
+        if sizes is None:
+            sizes = self._sizes[n] = self._resolve(n)
+        return sizes
+
+    def _resolve(self, n: int) -> tuple[int, ...]:
         if n < 2 * self.m:
             raise ConfigError(
                 f"population {n} cannot give every one of {self.m} groups at least 2 voters"
@@ -134,23 +156,34 @@ def _check_dim(base: BaseMeasure, groups: GroupStructure) -> None:
         raise ConfigError(f"mixing measure dimension {base.dim} != group count {groups.m}")
 
 
-class DeFinettiModel:
+class DeFinettiModel(_Immutable):
     """A complete voting model: groups, mixing sequence, and bias map.
 
     The sequence checks that it fits the groups and the bias map, and
     builds mu_n: anything with ``dim``, ``quad_nodes(level)`` (weights of
     total mass 1), ``marginal(coords)`` and ``sample(rng, count)``.
+
+    The model is immutable, so it memoizes mu_n for one population, the
+    last one asked: the exact law, its per-group laws, the 2^n oracle and
+    the sampler at that n all read the same measure object.  A failed
+    build is not memoized.
     """
 
     def __init__(self, groups: GroupStructure, sequence, bias_map):
         sequence.validate(groups, bias_map)
-        self.groups = groups
-        self.sequence = sequence
-        self.bias_map = bias_map
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "bias_map", bias_map)
+        object.__setattr__(self, "_mixing", (None, None))
 
     def mixing_measure(self, n: int):
-        """The mixing measure mu_n at population n."""
-        return self.sequence.mixing_measure(self.groups, n)
+        """The mixing measure mu_n at population n; built again only when n changes."""
+        last, measure = self._mixing
+        if last is None or last != n:
+            measure = self.sequence.mixing_measure(self.groups, n)
+            # one tuple swap, so a concurrent reader sees a matching (n, mu_n) pair
+            object.__setattr__(self, "_mixing", (n, measure))
+        return measure
 
     def normalization(self, n: int) -> tuple[np.ndarray, tuple[str, ...]]:
         """Per-group margin divisor gamma and regime tags.

@@ -91,6 +91,95 @@ def test_proportions_validated():
         GroupStructure(2, [1.2, -0.2])
 
 
+def test_group_structures_and_models_are_immutable():
+    groups = GroupStructure(2, [0.5, 0.5])
+    model = contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.5, groups=groups)
+    for obj, names in [(groups, ("m", "proportions", "_sizes", "extra")),
+                       (model, ("groups", "sequence", "bias_map", "_mixing", "extra"))]:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert groups.m == 2 and model.groups is groups
+
+
+# -- the memo of mu_n and the group sizes -------------------------------------------
+
+MEMO_MODELS = {
+    "uniform-m2-factored": lambda: contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.5),
+    "gaussian-m2-joint": lambda: contracted(Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 2.0]]), 0.5, bias=TANH),
+    "cwm-m2": lambda: DeFinettiModel(
+        GroupStructure(2, [0.5, 0.5]), CurieWeissSequence(CouplingSpec([[0.5, 0.2], [0.2, 0.3]])), TANH),
+}
+
+
+#: every per-population route that reads mu_n, each giving one array
+MEMO_ROUTES = (
+    lambda model, n: exact_margin_pmf(model, n).probs,
+    lambda model, n: group_margin_pmf(model, n, 0).probs,
+    lambda model, n: group_margin_pmf(model, n, 1).probs,
+    lambda model, n: brute_force_pmf(model, n).probs,
+    lambda model, n: np.array(expected_abs_margin(model, n).per_capita),
+    lambda model, n: sample_margins(model, n, 500, seed=3, workers=1).raw,
+)
+
+
+def _count_builds(monkeypatch, model) -> list:
+    calls = []
+    build = type(model.sequence).mixing_measure
+
+    def counted(self, groups, n):
+        calls.append(n)
+        return build(self, groups, n)
+
+    monkeypatch.setattr(type(model.sequence), "mixing_measure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MODELS))
+def test_mixing_measure_is_built_once_per_population(monkeypatch, name):
+    # each route on a freshly built model of its own
+    alone = [route(MEMO_MODELS[name](), 8) for route in MEMO_ROUTES]
+
+    model = MEMO_MODELS[name]()
+    builds = _count_builds(monkeypatch, model)
+    shared = [route(model, 8) for route in MEMO_ROUTES]
+    assert builds == [8]
+    for a, b in zip(shared, alone):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert model.mixing_measure(8) is model.mixing_measure(8)
+    assert builds == [8]
+
+    exact_margin_pmf(model, 9)
+    assert builds == [8, 9]
+    assert exact_margin_pmf(model, 8).probs.tobytes() == shared[0].tobytes()
+    assert builds == [8, 9, 8]
+
+
+def test_a_bad_population_raises_on_every_call_and_keeps_the_memo(monkeypatch):
+    model = contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.5)
+    builds = _count_builds(monkeypatch, model)
+    measure = model.mixing_measure(8)
+    for _ in range(2):
+        for call in (lambda: model.mixing_measure(3), lambda: exact_margin_pmf(model, 3),
+                     lambda: brute_force_pmf(model, 3), lambda: model.groups.sizes(3)):
+            with pytest.raises(ConfigError):
+                call()
+    assert model.mixing_measure(8) is measure
+    assert builds == [8, 3, 3]
+
+
+def test_group_sizes_are_memoized_per_population():
+    groups = GroupStructure(3, [0.6, 0.3, 0.1])
+    first = groups.sizes(23)
+    assert groups.sizes(23) is first
+    assert groups.sizes(24) == GroupStructure(3, [0.6, 0.3, 0.1]).sizes(24)
+    for _ in range(2):
+        with pytest.raises(ResourceError):
+            groups.sizes(10**13)
+
+
 # -- conditional margin law ------------------------------------------------------
 
 def enumerate_conditional_pmf(m, n):

@@ -3,7 +3,9 @@
 The scripts import the package's public names, so a renamed or removed
 export breaks them; each run is a fresh interpreter that must exit 0.
 The regime suite runs the shipped configs at full size and pins the bytes
-of their artifacts; the other scripts run at tiny sizes.
+of their artifacts; the other scripts run at tiny sizes.  A bad argument
+ends a script the way it ends the command line: one stderr line and exit
+code 2 or 3, never a traceback.
 """
 
 import hashlib
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +36,40 @@ def test_alpha_experiment_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "margins.csv").is_file()
     assert "fitted alpha" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--count", "1", "--grid", "1000", "2000"],
+        ["--grid", "1000", "--count", "100"],
+        ["--exponent", "0"],
+    ],
+    ids=["count-1", "one-point-grid", "exponent-0"],
+)
+def test_alpha_experiment_rejects_bad_arguments_with_one_line(tmp_path, args):
+    proc = _run("alpha_experiment.py", *args, "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args, code, prefix, message",
+    [
+        ("run_cwm_suite.py", ["--betas", "0.5", "--sizes", "17"], 3,
+         "resource guard: ", "n=17 > 16"),
+        ("run_regime_suite.py", ["--workers", "0"], 2,
+         "error: ", "workers must be at least 1"),
+    ],
+    ids=["cwm-suite-guard", "regime-suite-workers-0"],
+)
+def test_suites_end_an_error_with_one_line(script, args, code, prefix, message):
+    proc = _run(script, *args)
+    assert proc.returncode == code, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(prefix) and message in line
 
 
 def test_run_cwm_suite_runs():

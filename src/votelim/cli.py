@@ -272,9 +272,20 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Execute one experiment; writes artifacts and returns the exit code."""
+    """Execute one experiment; writes artifacts and returns the exit code.
+
+    An output directory that cannot be made (a file has its name, or lies on
+    its path) is a ConfigError before any work; it names ``--out`` or the
+    config's ``out:`` line when the path came from there.
+    """
     out_path = Path(out_dir or cfg.out or ".")
-    out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot create the output directory {str(out_path)!r}: {exc.strerror}"
+        if out_dir is None:
+            cfg.error(message, "out")
+        raise ConfigError(message) from None
     return _RUNNERS[cfg.experiment](cfg, out_path)
 
 

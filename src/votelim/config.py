@@ -102,7 +102,11 @@ def _yaml_line_map(root: yaml.Node | None) -> dict[str, int]:
 
 
 class _Doc:
-    """A dict wrapper that anchors validation errors to config lines."""
+    """A dict wrapper that anchors validation errors to config lines.
+
+    ``lines`` maps a dotted key path to its line number, or to the flag
+    that overrode the key; an error in an overridden key names only the flag.
+    """
 
     def __init__(self, doc, lines=None, path=""):
         self.doc = doc
@@ -112,6 +116,8 @@ class _Doc:
     def error(self, message: str, key: str | None = None):
         path = f"{self.path}.{key}" if key and self.path else (key or self.path)
         line = self.lines.get(path)
+        if isinstance(line, str):
+            raise ConfigError(f"{line}: {message}")
         anchor = f"line {line}: " if line else ""
         where = f"{path}: " if path else ""
         raise ConfigError(f"{anchor}{where}{message}")
@@ -255,6 +261,12 @@ class ExperimentConfig:
     input_path: str | None = None
     delta: float | None = None
     concentration_grid: tuple[int, ...] | None = None
+    #: where each key came from: its line, or the flag that overrode it
+    anchors: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def error(self, message: str, key: str):
+        """Raise a ConfigError about top-level ``key``, anchored as at load time."""
+        _Doc(self.raw, self.anchors).error(message, key)
 
     def hash(self) -> str:
         return config_hash({k: v for k, v in self.raw.items() if k not in ("out", "workers")})
@@ -399,6 +411,7 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         input_path=doc.get("input"),
         delta=delta,
         concentration_grid=grids["concentration_grid"],
+        anchors=root.lines,
     )
 
 
@@ -406,7 +419,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a YAML config; non-None ``overrides`` replace its top-level keys.
 
     The text is parsed once: the composed node gives both the document and
-    the line of every key, so errors in keys read from the file cite their line.
+    the line of every key, so errors in keys read from the file cite their
+    line.  An error in an overridden key names the flag ``--key`` that
+    overrides it on the command line instead.
     """
     with open(path) as fh:
         text = fh.read()
@@ -418,5 +433,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"could not parse {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    doc.update({key: value for key, value in (overrides or {}).items() if value is not None})
-    return config_from_dict(doc, _yaml_line_map(node))
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    doc.update(given)
+    lines = {
+        path: line for path, line in _yaml_line_map(node).items()
+        if path.split(".")[0].split("[")[0] not in given
+    }
+    lines.update({key: f"--{key}" for key in given})
+    return config_from_dict(doc, lines)

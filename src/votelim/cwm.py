@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, QuadratureError, ResourceError
 from .measures import TANH, PointMassMixture
 from .models import DeFinettiModel, GroupStructure, MarginPmf, _integrate, exact_margin_pmf
-from .quadrature import refine_until_stable, tensor_rule
+from .quadrature import binned_rule, grid_points, refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
 REPRESENTATION_MAX_N = 16
@@ -130,11 +130,11 @@ class FreeEnergySurface:
         half = 10.0 * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
         return -half, half
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted nodes of the unnormalized density; weights sum to ~Z."""
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The grid of the box weighted by the unnormalized density; weights sum to ~Z."""
         lower, upper = self.box()
-        points, weights = tensor_rule(lower, upper, level)
-        values = self.density(points)
+        axes, weights = tensor_rule(lower, upper, level)
+        values = self.density(grid_points(axes))
         # the mode sits at the origin with density exactly 1; a grid that
         # never sees it (possible very close to criticality, where the
         # curvature box dwarfs the quartic-dominated peak) must not be
@@ -144,12 +144,12 @@ class FreeEnergySurface:
                 "integration grid failed to resolve the density peak; "
                 "the coupling is too close to criticality for quadrature"
             )
-        return points, weights * values
+        return axes, weights * values
 
     def normalizer(self) -> float:
         """Z = integral of exp(-n F), cached after the first quadrature."""
         if self._normalizer is None:
-            value = _integrate(self, lambda points, weights: np.array([weights.sum()]))
+            value = _integrate(self, lambda axes, weights: np.array([weights.sum()]))
             self._normalizer = float(value[0])
         return self._normalizer
 
@@ -160,8 +160,9 @@ class MeanFieldMixing:
     """mu_n with density exp(-n F) / Z on the coordinates ``coords`` of the latent bias.
 
     Quadrature nodes are the surface's grid with weights divided by their
-    sum, so every level is a probability measure; a marginal keeps the
-    joint grid and projects its points.
+    sum, so every level is a probability measure.  A marginal keeps the
+    joint grid: on all coordinates in order it is that grid, else its
+    points are projected onto ``coords`` and binned like scattered nodes.
     """
 
     def __init__(self, surface: FreeEnergySurface, coords=None):
@@ -169,9 +170,12 @@ class MeanFieldMixing:
         self.coords = list(range(surface.m)) if coords is None else list(coords)
         self.dim = len(self.coords)
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        points, weights = self.surface.quad_nodes(level)
-        return points[:, self.coords], weights / weights.sum()
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        axes, weights = self.surface.quad_nodes(level)
+        weights = weights / weights.sum()
+        if self.coords == list(range(self.surface.m)):
+            return axes, weights
+        return binned_rule(grid_points(axes)[:, self.coords], weights)
 
     def marginal(self, coords) -> "MeanFieldMixing":
         return MeanFieldMixing(self.surface, [self.coords[c] for c in coords])
@@ -304,8 +308,8 @@ class CompactMixingDensity:
         return out
 
     def _box_integral(self, lower, upper, level: int) -> float:
-        points, weights = tensor_rule(lower, upper, level)
-        vals = np.exp(self.log_density_unnormalized(points))
+        axes, weights = tensor_rule(lower, upper, level)
+        vals = np.exp(self.log_density_unnormalized(grid_points(axes)))
         return float(weights @ vals) / self.surface.normalizer()
 
     def mass_outside_symmetric_box(self, delta: float) -> float:

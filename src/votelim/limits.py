@@ -88,12 +88,12 @@ class LimitLaw:
 CDF_BLOCK = 1 << 18
 
 
-def _smoothed_cdf(x: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j * Phi(x - points_j), in row blocks of bounded size."""
+def _smoothed_cdf(x: np.ndarray, axes, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j * Phi(x - nodes_j) over a 1-D node grid, in row blocks of bounded size."""
     from scipy.special import ndtr
 
     flat = x.reshape(-1)
-    nodes = points[:, 0]
+    nodes = axes[0]
     out = np.empty(flat.size)
     rows = max(1, CDF_BLOCK // nodes.size)
     for start in range(0, flat.size, rows):

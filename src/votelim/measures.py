@@ -4,7 +4,7 @@ The measure algebra is deliberately closed: point-mass mixtures, uniform
 boxes, Gaussians, products of 1-D measures, and finite mixtures.  Every
 member supports exact characteristic functions, exact (or erf-accurate)
 1-D CDFs, seeded sampling, pushforward under componentwise scaling, and a
-weighted-node view used by the integration routines.  Arbitrary
+weighted tensor-grid view used by the integration routines.  Arbitrary
 user-supplied densities are intentionally excluded so that the exact
 oracles elsewhere in the package stay exact.
 
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, UnsupportedMeasureError
-from .quadrature import tensor_rule
+from .quadrature import binned_rule, grid_points, tensor_rule
 
 WEIGHT_TOL = 1e-12
 
@@ -72,6 +72,15 @@ class BaseMeasure:
     ``_key()``.  Keys merge repeated atoms and components and leave out
     zero-weight ones, so two measures with equal keys are equal; comparing a
     measure's key with its image's decides invariance under x -> -x or x -> 2x.
+
+    ``quad_nodes(level)`` returns ``(axes, weights)``, a tensor grid: ``axes``
+    holds one 1-D array of node coordinates per dimension and ``weights``
+    the flat weight vector over their product in C order
+    (``quadrature.grid_points``), of total mass 1.  Boxes, Gaussians and
+    products are Gauss-Legendre grids with ``level`` nodes per axis.  Atoms
+    and mixtures are scattered, so their nodes are binned onto the grid of
+    each coordinate's distinct values (``quadrature.binned_rule``); atomic
+    measures ignore ``level``.
     """
 
     dim: int
@@ -120,8 +129,8 @@ class PointMassMixture(BaseMeasure):
     def negate(self) -> "PointMassMixture":
         return PointMassMixture(list(zip(-self.locations, self.weights)))
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.locations, self.weights
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        return binned_rule(self.locations, self.weights)
 
     def marginal(self, coords) -> "PointMassMixture":
         coords = list(coords)
@@ -174,10 +183,10 @@ class UniformBox(BaseMeasure):
     def negate(self) -> "UniformBox":
         return UniformBox(-self.upper, -self.lower)
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        points, weights = tensor_rule(self.lower, self.upper, level)
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        axes, weights = tensor_rule(self.lower, self.upper, level)
         volume = float(np.prod(self.upper - self.lower))
-        return points, weights / volume
+        return axes, weights / volume
 
     def marginal(self, coords) -> "UniformBox":
         coords = list(coords)
@@ -236,25 +245,29 @@ class Gaussian(BaseMeasure):
     def negate(self) -> "Gaussian":
         return Gaussian(-self.mean, self.covariance)
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         if self._is_degenerate:
             raise UnsupportedMeasureError(
                 "quadrature nodes need a positive definite Gaussian covariance"
             )
         sigma = np.sqrt(np.diag(self.covariance))
-        points, weights = tensor_rule(
+        axes, weights = tensor_rule(
             self.mean - GAUSSIAN_BOX_SIGMAS * sigma,
             self.mean + GAUSSIAN_BOX_SIGMAS * sigma,
             level,
         )
         # the normal density in scipy.stats.multivariate_normal's order of
         # operations: -(d log 2 pi + log det + |(x - mean) W|^2) / 2 with
-        # whitening W = eigvecs / sqrt(eigvals)
+        # whitening W = eigvecs / sqrt(eigvals), in place where it can be
+        centred = grid_points(axes)
+        centred -= self.mean
         whiten = self._eigvecs * np.sqrt(1.0 / self._eigvals)
-        maha = np.sum(np.square((points - self.mean) @ whiten), axis=-1)
+        white = centred @ whiten
+        maha = np.sum(np.square(white, out=white), axis=-1)
         log_det = np.sum(np.log(self._eigvals))
-        density = np.exp(-0.5 * (self.dim * math.log(2.0 * math.pi) + log_det + maha))
-        return points, weights * density
+        density = np.add(self.dim * math.log(2.0 * math.pi) + log_det, maha, out=maha)
+        np.exp(np.multiply(-0.5, density, out=density), out=density)
+        return axes, np.multiply(weights, density, out=density)
 
     def marginal(self, coords) -> "Gaussian":
         coords = list(coords)
@@ -300,14 +313,12 @@ class Product(BaseMeasure):
     def negate(self) -> "Product":
         return Product([f.negate() for f in self.factors])
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         parts = [f.quad_nodes(level) for f in self.factors]
-        grids = np.meshgrid(*[p[0][:, 0] for p in parts], indexing="ij")
-        points = np.stack([g.reshape(-1) for g in grids], axis=-1)
         weights = parts[0][1]
         for _, w in parts[1:]:
             weights = np.multiply.outer(weights, w)
-        return points, weights.reshape(-1)
+        return tuple(axes[0] for axes, _ in parts), weights.reshape(-1)
 
     def marginal(self, coords) -> BaseMeasure:
         coords = list(coords)
@@ -356,13 +367,13 @@ class Mixture(BaseMeasure):
     def negate(self) -> "Mixture":
         return Mixture([(c.negate(), w) for c, w in zip(self.components, self.weights)])
 
-    def quad_nodes(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         points, weights = [], []
         for comp, w in zip(self.components, self.weights):
-            p, q = comp.quad_nodes(level)
-            points.append(p)
+            axes, q = comp.quad_nodes(level)
+            points.append(grid_points(axes))
             weights.append(w * q)
-        return np.concatenate(points), np.concatenate(weights)
+        return binned_rule(np.concatenate(points), np.concatenate(weights))
 
     def marginal(self, coords) -> "Mixture":
         return Mixture([(c.marginal(coords), w) for c, w in zip(self.components, self.weights)])

@@ -9,6 +9,12 @@ mu_n: the static and contracted sequences here, the mean-field sequence in
 the independent brute-force enumeration oracle, the pair correlation and
 the seeded block-parallel Monte Carlo sampler each have one path that
 asks mu_n only for quadrature nodes, marginals and samples.
+
+Quadrature nodes come as a tensor grid ``(axes, weights)``: one array of
+node coordinates per group and the weights over their product.  The exact
+routes apply the bias map to each axis alone, build one table per axis
+value and contract the reshaped weights with them, so a ``level^M`` grid
+costs ``M * level`` bias-map values and table rows.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .measures import (
     UniformBox,
     apply_bias_map,
 )
-from .quadrature import refine_until_stable
+from .quadrature import binned_rule, refine_until_stable
 
 LATTICE_GUARD = 10**7
 BRUTE_FORCE_MAX_N = 20
@@ -160,8 +166,11 @@ class DeFinettiModel(_Immutable):
     """A complete voting model: groups, mixing sequence, and bias map.
 
     The sequence checks that it fits the groups and the bias map, and
-    builds mu_n: anything with ``dim``, ``quad_nodes(level)`` (weights of
-    total mass 1), ``marginal(coords)`` and ``sample(rng, count)``.
+    builds mu_n: anything with ``dim``, ``quad_nodes(level)``,
+    ``marginal(coords)`` and ``sample(rng, count)``.  ``quad_nodes`` returns
+    a tensor grid ``(axes, weights)``: ``dim`` 1-D arrays of node
+    coordinates, and the weights of total mass 1 over their product in C
+    order, as ``measures.BaseMeasure`` describes.
 
     The model is immutable, so it memoizes mu_n for one population, the
     last one asked: the exact law, its per-group laws, the 2^n oracle and
@@ -283,43 +292,50 @@ def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     return np.clip(_binom_pmf(k, n_g, p[:, None]), 0.0, 1.0)
 
 
-#: most elements one exact-layer contraction may hold at once: its dense
-#: weight array, a partial contraction or a group's table.  Larger node sets
-#: are halved until each part fits; a single node always proceeds.
+#: most elements one exact-layer contraction may hold at once: a partial
+#: contraction, a group's table, or the weight grid of a set of atoms.  Larger
+#: grids are halved along their first axis longer than one until each part
+#: fits; a single node always proceeds.
 MIX_BUDGET = 2_000_000
 
 
-def _mix(table, sizes, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_q weights[q] * prod_g table(n_g, p[q, g])[j_g], an array over (j_1, ..., j_M).
+def _mix(table, sizes, p, weights: np.ndarray) -> np.ndarray:
+    """sum over grid nodes of weight * prod_g table(n_g, p_g)[j_g], over (j_1, ..., j_M).
 
-    Nodes that share every coordinate have equal table products, so their
-    weights are binned first into a dense array over the distinct values of
-    each coordinate (with M = 1 each node is its own cell).  That array is
-    contracted with one table per group, built once per distinct value.
-    Against the per-node sum only the summation order changes.
+    ``p`` holds the success probabilities of each group's axis and
+    ``weights`` the grid's weights in C order (or already shaped to the
+    grid).  The weight array is contracted with one table per group, built
+    once per axis value; against the per-node sum only the summation order
+    changes.
     """
     rows = [s + 1 for s in sizes]
-    many = len(sizes) > 1
-    cells = [np.unique(c, return_inverse=True) if many else (c, None) for c in p.T]
-    dims = [len(values) for values, _ in cells]
+    dims = [len(axis) for axis in p]
+    dense = np.reshape(weights, dims)
     arrays = [math.prod(dims[: g + 1] + rows[g + 1 :]) for g in range(len(dims))]
-    if len(weights) > 1 and max(arrays + [k * r for k, r in zip(dims, rows)]) > MIX_BUDGET:
-        h = len(weights) // 2
-        return _mix(table, sizes, p[:h], weights[:h]) + _mix(table, sizes, p[h:], weights[h:])
-    dense = weights
-    if many:
-        index = np.ravel_multi_index([inverse for _, inverse in cells], dims)
-        dense = np.bincount(index, weights=weights, minlength=math.prod(dims)).reshape(dims)
+    if dense.size > 1 and max(arrays + [k * r for k, r in zip(dims, rows)]) > MIX_BUDGET:
+        a = next(g for g, k in enumerate(dims) if k > 1)
+        lo, hi = slice(None, dims[a] // 2), slice(dims[a] // 2, None)
+
+        def half(part):
+            axes = list(p)
+            axes[a] = p[a][part]
+            return _mix(table, sizes, axes, dense[(slice(None),) * a + (part,)])
+
+        return half(lo) + half(hi)
     for g in reversed(range(len(sizes))):
-        # the last cell axis contracts without a copy; count axes come out reversed
-        dense = np.tensordot(dense, table(sizes[g], cells[g][0]), axes=(g, 0))
+        # the last grid axis contracts without a copy; count axes come out reversed
+        dense = np.tensordot(dense, table(sizes[g], p[g]), axes=(g, 0))
     return np.ascontiguousarray(dense.transpose())
 
 
-def _pmf_from_nodes(points, weights, sizes, bmap) -> np.ndarray:
-    """Mix conditional binomial laws over weighted bias nodes."""
-    p = 0.5 * (1.0 + apply_bias_map(bmap, points))
-    return _mix(_binom_table, sizes, p, np.asarray(weights, dtype=float))
+def _probabilities(bmap, axes) -> list[np.ndarray]:
+    """Each group's success probability (1 + bias map) / 2 on its own grid axis."""
+    return [0.5 * (1.0 + apply_bias_map(bmap, axis)) for axis in axes]
+
+
+def _pmf_from_nodes(axes, weights, sizes, bmap) -> np.ndarray:
+    """Mix conditional binomial laws over a weighted grid of bias nodes."""
+    return _mix(_binom_table, sizes, _probabilities(bmap, axes), np.asarray(weights, dtype=float))
 
 
 def conditional_margin_pmf(m, groups: GroupStructure, n: int) -> MarginPmf:
@@ -335,8 +351,8 @@ def conditional_margin_pmf(m, groups: GroupStructure, n: int) -> MarginPmf:
         raise ConfigError("conditional bias must lie in [-1, 1] per component")
     sizes = groups.sizes(n)
     _guard_lattice(sizes)
-    # CLAMP is the identity on the [-1, 1] checked above
-    probs = _pmf_from_nodes(m[None, :], np.array([1.0]), sizes, CLAMP)
+    # a one-node grid; CLAMP is the identity on the [-1, 1] checked above
+    probs = _pmf_from_nodes(tuple(m[:, None]), np.array([1.0]), sizes, CLAMP)
     return MarginPmf(sizes, probs)
 
 
@@ -368,11 +384,29 @@ def _factorizes(measure: BaseMeasure) -> bool:
 
 
 def _integrate(measure, integrand) -> np.ndarray:
-    """``integrand(points, weights)`` on mu's nodes: summed once if atomic, else refined."""
+    """``integrand(axes, weights)`` on mu's node grid: summed once if atomic, else refined.
+
+    ``integrand`` must be linear in the weights: a set of atoms whose grid
+    would exceed ``MIX_BUDGET`` cells is halved until each part's grid fits,
+    and the parts' values are added.
+    """
+    if isinstance(measure, PointMassMixture):
+        return _atom_sum(measure.locations, measure.weights, integrand)
     if _is_atomic(measure):
         return integrand(*measure.quad_nodes(0))
     values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)))
     return values
+
+
+def _atom_sum(points: np.ndarray, weights: np.ndarray, integrand) -> np.ndarray:
+    """``integrand`` on the grid of the atoms, or the sum over halves whose grids fit."""
+    k, m = points.shape
+    # k atoms have at most k**m cells, so few atoms skip counting them
+    if k > 1 and k**m > MIX_BUDGET and math.prod(len(np.unique(c)) for c in points.T) > MIX_BUDGET:
+        h = k // 2
+        left = _atom_sum(points[:h], weights[:h], integrand)
+        return left + _atom_sum(points[h:], weights[h:], integrand)
+    return integrand(*binned_rule(points, weights))
 
 
 def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
@@ -412,8 +446,8 @@ def group_margin_pmf(model: DeFinettiModel, n: int, g: int) -> MarginPmf:
 def _mixed_law(model: DeFinettiModel, measure, sizes) -> np.ndarray:
     """The conditional binomial law on the ``sizes`` lattice mixed over ``measure``."""
 
-    def integrand(points, weights):
-        return _pmf_from_nodes(points, weights, sizes, model.bias_map)
+    def integrand(axes, weights):
+        return _pmf_from_nodes(axes, weights, sizes, model.bias_map)
 
     return _integrate(measure, integrand)
 
@@ -459,20 +493,19 @@ def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     group's +1 count.  The tables are multiplied across groups and summed
     with the node weights.  No binomial coefficients enter.
 
-    Nodes that share every coordinate share every table, so their weights
-    are binned first into a dense array over each group's distinct values
-    of p_g, and that array is contracted with one table per group (the
-    step the binomial route uses too).  Only repeats are skipped: every
-    table still comes from all 2^{n_g} vote-vector products, so the oracle
-    stays independent of the binomial route.  Intended to cross-check
-    exact_margin_pmf on small instances.
+    Nodes on mu_n's grid share their tables along each axis, so one table
+    is enumerated per axis value of p_g and the grid's weights are
+    contracted with them (the step the binomial route uses too).  Only
+    repeats are skipped: every table still comes from all 2^{n_g}
+    vote-vector products, so the oracle stays independent of the binomial
+    route.  Intended to cross-check exact_margin_pmf on small instances.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")
     sizes = model.groups.sizes(n)
 
-    def accumulate(points, weights) -> np.ndarray:
-        p = 0.5 * (1.0 + apply_bias_map(model.bias_map, points))
+    def accumulate(axes, weights) -> np.ndarray:
+        p = _probabilities(model.bias_map, axes)
         return _mix(_enumerated_count_table, sizes, p, np.asarray(weights, dtype=float))
 
     return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate))
@@ -686,8 +719,9 @@ def pair_correlation(model: DeFinettiModel, n: int) -> np.ndarray:
     """
     measure = model.mixing_measure(n)
 
-    def second_moment(points, weights) -> np.ndarray:
-        m_bar = apply_bias_map(model.bias_map, points)
+    def second_moment(axes, weights) -> np.ndarray:
+        # a (K, 1) column, so the product is a (1,) array
+        m_bar = apply_bias_map(model.bias_map, axes[0][:, None])
         return np.asarray(weights) @ (m_bar**2)
 
     return np.concatenate(

@@ -5,11 +5,17 @@ and exponentials of smooth functions) on compact boxes, so plain
 Gauss-Legendre with doubled node counts converges geometrically.  The
 adaptive driver compares two consecutive refinement levels and accepts
 once the change drops below the requested tolerance.
+
+A rule is a tensor grid ``(axes, weights)``: one 1-D array of nodes per
+coordinate and the flat weights over their product in C order.  Points
+are built (``grid_points``) only where a density is evaluated on them;
+scattered nodes are binned onto a grid (``binned_rule``).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -20,9 +26,10 @@ DEFAULT_START = 64
 DEFAULT_CAP = 4096
 DEFAULT_TOL = 1e-12
 
-#: most nodes one tensor rule may have: level**dim above this raises
+#: most nodes one tensor rule or binned grid may have: more raises
 #: ResourceError before any allocation (64**4 nodes in 4-D would need 512 MiB
-#: of points alone).  Every rule the package needs in practice stays below it.
+#: of points where a density is evaluated).  Every rule the package needs in
+#: practice stays below it.
 NODE_GUARD = 2**22
 
 
@@ -42,12 +49,13 @@ def interval_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), w * half
 
 
-def tensor_rule(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre rule on a box.
+def tensor_rule(lower, upper, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Tensor-product Gauss-Legendre rule on a box, as ``(axes, weights)``.
 
-    Returns points of shape (n**d, d) and the matching weight vector, so
-    that sum(w * f(points)) approximates the integral of f over the box.
-    Raises ResourceError when n**d exceeds ``NODE_GUARD``.
+    ``axes`` holds the n nodes of each of the d coordinates and ``weights``
+    the n**d node weights in the C order of their product (``grid_points``),
+    so that sum(w * f(grid_points(axes))) approximates the integral of f
+    over the box.  Raises ResourceError when n**d exceeds ``NODE_GUARD``.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -57,11 +65,41 @@ def tensor_rule(lower, upper, n: int) -> tuple[np.ndarray, np.ndarray]:
             f"tensor rule with {n} nodes in each of {dim} dimensions exceeds "
             f"the budget of {NODE_GUARD} nodes"
         )
-    axes = [interval_rule(lower[k], upper[k], n) for k in range(dim)]
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    weights = functools.reduce(np.multiply.outer, [ax[1] for ax in axes]).reshape(-1)
-    return points, weights
+    rules = [interval_rule(lower[k], upper[k], n) for k in range(dim)]
+    weights = functools.reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
+    return tuple(x for x, _ in rules), weights
+
+
+def grid_points(axes) -> np.ndarray:
+    """The (prod len(axes), d) points of a tensor grid, in C order over the axes."""
+    d = len(axes)
+    points = np.empty(tuple(len(a) for a in axes) + (d,))
+    for k, axis in enumerate(axes):
+        points[..., k] = axis.reshape([-1 if j == k else 1 for j in range(d)])
+    return points.reshape(-1, d)
+
+
+def binned_rule(points: np.ndarray, weights: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Scattered weighted nodes in the ``(axes, weights)`` form of a tensor grid.
+
+    Each axis holds the sorted distinct values of one coordinate, and the
+    weights of nodes that share every coordinate are summed into their
+    cell; cells that no node hits weigh 0.  One coordinate is kept as given,
+    in node order, repeats included.  Raises ResourceError when the grid
+    would exceed ``NODE_GUARD`` cells.
+    """
+    if points.shape[1] == 1:
+        return (points[:, 0],), weights
+    cells = [np.unique(c, return_inverse=True) for c in points.T]
+    dims = [len(values) for values, _ in cells]
+    if math.prod(dims) > NODE_GUARD:
+        raise ResourceError(
+            f"{len(weights)} scattered nodes span a grid of {math.prod(dims)} cells, "
+            f"above the budget of {NODE_GUARD} nodes"
+        )
+    index = np.ravel_multi_index([inverse for _, inverse in cells], dims)
+    dense = np.bincount(index, weights=weights, minlength=math.prod(dims))
+    return tuple(values for values, _ in cells), dense
 
 
 def refine_until_stable(

@@ -221,6 +221,50 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     assert not (out / "margins.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "name, flag, value, message",
+    [
+        ("fast_clt", "--workers", "0", "workers must be at least 1"),
+        ("llt_baseline", "--workers", "0", "workers must be at least 1"),
+        ("fast_clt", "--seed", "-1", "seed must be a nonnegative integer"),
+    ],
+)
+def test_a_failing_override_names_its_flag(tmp_path, capsys, name, flag, value, message):
+    # fast_clt gives its own valid workers and seed, llt_baseline no workers key
+    doc = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    assert ("workers" in doc) == (name == "fast_clt")
+    out = tmp_path / "o"
+    argv = [doc["experiment"], "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]
+    assert main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, below
+):
+    monkeypatch.setattr(cli, "sample_margins", lambda *args, **kwargs: pytest.fail("sampled"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "run" if below else blocker
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc(), sort_keys=False))
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot create the output directory {str(out)!r}")
+    assert "Traceback" not in err and err.count("\n") == 1
+    # the same path given in the config names its line
+    text = yaml.safe_dump(small_clt_doc(out=str(out)), sort_keys=False)
+    cfg.write_text(text)
+    assert main(["verify-clt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    line = _line_of(text, "out:")
+    assert err.startswith(f"error: line {line}: out: cannot create the output directory")
+    assert blocker.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_a_non_finite_number_exits_2_at_its_line(tmp_path, capsys, value):
     # an infinite coefficient would reach Generator.binomial as p = nan

@@ -25,7 +25,7 @@ from votelim import (
 )
 from votelim.cwm import CompactMixingDensity
 from votelim.models import SAMPLE_BLOCK
-from votelim.quadrature import tensor_rule
+from votelim.quadrature import grid_points, tensor_rule
 from conftest import GROUPS_1, GROUPS_2, multinomial_tv_quantile, sample_tv
 
 BETA_HALF = CouplingSpec.single_group(0.5)
@@ -249,8 +249,8 @@ def test_compact_density_integrates_to_one():
     # a tensor Gauss-Legendre rule on the compact variable against the
     # normalizer, which is integrated in the latent variable
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    points, weights = tensor_rule([-1.0], [1.0], 512)
-    mass = float(weights @ np.exp(compact.log_density_unnormalized(points)))
+    axes, weights = tensor_rule([-1.0], [1.0], 512)
+    mass = float(weights @ np.exp(compact.log_density_unnormalized(grid_points(axes))))
     assert mass / compact.surface.normalizer() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -264,7 +264,8 @@ def test_compact_density_zero_on_boundary_and_even():
 
 def test_compact_transformed_mean_is_zero():
     compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    points, weights = tensor_rule([-1.0], [1.0], 256)
+    axes, weights = tensor_rule([-1.0], [1.0], 256)
+    points = grid_points(axes)
     dens = np.exp(compact.log_density_unnormalized(points))
     mean = float(weights @ (points[:, 0] * dens)) / compact.surface.normalizer()
     assert mean == pytest.approx(0.0, abs=1e-12)
@@ -278,8 +279,8 @@ def test_change_of_variables_box_masses_agree():
     surface = compact.surface
     for a in (0.2, 0.5, 0.8):
         x = math.atanh(a)
-        points, weights = tensor_rule([-x], [x], 512)
-        latent_mass = float(weights @ surface.density(points)) / surface.normalizer()
+        axes, weights = tensor_rule([-x], [x], 512)
+        latent_mass = float(weights @ surface.density(grid_points(axes))) / surface.normalizer()
         assert compact.mass_outside_symmetric_box(a) == pytest.approx(1.0 - latent_mass, abs=1e-10)
 
 

@@ -21,7 +21,7 @@ from votelim import (
     apply_bias_map,
 )
 from votelim.measures import GAUSSIAN_BOX_SIGMAS
-from votelim.quadrature import tensor_rule
+from votelim.quadrature import grid_points, tensor_rule
 from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measures_1d
 
 
@@ -146,12 +146,13 @@ def test_gaussian_quad_nodes_weight_the_normal_density(mean, cov):
     from scipy.stats import multivariate_normal
 
     g = Gaussian(mean, cov)
-    points, weights = g.quad_nodes(64)
+    axes, weights = g.quad_nodes(64)
     sigma = np.sqrt(np.diag(g.covariance))
-    box_points, box_weights = tensor_rule(
+    box_axes, box_weights = tensor_rule(
         g.mean - GAUSSIAN_BOX_SIGMAS * sigma, g.mean + GAUSSIAN_BOX_SIGMAS * sigma, 64
     )
-    assert np.array_equal(points, box_points)
+    assert all(map(np.array_equal, axes, box_axes)) and len(axes) == len(box_axes)
+    points = grid_points(axes)
     expected = box_weights * multivariate_normal(mean=mean, cov=cov).pdf(points)
     assert np.max(np.abs(weights / expected - 1.0)) <= 1e-14
 

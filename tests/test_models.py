@@ -46,7 +46,8 @@ from votelim import models
 from votelim.config import load_config
 from votelim.measures import apply_bias_map
 from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample
-from votelim.quadrature import refine_until_stable
+from votelim.cwm import FreeEnergySurface, MeanFieldMixing
+from votelim.quadrature import binned_rule, grid_points, refine_until_stable
 from conftest import (
     GAUSS_1,
     GROUPS_1,
@@ -774,9 +775,9 @@ def _route_dims(monkeypatch, model, n):
     dims = []
     real = models._pmf_from_nodes
 
-    def spy(points, weights, sizes, bmap):
+    def spy(axes, weights, sizes, bmap):
         dims.append(len(sizes))
-        return real(points, weights, sizes, bmap)
+        return real(axes, weights, sizes, bmap)
 
     monkeypatch.setattr(models, "_pmf_from_nodes", spy)
     pmf = exact_margin_pmf(model, n)
@@ -840,8 +841,8 @@ def test_dependent_measures_keep_the_joint_route(monkeypatch, base, bias):
 def _literal_enumeration(model, n):
     """Sum the probability of each of the 2^n vote vectors, one at a time."""
     sizes = model.groups.sizes(n)
-    points, weights = model.mixing_measure(n).quad_nodes(0)
-    p = 0.5 * (1.0 + model.bias_map(points))
+    axes, weights = model.mixing_measure(n).quad_nodes(0)
+    p = 0.5 * (1.0 + model.bias_map(grid_points(axes)))
     group_of = np.repeat(np.arange(len(sizes)), sizes)
     probs = np.zeros(tuple(s + 1 for s in sizes))
     for votes in itertools.product((0, 1), repeat=n):
@@ -966,13 +967,32 @@ _REPEATED_ATOMS = PointMassMixture(
 )
 
 MIX_CASES = {
-    "grid-m1": (UniformBox([-1.0], [1.0]), 16, (9,)),
-    "grid-m2": (UniformBox([-1.0, -0.5], [1.0, 0.5]), 8, (5, 7)),
-    "grid-m3": (UniformBox([-1.0] * 3, [1.0] * 3), 6, (3, 4, 5)),
+    "grid-m1": (UniformBox([-1.0], [1.0]), CLAMP, 16, (9,)),
+    "grid-m2": (UniformBox([-1.0, -0.5], [1.0, 0.5]), CLAMP, 8, (5, 7)),
+    "grid-m3": (UniformBox([-1.0] * 3, [1.0] * 3), CLAMP, 6, (3, 4, 5)),
+    "gaussian-correlated-m2": (Gaussian([0.1, -0.2], [[1.0, 0.6], [0.6, 2.0]]), TANH, 8, (5, 7)),
+    "product-m3": (
+        Product([UniformBox([-1.0], [1.0]), Gaussian([0.0], [[0.25]]), UniformBox([-0.5], [0.5])]),
+        TANH,
+        6,
+        (3, 4, 5),
+    ),
+    "two-boxes-m2": (
+        Mixture([(UniformBox([-1.0] * 2, [1.0] * 2), 0.5), (UniformBox([-0.5] * 2, [0.5] * 2), 0.5)]),
+        CLAMP,
+        8,
+        (4, 6),
+    ),
+    "mean-field-m2": (
+        MeanFieldMixing(FreeEnergySurface(CouplingSpec([[0.5, 0.2], [0.2, 0.4]]), GROUPS_2, 10)),
+        TANH,
+        9,  # an odd rule has a node at the mode; 8 nodes miss the peak the surface checks
+        (5, 5),
+    ),
     # repeated coordinates, and clamped coordinates at p = 0 and p = 1
-    "repeated-atoms-m2": (_REPEATED_ATOMS, 0, (6, 4)),
+    "repeated-atoms-m2": (_REPEATED_ATOMS, CLAMP, 0, (6, 4)),
     "atoms-and-box-m2": (
-        Mixture([(_REPEATED_ATOMS, 0.4), (UniformBox([-1.0] * 2, [1.0] * 2), 0.6)]), 8, (4, 6)
+        Mixture([(_REPEATED_ATOMS, 0.4), (UniformBox([-1.0] * 2, [1.0] * 2), 0.6)]), CLAMP, 8, (4, 6)
     ),
 }
 
@@ -980,11 +1000,15 @@ MIX_CASES = {
 @pytest.mark.parametrize("budget", [models.MIX_BUDGET, 10], ids=["whole", "split"])
 @pytest.mark.parametrize("case", sorted(MIX_CASES))
 def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
-    """Binning the weights by distinct coordinates changes only the summation
-    order, so both tables must match the literal per-node sum to 1e-15."""
-    measure, level, sizes = MIX_CASES[case]
-    points, weights = measure.quad_nodes(level)
-    p = 0.5 * (1.0 + apply_bias_map(CLAMP, points))
+    """The grid contraction changes only the summation order against the
+    literal per-node sum, so both tables must match it to 1e-15.  It must
+    match bit for bit the explicit-point path: the bias map on every node's
+    point, binned back onto a grid by its distinct coordinates."""
+    measure, bmap, level, sizes = MIX_CASES[case]
+    axes, weights = measure.quad_nodes(level)
+    points = grid_points(axes)
+    assert points.shape == (len(weights), len(sizes))
+    p = 0.5 * (1.0 + apply_bias_map(bmap, points))
     if "atoms" in case:
         assert np.any(p == 0.0) and np.any(p == 1.0)
         assert all(len(np.unique(p[:, g])) < len(p) for g in range(p.shape[1]))
@@ -993,9 +1017,12 @@ def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     real_mix = models._mix
     monkeypatch.setattr(models, "_mix", lambda *args: calls.append(1) or real_mix(*args))
     for table in (models._binom_table, models._enumerated_count_table):
-        got = models._mix(table, sizes, p, weights)
+        got = models._mix(table, sizes, models._probabilities(bmap, axes), weights)
         assert np.max(np.abs(got - _per_node_mix(table, sizes, p, weights))) < 1e-15
-    assert (len(calls) > 2) == (budget == 10)
+        p_axes, binned = binned_rule(p, weights)
+        assert np.array_equal(got, models._mix(table, sizes, list(p_axes), binned))
+    # four top-level calls; any more are the halves of a split
+    assert (len(calls) > 4) == (budget == 10)
 
 
 def test_scattered_atoms_are_split_to_fit_the_memory_budget():
@@ -1024,8 +1051,8 @@ def test_pair_correlation_of_correlated_gaussian_matches_joint_route():
     measure = model.mixing_measure(n)
 
     def joint(level):
-        points, weights = measure.quad_nodes(level)
-        return weights @ np.tanh(points) ** 2
+        axes, weights = measure.quad_nodes(level)
+        return weights @ np.tanh(grid_points(axes)) ** 2
 
     reference, _ = refine_until_stable(joint)
     got = pair_correlation(model, n)

@@ -6,6 +6,8 @@ from votelim.quadrature import (
     DEFAULT_CAP,
     DEFAULT_START,
     NODE_GUARD,
+    binned_rule,
+    grid_points,
     refine_until_stable,
     tensor_rule,
 )
@@ -13,10 +15,26 @@ from votelim.quadrature import (
 
 def test_tensor_rule_refuses_rules_above_the_node_budget():
     assert 256**2 <= NODE_GUARD < 64**4
-    points, weights = tensor_rule([-1.0, -1.0], [1.0, 1.0], 256)
-    assert points.shape == (256**2, 2) and weights.sum() == pytest.approx(4.0)
+    axes, weights = tensor_rule([-1.0, -1.0], [1.0, 1.0], 256)
+    assert grid_points(axes).shape == (256**2, 2) and weights.sum() == pytest.approx(4.0)
     with pytest.raises(ResourceError, match="budget"):
         tensor_rule(-np.ones(4), np.ones(4), 64)
+
+
+def test_binned_rule_sums_repeated_nodes_onto_a_grid():
+    points = np.array([[0.5, 1.0], [-0.5, 1.0], [0.5, 1.0]])
+    weights = np.array([0.25, 0.25, 0.5])
+    axes, binned = binned_rule(points, weights)
+    assert [a.tolist() for a in axes] == [[-0.5, 0.5], [1.0]]
+    assert binned.tolist() == [0.25, 0.75]
+    # one coordinate keeps its nodes in order, repeats included
+    axes, binned = binned_rule(points[:, :1], weights)
+    assert axes[0].tolist() == [0.5, -0.5, 0.5] and binned.tolist() == weights.tolist()
+    k = 2100
+    assert k * k > NODE_GUARD
+    diagonal = np.repeat(np.arange(k, dtype=float)[:, None], 2, axis=1)
+    with pytest.raises(ResourceError, match="budget"):
+        binned_rule(diagonal, np.full(k, 1.0 / k))
 
 
 def test_relative_tolerance_accepts_tiny_stable_values():

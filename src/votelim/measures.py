@@ -80,7 +80,9 @@ class BaseMeasure:
     products are Gauss-Legendre grids with ``level`` nodes per axis.  Atoms
     and mixtures are scattered, so their nodes are binned onto the grid of
     each coordinate's distinct values (``quadrature.binned_rule``); atomic
-    measures ignore ``level``.
+    measures ignore ``level``.  The integration routines
+    (``models._integrate``) never build a mixture's joint grid: they add its
+    components' integrals, and bin a large set of atoms in parts.
     """
 
     dim: int
@@ -368,6 +370,8 @@ class Mixture(BaseMeasure):
         return Mixture([(c.negate(), w) for c, w in zip(self.components, self.weights)])
 
     def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        # the joint grid spans every component's axis values; the
+        # integration routines add the components' integrals instead
         points, weights = [], []
         for comp, w in zip(self.components, self.weights):
             axes, q = comp.quad_nodes(level)

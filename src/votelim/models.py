@@ -384,42 +384,82 @@ def _factorizes(measure: BaseMeasure) -> bool:
 
 
 def _integrate(measure, integrand) -> np.ndarray:
-    """``integrand(axes, weights)`` on mu's node grid: summed once if atomic, else refined.
+    """``integrand(axes, weights)`` over mu's nodes; it must be linear in the weights.
 
-    ``integrand`` must be linear in the weights: a set of atoms whose grid
-    would exceed ``MIX_BUDGET`` cells is halved until each part's grid fits,
-    and the parts' values are added.
+    An atomic measure is summed once (``_atom_sum``), a continuous one
+    refined on its tensor grid until stable, and a mixture integrated
+    component by component (``_mixture_integral``).
     """
-    if isinstance(measure, PointMassMixture):
-        return _atom_sum(measure.locations, measure.weights, integrand)
+    if isinstance(measure, Mixture):
+        return _mixture_integral(measure, integrand)
     if _is_atomic(measure):
-        return integrand(*measure.quad_nodes(0))
+        return _atom_sum(measure, integrand)
     values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)))
     return values
 
 
-def _atom_sum(points: np.ndarray, weights: np.ndarray, integrand) -> np.ndarray:
-    """``integrand`` on the grid of the atoms, or the sum over halves whose grids fit."""
-    k, m = points.shape
-    # k atoms have at most k**m cells, so few atoms skip counting them
-    if k > 1 and k**m > MIX_BUDGET and math.prod(len(np.unique(c)) for c in points.T) > MIX_BUDGET:
-        h = k // 2
-        left = _atom_sum(points[:h], weights[:h], integrand)
-        return left + _atom_sum(points[h:], weights[h:], integrand)
-    return integrand(*binned_rule(points, weights))
+def _mixture_integral(mixture: Mixture, integrand) -> np.ndarray:
+    """The weighted sum of a mixture's component integrals.
+
+    No two components' nodes share a grid.  Nested mixtures are flattened;
+    atomic components are summed once, and the continuous ones refined
+    together until their weighted sum is stable, as one measure would be.
+    """
+
+    def parts(m, weight):
+        for c, w in zip(m.components, m.weights):
+            if isinstance(c, Mixture):
+                yield from parts(c, weight * w)
+            else:
+                yield c, weight * w
+
+    flat = list(parts(mixture, 1.0))
+    fixed = sum(w * _atom_sum(c, integrand) for c, w in flat if _is_atomic(c))
+    smooth = [(c, w) for c, w in flat if not _is_atomic(c)]
+    if not smooth:
+        return fixed
+
+    def evaluate(level: int) -> np.ndarray:
+        return fixed + sum(w * integrand(*c.quad_nodes(level)) for c, w in smooth)
+
+    values, _ = refine_until_stable(evaluate)
+    return values
+
+
+def _atom_sum(measure, integrand) -> np.ndarray:
+    """``integrand`` on an atomic measure's grid, summed once.
+
+    A product of atom sets is a grid already.  A set of atoms is binned onto
+    the grid of its coordinates' distinct values; while that grid would
+    exceed ``MIX_BUDGET`` cells the atoms are halved and the halves' values
+    added.
+    """
+    if not isinstance(measure, PointMassMixture):
+        return integrand(*measure.quad_nodes(0))
+
+    def halves(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        k, m = points.shape
+        # k atoms have at most k**m cells, so few atoms skip counting them
+        if k > 1 and k**m > MIX_BUDGET and math.prod(len(np.unique(c)) for c in points.T) > MIX_BUDGET:
+            h = k // 2
+            return halves(points[:h], weights[:h]) + halves(points[h:], weights[h:])
+        return integrand(*binned_rule(points, weights))
+
+    return halves(measure.locations, measure.weights)
 
 
 def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     """Exact margin law: the conditional binomial law mixed over mu_n.
 
-    Atomic mixing measures are summed exactly; continuous ones use
-    Gauss-Legendre nodes doubled until no pmf entry moves by more than
-    ``quadrature.DEFAULT_TOL``.  When mu_n has independent coordinates (a ``Product``, a
-    ``UniformBox`` or a diagonal ``Gaussian``), the bias map, which acts
-    componentwise, keeps them independent: the law is the outer product of
-    one 1-D mixed binomial law per group.  Any other measure, the mean-field
-    density among them, is integrated on its joint grid.  Guarded by the
-    lattice-size resource limit.
+    Atomic mixing measures are summed exactly, a ``Mixture`` component by
+    component; continuous ones use Gauss-Legendre nodes doubled until no
+    pmf entry moves by more than ``quadrature.DEFAULT_TOL``.  When mu_n has
+    independent coordinates (a ``Product``, a ``UniformBox`` or a diagonal
+    ``Gaussian``), the bias map, which acts componentwise, keeps them
+    independent: the law is the outer product of one 1-D mixed binomial law
+    per group.  Any other measure, the mean-field density among them, is
+    integrated on its joint grid.  Guarded by the lattice-size resource
+    limit.
     """
     sizes = model.groups.sizes(n)
     _guard_lattice(sizes)

@@ -961,6 +961,19 @@ def _per_node_mix(table, sizes, p, weights):
     return out
 
 
+def _raw_nodes(measure, level):
+    """Every node as its own point, repeats kept: the atoms as given, a grid
+    expanded, a mixture's components concatenated with their weights."""
+    if isinstance(measure, PointMassMixture):
+        return measure.locations, measure.weights
+    if isinstance(measure, Mixture):
+        parts = [_raw_nodes(c, level) for c in measure.components]
+        points = np.concatenate([q for q, _ in parts])
+        return points, np.concatenate([w * q for (_, q), w in zip(parts, measure.weights)])
+    axes, weights = measure.quad_nodes(level)
+    return grid_points(axes), weights
+
+
 _REPEATED_ATOMS = PointMassMixture(
     [([-0.5, 0.3], 0.1), ([0.5, -0.3], 0.1), ([-0.5, -2.0], 0.15), ([0.5, 2.0], 0.15),
      ([2.0, 0.3], 0.25), ([-2.0, -0.3], 0.25)]
@@ -1001,13 +1014,14 @@ MIX_CASES = {
 @pytest.mark.parametrize("case", sorted(MIX_CASES))
 def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     """The grid contraction changes only the summation order against the
-    literal per-node sum, so both tables must match it to 1e-15.  It must
-    match bit for bit the explicit-point path: the bias map on every node's
-    point, binned back onto a grid by its distinct coordinates."""
+    literal per-node sum over the raw nodes (every atom, repeats kept), so both
+    tables must match it to 1e-15.  It must match bit for bit the
+    explicit-point path: the bias map on every raw node's point, binned back
+    onto a grid by its distinct coordinates."""
     measure, bmap, level, sizes = MIX_CASES[case]
     axes, weights = measure.quad_nodes(level)
-    points = grid_points(axes)
-    assert points.shape == (len(weights), len(sizes))
+    assert grid_points(axes).shape == (len(weights), len(sizes))
+    points, point_weights = _raw_nodes(measure, level)
     p = 0.5 * (1.0 + apply_bias_map(bmap, points))
     if "atoms" in case:
         assert np.any(p == 0.0) and np.any(p == 1.0)
@@ -1018,8 +1032,8 @@ def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     monkeypatch.setattr(models, "_mix", lambda *args: calls.append(1) or real_mix(*args))
     for table in (models._binom_table, models._enumerated_count_table):
         got = models._mix(table, sizes, models._probabilities(bmap, axes), weights)
-        assert np.max(np.abs(got - _per_node_mix(table, sizes, p, weights))) < 1e-15
-        p_axes, binned = binned_rule(p, weights)
+        assert np.max(np.abs(got - _per_node_mix(table, sizes, p, point_weights))) < 1e-15
+        p_axes, binned = binned_rule(p, point_weights)
         assert np.array_equal(got, models._mix(table, sizes, list(p_axes), binned))
     # four top-level calls; any more are the halves of a split
     assert (len(calls) > 4) == (budget == 10)
@@ -1043,6 +1057,23 @@ def test_scattered_atoms_are_split_to_fit_the_memory_budget():
         tracemalloc.stop()
     assert exact.max_abs_diff(brute) < 1e-14
     assert peak < 64 * 2**20
+
+
+def test_a_mixture_of_two_boxes_in_m3_is_integrated_per_component():
+    """Two boxes with different nodes would span a 256^3 joint grid at
+    level 128, above the node budget; each component keeps its own 128^3
+    rule, so the exact law and the 2^n oracle agree, also with the mixture
+    nested in another beside a set of atoms."""
+    measure = Mixture(
+        [(UniformBox([-1.0] * 3, [1.0] * 3), 0.3), (UniformBox([-0.5, -0.8, -0.3], [0.5, 0.8, 0.3]), 0.7)]
+    )
+    atoms = PointMassMixture([([0.3, -0.2, 0.9], 0.5), ([-0.3, 0.2, -0.9], 0.5)])
+    for mu in (measure, Mixture([(measure, 0.6), (atoms, 0.4)])):
+        model = DeFinettiModel(GroupStructure(3, [1 / 3] * 3), StaticSequence(mu), CLAMP)
+        exact = exact_margin_pmf(model, 6)
+        brute = brute_force_pmf(model, 6)
+        assert abs(exact.probs.sum() - 1.0) < 1e-12
+        assert exact.max_abs_diff(brute) < 1e-13
 
 
 def test_pair_correlation_of_correlated_gaussian_matches_joint_route():

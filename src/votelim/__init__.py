@@ -13,29 +13,22 @@ from .errors import (
 from .measures import (
     CLAMP,
     TANH,
-    BaseMeasure,
-    ExplicitSchedule,
     Gaussian,
-    Mixture,
     PointMassMixture,
     PowerLawSchedule,
     Product,
     UniformBox,
-    apply_bias_map,
     bias_map,
 )
 from .models import (
     ContractedSequence,
     DeFinettiModel,
     GroupStructure,
-    MarginPmf,
     MarginSample,
     StaticSequence,
     brute_force_pmf,
-    conditional_margin_pmf,
     exact_margin_pmf,
     expected_abs_margin,
-    group_margin_pmf,
     pair_correlation,
     sample_margins,
 )
@@ -49,8 +42,6 @@ from .cwm import (
 )
 from .limits import LimitLaw, limit_for
 from .verify import (
-    AlphaEstimate,
-    VerificationReport,
     correlation_decay_report,
     ecf_distance,
     estimate_alpha,

@@ -274,15 +274,20 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig, out_dir=None) -> int:
     """Execute one experiment; writes artifacts and returns the exit code.
 
-    An output directory that cannot be made (a file has its name, or lies on
-    its path) is a ConfigError before any work; it names ``--out`` or the
-    config's ``out:`` line when the path came from there.
+    A manifest is written last and marks a complete run, so a previous
+    run's manifest is removed before any artifact is written: a run that
+    fails leaves none.  An output directory that cannot be made (a file has
+    its name, or lies on its path), or whose manifest cannot be removed, is
+    a ConfigError before any work; it names ``--out`` or the config's
+    ``out:`` line when the path came from there.
     """
     out_path = Path(out_dir or cfg.out or ".")
     try:
         out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
-        message = f"cannot create the output directory {str(out_path)!r}: {exc.strerror}"
+        action = "remove the manifest in" if out_path.is_dir() else "create"
+        message = f"cannot {action} the output directory {str(out_path)!r}: {exc.strerror}"
         if out_dir is None:
             cfg.error(message, "out")
         raise ConfigError(message) from None

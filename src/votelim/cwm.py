@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, QuadratureError, ResourceError
 from .measures import TANH, PointMassMixture
 from .models import DeFinettiModel, GroupStructure, MarginPmf, _integrate, exact_margin_pmf
-from .quadrature import binned_rule, grid_points, refine_until_stable, tensor_rule
+from .quadrature import grid_points, refine_until_stable, tensor_rule
 
 GIBBS_MAX_N = 20
 REPRESENTATION_MAX_N = 16
@@ -161,8 +161,8 @@ class MeanFieldMixing:
 
     Quadrature nodes are the surface's grid with weights divided by their
     sum, so every level is a probability measure.  A marginal keeps the
-    joint grid: on all coordinates in order it is that grid, else its
-    points are projected onto ``coords`` and binned like scattered nodes.
+    axes of ``coords`` and sums the weight grid over the other axes, so its
+    grid has ``level`` nodes per kept coordinate.
     """
 
     def __init__(self, surface: FreeEnergySurface, coords=None):
@@ -172,10 +172,10 @@ class MeanFieldMixing:
 
     def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         axes, weights = self.surface.quad_nodes(level)
-        weights = weights / weights.sum()
-        if self.coords == list(range(self.surface.m)):
-            return axes, weights
-        return binned_rule(grid_points(axes)[:, self.coords], weights)
+        dense = (weights / weights.sum()).reshape([len(axis) for axis in axes])
+        # sums over the axes not in coords; the kept ones come out in coords' order
+        marginal = np.einsum(dense, range(len(axes)), self.coords)
+        return tuple(axes[c] for c in self.coords), marginal.reshape(-1)
 
     def marginal(self, coords) -> "MeanFieldMixing":
         return MeanFieldMixing(self.surface, [self.coords[c] for c in coords])

@@ -80,9 +80,10 @@ class BaseMeasure:
     products are Gauss-Legendre grids with ``level`` nodes per axis.  Atoms
     and mixtures are scattered, so their nodes are binned onto the grid of
     each coordinate's distinct values (``quadrature.binned_rule``); atomic
-    measures ignore ``level``.  The integration routines
-    (``models._integrate``) never build a mixture's joint grid: they add its
-    components' integrals, and bin a large set of atoms in parts.
+    measures ignore ``level``.  The integration routines never build a
+    mixture's joint grid: one recursion, ``models._node_sum``, adds a
+    mixture's component sums, bins a large set of atoms in parts, and reads
+    any other measure's grid at the level asked.
     """
 
     dim: int

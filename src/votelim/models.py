@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ResourceError
 from .measures import (
-    CLAMP,
     BaseMeasure,
     Gaussian,
     Mixture,
@@ -267,10 +266,6 @@ class MarginPmf:
             raise DataError("margin laws live on different lattices")
         return float(np.max(np.abs(self.probs - other.probs)))
 
-    def group_marginal(self, g: int) -> np.ndarray:
-        axes = tuple(a for a in range(self.m) if a != g)
-        return self.probs.sum(axis=axes) if axes else self.probs
-
 
 def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     """Row q is the Binomial(n_g, p[q]) pmf over 0..n_g counts.
@@ -338,24 +333,6 @@ def _pmf_from_nodes(axes, weights, sizes, bmap) -> np.ndarray:
     return _mix(_binom_table, sizes, _probabilities(bmap, axes), np.asarray(weights, dtype=float))
 
 
-def conditional_margin_pmf(m, groups: GroupStructure, n: int) -> MarginPmf:
-    """Joint margin law under the conditional product measure at bias m.
-
-    ``m`` is the post-bias-map vector in [-1, 1]^M; per group the count of
-    +1 votes is Binomial(n_g, (1 + m_g)/2) and the margin is 2*count - n_g.
-    """
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if m.shape != (groups.m,):
-        raise ConfigError(f"bias vector must have length {groups.m}")
-    if np.any(np.abs(m) > 1.0):
-        raise ConfigError("conditional bias must lie in [-1, 1] per component")
-    sizes = groups.sizes(n)
-    _guard_lattice(sizes)
-    # a one-node grid; CLAMP is the identity on the [-1, 1] checked above
-    probs = _pmf_from_nodes(tuple(m[:, None]), np.array([1.0]), sizes, CLAMP)
-    return MarginPmf(sizes, probs)
-
-
 def _guard_lattice(sizes) -> None:
     if math.prod(s + 1 for s in sizes) > LATTICE_GUARD:
         raise ResourceError(
@@ -386,56 +363,29 @@ def _factorizes(measure: BaseMeasure) -> bool:
 def _integrate(measure, integrand) -> np.ndarray:
     """``integrand(axes, weights)`` over mu's nodes; it must be linear in the weights.
 
-    An atomic measure is summed once (``_atom_sum``), a continuous one
-    refined on its tensor grid until stable, and a mixture integrated
-    component by component (``_mixture_integral``).
+    An atomic measure is summed once, at any level; any other is refined
+    until stable (``refine_until_stable``).  Either way the sum is
+    ``_node_sum``'s, so a mixture's components never share a grid.
+    """
+    if _is_atomic(measure):
+        return _node_sum(measure, integrand, 0)
+    values, _ = refine_until_stable(lambda level: _node_sum(measure, integrand, level))
+    return values
+
+
+def _node_sum(measure, integrand, level: int) -> np.ndarray:
+    """``integrand`` over mu's nodes at ``level``, which atoms ignore.
+
+    A ``Mixture`` gives the weighted sum of its components' sums, nested
+    mixtures included.  A set of atoms is binned onto the grid of its
+    coordinates' distinct values; while that grid would exceed
+    ``MIX_BUDGET`` cells the atoms are halved and the halves' sums added.
+    Anything else is ``integrand`` on its own tensor grid.
     """
     if isinstance(measure, Mixture):
-        return _mixture_integral(measure, integrand)
-    if _is_atomic(measure):
-        return _atom_sum(measure, integrand)
-    values, _ = refine_until_stable(lambda level: integrand(*measure.quad_nodes(level)))
-    return values
-
-
-def _mixture_integral(mixture: Mixture, integrand) -> np.ndarray:
-    """The weighted sum of a mixture's component integrals.
-
-    No two components' nodes share a grid.  Nested mixtures are flattened;
-    atomic components are summed once, and the continuous ones refined
-    together until their weighted sum is stable, as one measure would be.
-    """
-
-    def parts(m, weight):
-        for c, w in zip(m.components, m.weights):
-            if isinstance(c, Mixture):
-                yield from parts(c, weight * w)
-            else:
-                yield c, weight * w
-
-    flat = list(parts(mixture, 1.0))
-    fixed = sum(w * _atom_sum(c, integrand) for c, w in flat if _is_atomic(c))
-    smooth = [(c, w) for c, w in flat if not _is_atomic(c)]
-    if not smooth:
-        return fixed
-
-    def evaluate(level: int) -> np.ndarray:
-        return fixed + sum(w * integrand(*c.quad_nodes(level)) for c, w in smooth)
-
-    values, _ = refine_until_stable(evaluate)
-    return values
-
-
-def _atom_sum(measure, integrand) -> np.ndarray:
-    """``integrand`` on an atomic measure's grid, summed once.
-
-    A product of atom sets is a grid already.  A set of atoms is binned onto
-    the grid of its coordinates' distinct values; while that grid would
-    exceed ``MIX_BUDGET`` cells the atoms are halved and the halves' values
-    added.
-    """
+        return sum(w * _node_sum(c, integrand, level) for c, w in zip(measure.components, measure.weights))
     if not isinstance(measure, PointMassMixture):
-        return integrand(*measure.quad_nodes(0))
+        return integrand(*measure.quad_nodes(level))
 
     def halves(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
         k, m = points.shape
@@ -451,9 +401,10 @@ def _atom_sum(measure, integrand) -> np.ndarray:
 def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     """Exact margin law: the conditional binomial law mixed over mu_n.
 
-    Atomic mixing measures are summed exactly, a ``Mixture`` component by
-    component; continuous ones use Gauss-Legendre nodes doubled until no
-    pmf entry moves by more than ``quadrature.DEFAULT_TOL``.  When mu_n has
+    One recursion (``_node_sum``) sums the mixed law over mu_n's nodes: a
+    ``Mixture`` adds its components' sums, atoms are summed exactly, and
+    Gauss-Legendre grids are doubled until no pmf entry moves by more than
+    ``quadrature.DEFAULT_TOL`` (``_integrate``).  When mu_n has
     independent coordinates (a ``Product``, a ``UniformBox`` or a diagonal
     ``Gaussian``), the bias map, which acts componentwise, keeps them
     independent: the law is the outer product of one 1-D mixed binomial law

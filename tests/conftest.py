@@ -10,12 +10,12 @@ from votelim import (
     DeFinettiModel,
     Gaussian,
     GroupStructure,
-    Mixture,
     PointMassMixture,
     PowerLawSchedule,
     StaticSequence,
     UniformBox,
 )
+from votelim.measures import Mixture
 
 GROUPS_1 = GroupStructure(1, [1.0])
 GROUPS_2 = GroupStructure(2, [0.5, 0.5])

@@ -699,6 +699,37 @@ def test_constant_group_margin_is_a_data_error_naming_the_group(tmp_path, capsys
     assert "cross-correlation-0-1" not in captured.out
 
 
+def test_a_rerun_that_fails_leaves_no_stale_manifest(tmp_path):
+    out = tmp_path / "o"
+    good = tmp_path / "good.yaml"
+    good.write_text(yaml.safe_dump(small_clt_doc()))
+    assert main(["verify-clt", "--config", str(good), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    # clamped atoms at +-(3, 3) make both groups unanimous: at seed 9 both
+    # samples have margin 2 in group 0, a data error after margins.csv
+    atoms = {"variant": "point-mass-mixture",
+             "atoms": [{"location": [3, 3], "weight": 0.5}, {"location": [-3, -3], "weight": 0.5}]}
+    model = _model_doc(2, "clamp", {"kind": "static", "base": atoms})["model"]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(small_clt_doc(model=model, n=4, count=2,
+                                                thresholds={"target_law": "gaussian"})))
+    assert main(["verify-clt", "--config", str(bad), "--out", str(out), "--seed", "9"]) == 2
+    assert (out / "margins.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_manifest_that_cannot_be_removed_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_margins", lambda *args, **kwargs: pytest.fail("sampled"))
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc()))
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot remove the manifest in the output directory {str(out)!r}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 #: distinct normalized values per group in each shipped verify-clt sample
 _DISTINCT_VALUES = {"fast_clt": [278, 276], "critical_clt": [559], "subcritical_base": [69245]}
 

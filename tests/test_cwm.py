@@ -459,7 +459,7 @@ def test_two_group_pair_correlation_matches_enumeration(proportions):
     enumerated = []
     for g, n_g in enumerate(groups.sizes(n)):
         k = pmf.margin_axis(g)
-        second = float((k**2) @ pmf.group_marginal(g))
+        second = float((k**2) @ pmf.probs.sum(axis=1 - g))
         enumerated.append((second - n_g) / (n_g * (n_g - 1)))
     quadrature = pair_correlation(cwm_model(J_TWO, groups), n)
     assert quadrature == pytest.approx(enumerated, rel=1e-10)

@@ -15,11 +15,9 @@ from votelim import (
     ConfigError,
     ContractedSequence,
     DeFinettiModel,
-    ExplicitSchedule,
     Gaussian,
     GroupStructure,
     LimitLaw,
-    Mixture,
     PointMassMixture,
     PowerLawSchedule,
     Product,
@@ -27,6 +25,7 @@ from votelim import (
     UnsupportedMeasureError,
     limit_for,
 )
+from votelim.measures import ExplicitSchedule, Mixture
 from conftest import (
     DELTA_0,
     GROUPS_1,

@@ -10,17 +10,14 @@ from votelim import (
     CLAMP,
     TANH,
     ConfigError,
-    ExplicitSchedule,
     Gaussian,
-    Mixture,
     PointMassMixture,
     PowerLawSchedule,
     Product,
     StaticSequence,
     UniformBox,
-    apply_bias_map,
 )
-from votelim.measures import GAUSSIAN_BOX_SIGMAS
+from votelim.measures import GAUSSIAN_BOX_SIGMAS, ExplicitSchedule, Mixture, apply_bias_map
 from votelim.quadrature import grid_points, tensor_rule
 from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measures_1d
 

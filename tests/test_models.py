@@ -24,10 +24,8 @@ from votelim import (
     CurieWeissSequence,
     DataError,
     DeFinettiModel,
-    ExplicitSchedule,
     Gaussian,
     GroupStructure,
-    Mixture,
     PointMassMixture,
     PowerLawSchedule,
     Product,
@@ -35,17 +33,15 @@ from votelim import (
     StaticSequence,
     UniformBox,
     brute_force_pmf,
-    conditional_margin_pmf,
     exact_margin_pmf,
     expected_abs_margin,
-    group_margin_pmf,
     pair_correlation,
     sample_margins,
 )
 from votelim import models
 from votelim.config import load_config
-from votelim.measures import apply_bias_map
-from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample
+from votelim.measures import ExplicitSchedule, Mixture, apply_bias_map
+from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
 from votelim.cwm import FreeEnergySurface, MeanFieldMixing
 from votelim.quadrature import binned_rule, grid_points, refine_until_stable
 from conftest import (
@@ -194,6 +190,14 @@ def enumerate_conditional_pmf(m, n):
     return out
 
 
+def conditional_margin_pmf(m, groups, n):
+    """The joint margin law at one post-bias-map vector m in [-1, 1]^M: the
+    mixed binomial law on a one-node grid, where CLAMP is the identity."""
+    sizes = groups.sizes(n)
+    nodes = tuple(np.asarray(m, dtype=float)[:, None])
+    return MarginPmf(sizes, models._pmf_from_nodes(nodes, np.array([1.0]), sizes, CLAMP))
+
+
 def test_conditional_pmf_matches_enumeration():
     pmf = conditional_margin_pmf([0.5], GROUPS_1, 4)
     oracle = enumerate_conditional_pmf(0.5, 4)
@@ -237,11 +241,6 @@ def test_margin_pmf_difference_needs_one_lattice():
     pmf = conditional_margin_pmf([0.3, -0.6], GROUPS_2, 10)
     with pytest.raises(DataError, match="different lattices"):
         pmf.max_abs_diff(conditional_margin_pmf([0.3, -0.6], GROUPS_2, 12))
-
-
-def test_conditional_pmf_rejects_bias_outside_range():
-    with pytest.raises(ConfigError):
-        conditional_margin_pmf([1.5], GROUPS_1, 4)
 
 
 BINOM_SIZES = [*range(41), 100, 5000, 10**4, 10**5]
@@ -702,9 +701,36 @@ def test_group_margin_pmf_matches_the_joint_law_marginal():
         for g, n_g in enumerate(joint.group_sizes):
             law = group_margin_pmf(model, n, g)
             assert law.group_sizes == (n_g,)
-            assert np.max(np.abs(law.probs - joint.group_marginal(g))) < 1e-12
-            from_joint = float(np.abs(joint.margin_axis(g)) @ joint.group_marginal(g)) / n_g
+            marginal = joint.probs.sum(axis=tuple(a for a in range(joint.m) if a != g))
+            assert np.max(np.abs(law.probs - marginal)) < 1e-12
+            from_joint = float(np.abs(joint.margin_axis(g)) @ marginal) / n_g
             assert abs(est.per_capita[g] - from_joint) < 1e-12
+
+
+def test_a_mean_field_marginal_sums_the_weight_grid_onto_its_axis(monkeypatch):
+    """A one-group law reads level nodes on its own axis, not the level^2
+    joint nodes, and agrees with the joint law's marginal."""
+    model = DeFinettiModel(GROUPS_2, CurieWeissSequence(CouplingSpec([[0.5, 0.2], [0.2, 0.5]])), TANH)
+    levels, tables = [], []
+    surface_nodes, binom_table = FreeEnergySurface.quad_nodes, models._binom_table
+
+    def nodes(self, level):
+        levels.append(level)
+        return surface_nodes(self, level)
+
+    def table(n_g, p):
+        tables.append((levels[-1], len(p)))
+        return binom_table(n_g, p)
+
+    monkeypatch.setattr(FreeEnergySurface, "quad_nodes", nodes)
+    monkeypatch.setattr(models, "_binom_table", table)
+    for n in (16, 400):
+        laws = [group_margin_pmf(model, n, g).probs for g in range(2)]
+        assert tables and all(rows <= level for level, rows in tables)
+        tables.clear()
+        joint = exact_margin_pmf(model, n).probs
+        for g, law in enumerate(laws):
+            assert np.max(np.abs(law - joint.sum(axis=1 - g))) < 1e-12
 
 
 def test_pair_correlation_static_delta0_is_zero():
@@ -1074,6 +1100,39 @@ def test_a_mixture_of_two_boxes_in_m3_is_integrated_per_component():
         brute = brute_force_pmf(model, 6)
         assert abs(exact.probs.sum() - 1.0) < 1e-12
         assert exact.max_abs_diff(brute) < 1e-13
+
+
+def test_a_nested_mixture_of_atoms_a_box_and_a_gaussian_matches_brute_force():
+    atoms = PointMassMixture([([0.8, -0.3], 0.25), ([-0.8, 0.3], 0.25), ([1.5, 1.5], 0.25), ([-1.5, -1.5], 0.25)])
+    smooth = Mixture([(UniformBox([-1.0, -0.5], [1.0, 0.5]), 0.4), (Gaussian([0.0, 0.0], [[1.0, 0.6], [0.6, 2.0]]), 0.6)])
+    measure = Mixture([(atoms, 0.3), (smooth, 0.7)])
+    model = DeFinettiModel(GROUPS_2, StaticSequence(measure), TANH)
+    exact = exact_margin_pmf(model, 8)
+    assert abs(exact.total() - 1.0) < 1e-12
+    assert exact.max_abs_diff(brute_force_pmf(model, 8)) < 1e-10
+
+
+def test_an_atomic_mixture_calls_the_integrand_once_per_atom_half_at_any_level():
+    """200 atoms in 3-D span 200^3 cells, above MIX_BUDGET, so they are
+    summed in two halves; the other two atomic components are one grid each."""
+    rng = np.random.default_rng(7)
+    many = PointMassMixture([(x, 1 / 200) for x in rng.uniform(-1.0, 1.0, size=(200, 3))])
+    few = PointMassMixture([([0.5, 0.5, 0.5], 0.5), ([-0.5, -0.5, -0.5], 0.5)])
+    grid = Product([PointMassMixture([([-1.0], 0.5), ([1.0], 0.5)])] * 3)
+    measure = Mixture([(many, 0.5), (Mixture([(few, 0.5), (grid, 0.5)]), 0.5)])
+    calls = []
+
+    def mass(axes, weights):
+        calls.append(len(weights))
+        return np.array([weights.sum()])
+
+    for level in (0, 64, 4096):
+        calls.clear()
+        assert abs(models._node_sum(measure, mass, level)[0] - 1.0) < 1e-12
+        assert len(calls) == 4 and max(calls) <= models.MIX_BUDGET
+    calls.clear()
+    assert abs(models._integrate(measure, mass)[0] - 1.0) < 1e-12
+    assert len(calls) == 4
 
 
 def test_pair_correlation_of_correlated_gaussian_matches_joint_route():

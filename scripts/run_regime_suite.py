@@ -5,7 +5,8 @@ Each experiment comes from a config file in configs/ and writes its
 artifacts (margins CSV, report JSONL, manifest) into a subdirectory of
 the chosen output root.  The negative control is expected to fail; the
 script's exit status is 0 only when every run behaves as expected, 1
-otherwise, and the command line's 2 or 3 when a config cannot be loaded.
+otherwise, and the command line's 2 or 3 when a config cannot be loaded
+or a run ends in an error.
 """
 
 import argparse
@@ -39,13 +40,13 @@ def main() -> int:
 
     failures = 0
     for name, expected in EXPERIMENTS:
+        out_dir = Path(args.out) / name.removesuffix(".yaml")
         try:
             cfg = load_config(ROOT / "configs" / name, {"workers": args.workers})
+            print(f"== {name} -> {out_dir}")
+            code = run(cfg, out_dir)
         except (VotelimError, MemoryError) as exc:
             return report_error(exc)
-        out_dir = Path(args.out) / name.removesuffix(".yaml")
-        print(f"== {name} -> {out_dir}")
-        code = run(cfg, out_dir)
         verdict = "as expected" if code == expected else f"UNEXPECTED (got {code}, want {expected})"
         print(f"   exit {code} {verdict}")
         failures += code != expected

@@ -5,8 +5,8 @@ carrying the hash of the effective config (after flag overrides, without
 ``out`` and ``workers``, which change no result), the seed, and the
 versions of the tool, Python, numpy and scipy; margin samples go to CSV,
 verification results to JSON lines plus a CSV summary table.  Exit
-codes: 0 all verifications passed, 1 some verification failed, 2 invalid
-config or input data, 3 a resource guard tripped.
+codes: 0 all verifications passed, 1 some verification failed, 2 any other
+package error, 3 a resource guard tripped (``report_error``).
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def _finish(out_dir: Path, cfg: ExperimentConfig, reports, outputs, extra=None) 
 def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
-    _write_manifest(out_dir, cfg, ["margins.csv"], {"margins": sample.manifest()})
-    return 0
+    return _finish(out_dir, cfg, [], ["margins.csv"], {"margins": sample.manifest()})
 
 
 def _target_law(cfg: ExperimentConfig) -> LimitLaw:
@@ -158,7 +157,7 @@ def _target_law(cfg: ExperimentConfig) -> LimitLaw:
 
 def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     law = _target_law(cfg)
-    threshold = float(cfg.thresholds["ks"]) if "ks" in cfg.thresholds else ks_threshold(cfg.count)
+    threshold = cfg.threshold("ks") or ks_threshold(cfg.count)
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
     sample.to_csv(out_dir / "margins.csv")
     normalized = sample.normalized
@@ -256,8 +255,7 @@ def _run_estimate_alpha(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def _run_correlation_decay(cfg: ExperimentConfig, out_dir: Path) -> int:
     threshold = float(cfg.threshold("correlation"))
-    report = correlation_decay_report(cfg.model, cfg.n_grid, threshold,
-                                      experiment=cfg.experiment)
+    report = correlation_decay_report(cfg.model, cfg.n_grid, threshold)
     return _finish(out_dir, cfg, [report], [])
 
 
@@ -275,18 +273,20 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
     """Execute one experiment; writes artifacts and returns the exit code.
 
     A manifest is written last and marks a complete run, so a previous
-    run's manifest is removed before any artifact is written: a run that
-    fails leaves none.  An output directory that cannot be made (a file has
-    its name, or lies on its path), or whose manifest cannot be removed, is
-    a ConfigError before any work; it names ``--out`` or the config's
-    ``out:`` line when the path came from there.
+    run's artifacts are removed before any is written: a run that fails
+    leaves no manifest and nothing of an earlier run.  An output directory
+    that cannot be made (a file has its name, or lies on its path), or an
+    artifact in it that cannot be removed, is a ConfigError before any work;
+    it names ``--out`` or the config's ``out:`` line when the path did.
     """
     out_path = Path(out_dir or cfg.out or ".")
+    name = None
     try:
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "manifest.json").unlink(missing_ok=True)
+        for name in ("manifest.json", "margins.csv", "reports.jsonl", "summary.csv", "alpha.json"):
+            (out_path / name).unlink(missing_ok=True)
     except OSError as exc:
-        action = "remove the manifest in" if out_path.is_dir() else "create"
+        action = "create" if name is None else f"remove {name} from"
         message = f"cannot {action} the output directory {str(out_path)!r}: {exc.strerror}"
         if out_dir is None:
             cfg.error(message, "out")
@@ -326,21 +326,17 @@ def main(argv=None) -> int:
 def report_error(exc: VotelimError | MemoryError) -> int:
     """Print one stderr line for an error that ends a run; return its exit code.
 
-    2 for invalid config or input data, 3 for a tripped resource guard or
-    exhausted memory, 1 for any other package error.  The command line and
-    the experiment scripts end their runs through it.
+    3 for a tripped resource guard (a quadrature out of nodes among them)
+    or exhausted memory, 2 for any other package error; exit 1 is left to
+    failed verifications.  The command line and the scripts end runs here.
     """
-    if isinstance(exc, (ConfigError, DataError)):
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if isinstance(exc, MemoryError):
+        exc = ResourceError("the run ran out of memory")
     if isinstance(exc, ResourceError):
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    if isinstance(exc, MemoryError):
-        print("resource guard: the run ran out of memory", file=sys.stderr)
-        return 3
     print(f"error: {exc}", file=sys.stderr)
-    return 1
+    return 2
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ independently, so the two serve as mutual oracles.  A tanh change of
 variables gives a third, compactly supported form on (-1, 1)^M used for
 concentration-of-measure profiles.
 
-Samplers and quadrature boxes are validated in the high-temperature
-regime only (identity minus coupling positive definite), where the
-free energy is convex with its unique minimum at the origin.
+The mixing density exists in the high-temperature regime only, where the
+free energy is convex with its unique minimum at the origin; the regime is
+checked once, when ``FreeEnergySurface`` is built.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ class FreeEnergySurface:
     Q = sqrt(alpha) J^{-1} sqrt(alpha) with alpha_g = n_g / n, the only
     convention under which the mixing density exp(-n F) reproduces the
     Gibbs measure.  F(0) = 0, F is even, and in the high-temperature
-    regime it is convex with the origin as unique global minimizer, which
-    yields the Gaussian tail bound behind the integration box.
+    regime, checked once here, it is convex with the origin as unique
+    global minimizer, which yields the Gaussian tail bound behind the
+    integration box and the sampler's envelope.
     """
 
     def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
@@ -103,6 +104,11 @@ class FreeEnergySurface:
         root_alpha = np.sqrt(self.alpha)
         self.q_matrix = root_alpha[:, None] * np.linalg.inv(spec.j) * root_alpha[None, :]
         self._precision0 = n * (self.q_matrix - np.diag(self.alpha))
+        if np.linalg.eigvalsh(self._precision0).min() <= 0.0:
+            raise ConfigError(
+                "the mixing density needs the high-temperature regime "
+                "(identity minus coupling positive definite)"
+            )
         self._normalizer = None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -122,11 +128,6 @@ class FreeEnergySurface:
         F(x) >= x' P0 x / (2n) in high temperature, so the omitted tail mass
         is below the matching Gaussian's, under 1e-22.
         """
-        if np.linalg.eigvalsh(self._precision0).min() <= 0.0:
-            raise ConfigError(
-                "the integration box needs the high-temperature regime "
-                "(identity minus coupling positive definite)"
-            )
         half = 10.0 * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
         return -half, half
 
@@ -186,13 +187,11 @@ class MeanFieldMixing:
         P0 matches F's quadratic part.  Since -n F(x) = -x' P0 x / 2 +
         n sum_g alpha_g (ln cosh x_g - x_g^2 / 2) and the second term is
         never positive, the acceptance ratio never exceeds 1, in any
-        dimension.  Only validated in the high-temperature regime; a
-        coupling so close to criticality that fewer than 1% of proposals
-        are accepted raises ConfigError.
+        dimension.  The surface exists only in the high-temperature
+        regime; a coupling so close to criticality that fewer than 1% of
+        proposals are accepted raises ConfigError.
         """
         surface = self.surface
-        if not surface.spec.is_high_temperature:
-            raise ConfigError("the sampler is validated in the high-temperature regime only")
         # x = z L' with L L' = P0^-1; P0 is positive definite in high temperature
         scale = np.linalg.cholesky(np.linalg.inv(surface._precision0)).T
         out = np.empty((count, surface.m))
@@ -254,7 +253,6 @@ def gibbs_pmf(spec: CouplingSpec, groups: GroupStructure, n: int) -> MarginPmf:
     scaled = np.stack([g / math.sqrt(s) for g, s in zip(grids, sizes)], axis=-1)
     energy = 0.5 * np.einsum("...i,ij,...j->...", scaled, spec.j, scaled)
     log_w = energy
-    shape = tuple(s + 1 for s in sizes)
     for g, s in enumerate(sizes):
         log_comb = np.array([math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1)
                              for j in range(s + 1)])
@@ -264,7 +262,6 @@ def gibbs_pmf(spec: CouplingSpec, groups: GroupStructure, n: int) -> MarginPmf:
     log_w -= log_w.max()
     probs = np.exp(log_w)
     probs /= probs.sum()
-    assert probs.shape == shape
     return MarginPmf(sizes, probs)
 
 

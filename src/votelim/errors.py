@@ -2,24 +2,24 @@
 
 
 class VotelimError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors (exit code 2; exit 1 only means a failed verification)."""
 
 
 class ConfigError(VotelimError):
-    """Invalid model/experiment configuration (exit code 2 in the CLI)."""
+    """Invalid model/experiment configuration (exit code 2)."""
 
 
 class ResourceError(VotelimError):
     """A resource guard tripped, e.g. a lattice too large to enumerate (exit code 3)."""
 
 
-class QuadratureError(VotelimError):
-    """Numerical integration failed to stabilize within the node budget."""
+class QuadratureError(ResourceError):
+    """Numerical integration failed to stabilize within the node budget (exit code 3)."""
 
 
 class DataError(VotelimError):
-    """Malformed or unusable input data."""
+    """Malformed or unusable input data (exit code 2)."""
 
 
 class UnsupportedMeasureError(VotelimError):
-    """Operation not defined for this measure variant combination."""
+    """Operation not defined for this measure variant combination (exit code 2)."""

@@ -35,9 +35,7 @@ class LimitLaw:
         return cls("gaussian", dim, (True,) * dim, None, ())
 
     @classmethod
-    def convolution(cls, base: BaseMeasure, scale=None) -> "LimitLaw":
-        if scale is not None:
-            base = base.contract(scale)
+    def convolution(cls, base: BaseMeasure) -> "LimitLaw":
         return cls("convolution", base.dim, (True,) * base.dim, base, tuple(range(base.dim)))
 
     def cf(self, t) -> np.ndarray:

@@ -328,11 +328,6 @@ def _probabilities(bmap, axes) -> list[np.ndarray]:
     return [0.5 * (1.0 + apply_bias_map(bmap, axis)) for axis in axes]
 
 
-def _pmf_from_nodes(axes, weights, sizes, bmap) -> np.ndarray:
-    """Mix conditional binomial laws over a weighted grid of bias nodes."""
-    return _mix(_binom_table, sizes, _probabilities(bmap, axes), np.asarray(weights, dtype=float))
-
-
 def _guard_lattice(sizes) -> None:
     if math.prod(s + 1 for s in sizes) > LATTICE_GUARD:
         raise ResourceError(
@@ -418,7 +413,7 @@ def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     if _factorizes(measure):
         laws = [group_margin_pmf(model, n, g).probs for g in range(len(sizes))]
         return MarginPmf(sizes, functools.reduce(np.multiply.outer, laws))
-    return MarginPmf(sizes, _mixed_law(model, measure, sizes))
+    return MarginPmf(sizes, _mixed_law(model, measure, sizes, _binom_table))
 
 
 def group_margin_pmf(model: DeFinettiModel, n: int, g: int) -> MarginPmf:
@@ -431,14 +426,16 @@ def group_margin_pmf(model: DeFinettiModel, n: int, g: int) -> MarginPmf:
     """
     n_g = model.groups.sizes(n)[g]
     _guard_lattice((n_g,))
-    return MarginPmf((n_g,), _mixed_law(model, model.mixing_measure(n).marginal([g]), (n_g,)))
+    measure = model.mixing_measure(n).marginal([g])
+    return MarginPmf((n_g,), _mixed_law(model, measure, (n_g,), _binom_table))
 
 
-def _mixed_law(model: DeFinettiModel, measure, sizes) -> np.ndarray:
-    """The conditional binomial law on the ``sizes`` lattice mixed over ``measure``."""
+def _mixed_law(model: DeFinettiModel, measure, sizes, table) -> np.ndarray:
+    """Per-group count laws ``table(n_g, p)`` on the ``sizes`` lattice, mixed over ``measure``."""
 
     def integrand(axes, weights):
-        return _pmf_from_nodes(axes, weights, sizes, model.bias_map)
+        p = _probabilities(model.bias_map, axes)
+        return _mix(table, sizes, p, np.asarray(weights, dtype=float))
 
     return _integrate(measure, integrand)
 
@@ -486,20 +483,16 @@ def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
 
     Nodes on mu_n's grid share their tables along each axis, so one table
     is enumerated per axis value of p_g and the grid's weights are
-    contracted with them (the step the binomial route uses too).  Only
-    repeats are skipped: every table still comes from all 2^{n_g}
-    vote-vector products, so the oracle stays independent of the binomial
-    route.  Intended to cross-check exact_margin_pmf on small instances.
+    contracted with them: the binomial route's ``_mixed_law``, with this
+    table in place of the binomial pmf.  Only repeats are skipped: every
+    table still comes from all 2^{n_g} vote-vector products, so the oracle
+    stays independent of the binomial route.  Intended to cross-check
+    exact_margin_pmf on small instances.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")
     sizes = model.groups.sizes(n)
-
-    def accumulate(axes, weights) -> np.ndarray:
-        p = _probabilities(model.bias_map, axes)
-        return _mix(_enumerated_count_table, sizes, p, np.asarray(weights, dtype=float))
-
-    return MarginPmf(sizes, _integrate(model.mixing_measure(n), accumulate))
+    return MarginPmf(sizes, _mixed_law(model, model.mixing_measure(n), sizes, _enumerated_count_table))
 
 
 # -- sampling -------------------------------------------------------------------

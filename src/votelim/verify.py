@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,17 +36,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "experiment": self.experiment,
-            "statistic": self.statistic,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "seed": self.seed,
-            "n_grid": list(self.n_grid) if self.n_grid is not None else None,
-            "details": _jsonable(self.details),
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(_jsonable(asdict(self)), sort_keys=True)
 
 
 def make_report(experiment, statistic, observed, threshold, seed=None, n_grid=None, details=None):
@@ -187,9 +177,6 @@ def ecf_distance(sample, law: LimitLaw, t_grid=None) -> float:
     The grid is a (K, dim) array of frequencies (a 1-D grid is read as one
     column); the law's ``cf`` evaluates it in one call, returning (K,).
     """
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim == 1:
-        sample = sample[:, None]
     if t_grid is None:
         t_grid = default_cf_grid(law.dim)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -286,9 +273,7 @@ def estimate_alpha(points) -> AlphaEstimate:
 
 # -- correlation decay -------------------------------------------------------------------
 
-def correlation_decay_report(
-    model: DeFinettiModel, n_grid, threshold: float, experiment: str = "correlation-decay"
-) -> VerificationReport:
+def correlation_decay_report(model: DeFinettiModel, n_grid, threshold: float) -> VerificationReport:
     """Check that pair correlations strictly decrease along the grid and end small.
 
     The observed value is the largest terminal correlation across groups,
@@ -303,7 +288,7 @@ def correlation_decay_report(
     decreasing = bool(np.all((np.diff(values, axis=0) < 0.0) | decayed))
     observed = float(values[-1].max()) if decreasing else math.inf
     return make_report(
-        experiment,
+        "correlation-decay",
         "pair-correlation-terminal",
         observed,
         threshold,

@@ -361,7 +361,7 @@ def test_a_mutated_shipped_document_exits_with_its_code_and_at_most_one_error_li
         err = err.getvalue()
         assert err == "" or (err.startswith(("error: ", "resource guard: ")) and err.count("\n") == 1
                              and err.endswith("\n")), err
-        assert err or code in (0, 1)
+        assert bool(err) == (code in (2, 3))
         reports = out / "reports.jsonl"
         if reports.exists():
             for line in reports.read_text().splitlines():
@@ -716,6 +716,7 @@ def test_a_rerun_that_fails_leaves_no_stale_manifest(tmp_path):
     assert main(["verify-clt", "--config", str(bad), "--out", str(out), "--seed", "9"]) == 2
     assert (out / "margins.csv").exists()
     assert not (out / "manifest.json").exists()
+    assert not (out / "reports.jsonl").exists() and not (out / "summary.csv").exists()
 
 
 def test_a_manifest_that_cannot_be_removed_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
@@ -726,7 +727,42 @@ def test_a_manifest_that_cannot_be_removed_exits_2_before_any_work(tmp_path, cap
     cfg.write_text(yaml.safe_dump(small_clt_doc()))
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --out: cannot remove the manifest in the output directory {str(out)!r}")
+    assert err.startswith(f"error: --out: cannot remove manifest.json from the output directory {str(out)!r}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+_NEAR_CRITICAL_CWM = {
+    "experiment": "verify-cwm", "seed": 1, "n_grid": [16],
+    "model": {"groups": {"m": 1, "proportions": [1.0]}, "bias_map": "tanh",
+              "sequence": {"kind": "curie-weiss", "coupling": {"beta": 0.99999}}},
+}
+
+
+def _degenerate_llt_doc():
+    gauss = {"variant": "gaussian", "mean": [0, 0], "covariance": [[0.01, 0.01], [0.01, 0.01]]}
+    doc = _static(gauss, m=2, bias="tanh")
+    del doc["n"], doc["count"]
+    return {**doc, "experiment": "verify-llt", "n_grid": [10, 20]}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, code, prefix",
+    [
+        # a quadrature that cannot stabilize is a resource guard, not a failed verification
+        ("verify-cwm", _NEAR_CRITICAL_CWM, 3,
+         "resource guard: integration grid failed to resolve the density peak"),
+        # an operation the measure does not support is an error, not a failed verification
+        ("verify-llt", _degenerate_llt_doc(), 2,
+         "error: quadrature nodes need a positive definite Gaussian covariance"),
+    ],
+    ids=["near-critical-cwm", "degenerate-gaussian-llt"],
+)
+def test_a_package_error_never_exits_1(tmp_path, capsys, kind, doc, code, prefix):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
     assert "Traceback" not in err and err.count("\n") == 1
 
 

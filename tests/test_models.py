@@ -195,7 +195,8 @@ def conditional_margin_pmf(m, groups, n):
     mixed binomial law on a one-node grid, where CLAMP is the identity."""
     sizes = groups.sizes(n)
     nodes = tuple(np.asarray(m, dtype=float)[:, None])
-    return MarginPmf(sizes, models._pmf_from_nodes(nodes, np.array([1.0]), sizes, CLAMP))
+    p = models._probabilities(CLAMP, nodes)
+    return MarginPmf(sizes, models._mix(models._binom_table, sizes, p, np.array([1.0])))
 
 
 def test_conditional_pmf_matches_enumeration():
@@ -799,13 +800,13 @@ def _joint(model):
 def _route_dims(monkeypatch, model, n):
     """Lattice dimensions of every binomial mixing pass exact_margin_pmf makes."""
     dims = []
-    real = models._pmf_from_nodes
+    real = models._mixed_law
 
-    def spy(axes, weights, sizes, bmap):
+    def spy(model, measure, sizes, table):
         dims.append(len(sizes))
-        return real(axes, weights, sizes, bmap)
+        return real(model, measure, sizes, table)
 
-    monkeypatch.setattr(models, "_pmf_from_nodes", spy)
+    monkeypatch.setattr(models, "_mixed_law", spy)
     pmf = exact_margin_pmf(model, n)
     monkeypatch.undo()
     return pmf, dims

@@ -72,6 +72,15 @@ def test_suites_end_an_error_with_one_line(script, args, code, prefix, message):
     assert line.startswith(prefix) and message in line
 
 
+def test_regime_suite_ends_an_error_inside_a_run_with_one_line(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = _run("run_regime_suite.py", "--out", str(blocker))
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot create the output directory") and "Not a directory" in line
+
+
 def test_run_cwm_suite_runs():
     proc = _run("run_cwm_suite.py", "--betas", "0.5", "--sizes", "8", "--conc-grid", "20", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr

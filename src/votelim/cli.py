@@ -274,17 +274,22 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
 
     A manifest is written last and marks a complete run, so a previous
     run's artifacts are removed before any is written: a run that fails
-    leaves no manifest and nothing of an earlier run.  An output directory
-    that cannot be made (a file has its name, or lies on its path), or an
-    artifact in it that cannot be removed, is a ConfigError before any work;
-    it names ``--out`` or the config's ``out:`` line when the path did.
+    leaves no manifest and nothing of an earlier run.  The file a config
+    reads (``input:``) is never removed, even under an artifact's name.
+    An output directory that cannot be made (a file has its name, or lies
+    on its path), or an artifact in it that cannot be removed, is a
+    ConfigError before any work; it names ``--out`` or the config's
+    ``out:`` line when the path did.
     """
     out_path = Path(out_dir or cfg.out or ".")
+    keep = Path(cfg.input_path).resolve() if cfg.input_path else None
     name = None
     try:
         out_path.mkdir(parents=True, exist_ok=True)
+        # every name a runner writes: its own files plus _finish's three
         for name in ("manifest.json", "margins.csv", "reports.jsonl", "summary.csv", "alpha.json"):
-            (out_path / name).unlink(missing_ok=True)
+            if (out_path / name).resolve() != keep:
+                (out_path / name).unlink(missing_ok=True)
     except OSError as exc:
         action = "create" if name is None else f"remove {name} from"
         message = f"cannot {action} the output directory {str(out_path)!r}: {exc.strerror}"

@@ -104,7 +104,7 @@ class FreeEnergySurface:
         root_alpha = np.sqrt(self.alpha)
         self.q_matrix = root_alpha[:, None] * np.linalg.inv(spec.j) * root_alpha[None, :]
         self._precision0 = n * (self.q_matrix - np.diag(self.alpha))
-        if np.linalg.eigvalsh(self._precision0).min() <= 0.0:
+        if not spec.is_high_temperature:
             raise ConfigError(
                 "the mixing density needs the high-temperature regime "
                 "(identity minus coupling positive definite)"
@@ -251,14 +251,11 @@ def gibbs_pmf(spec: CouplingSpec, groups: GroupStructure, n: int) -> MarginPmf:
     axes_margins = [2.0 * np.arange(s + 1) - s for s in sizes]
     grids = np.meshgrid(*axes_margins, indexing="ij")
     scaled = np.stack([g / math.sqrt(s) for g, s in zip(grids, sizes)], axis=-1)
-    energy = 0.5 * np.einsum("...i,ij,...j->...", scaled, spec.j, scaled)
-    log_w = energy
+    log_w = 0.5 * np.einsum("...i,ij,...j->...", scaled, spec.j, scaled)
     for g, s in enumerate(sizes):
         log_comb = np.array([math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1)
                              for j in range(s + 1)])
-        reshape = [1] * len(sizes)
-        reshape[g] = s + 1
-        log_w = log_w + log_comb.reshape(reshape)
+        log_w = log_w + log_comb.reshape([-1 if h == g else 1 for h in range(len(sizes))])
     log_w -= log_w.max()
     probs = np.exp(log_w)
     probs /= probs.sum()
@@ -321,14 +318,9 @@ class CompactMixingDensity:
         total = 0.0
         for g in range(self.m):
             for side in (-1.0, 1.0):
-                lower = np.empty(self.m)
-                upper = np.empty(self.m)
+                lower, upper = np.full(self.m, -1.0), np.full(self.m, 1.0)
                 lower[:g], upper[:g] = -delta, delta
-                lower[g + 1 :], upper[g + 1 :] = -1.0, 1.0
-                if side > 0:
-                    lower[g], upper[g] = delta, 1.0
-                else:
-                    lower[g], upper[g] = -1.0, -delta
+                lower[g], upper[g] = (delta, 1.0) if side > 0 else (-1.0, -delta)
                 value, _ = refine_until_stable(
                     lambda level: np.array([self._box_integral(lower, upper, level)]),
                     tol=1e-300,

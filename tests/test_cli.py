@@ -731,6 +731,21 @@ def test_a_manifest_that_cannot_be_removed_exits_2_before_any_work(tmp_path, cap
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out_flag", [True, False], ids=["out-flag", "cwd"])
+def test_an_input_inside_the_output_directory_is_kept(tmp_path, monkeypatch, out_flag):
+    # margins.csv is an artifact name and also the name scripts give alpha data
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "margins.csv"
+    data.write_text("population,abs_margin\n100,10\n10000,50\n")
+    (tmp_path / "summary.csv").write_text("stale\n")
+    cfg = tmp_path / "alpha.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1, "input": "margins.csv"}))
+    argv = ["estimate-alpha", "--config", str(cfg)] + (["--out", str(tmp_path)] if out_flag else [])
+    assert main(argv) == 0
+    assert data.read_text() == "population,abs_margin\n100,10\n10000,50\n"
+    assert (tmp_path / "alpha.json").exists() and not (tmp_path / "summary.csv").exists()
+
+
 _NEAR_CRITICAL_CWM = {
     "experiment": "verify-cwm", "seed": 1, "n_grid": [16],
     "model": {"groups": {"m": 1, "proportions": [1.0]}, "bias_map": "tanh",

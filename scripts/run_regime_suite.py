@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the three contraction-regime experiments plus the decay controls.
+"""Run every shipped config: the three contraction regimes, the decay
+controls, the local-limit baseline and the mean-field equivalence check.
 
 Each experiment comes from a config file in configs/ and writes its
 artifacts (margins CSV, report JSONL, manifest) into a subdirectory of
@@ -27,6 +28,7 @@ EXPERIMENTS = [
     ("subcritical_decay.yaml", 0),
     ("decay_negative_control.yaml", 1),
     ("llt_baseline.yaml", 0),
+    ("cwm_equivalence.yaml", 0),
 ]
 
 

@@ -6,7 +6,8 @@ carrying the hash of the effective config (after flag overrides, without
 versions of the tool, Python, numpy and scipy; margin samples go to CSV,
 verification results to JSON lines plus a CSV summary table.  Exit
 codes: 0 all verifications passed, 1 some verification failed, 2 any other
-package error, 3 a resource guard tripped (``report_error``).
+package error, 3 a resource guard tripped or an artifact could not be
+written (``report_error``).
 """
 
 from __future__ import annotations
@@ -102,6 +103,20 @@ def ingest_margins(path) -> list[tuple]:
 
 # -- experiment runners -------------------------------------------------------------
 
+def _write(path: Path, write) -> None:
+    """Write one artifact as ``write(path)``.
+
+    An OSError on the way (a full disk, a file system gone read-only) is a
+    ResourceError naming the file, and leaves no ``manifest.json``, so the
+    directory does not claim a complete run.
+    """
+    try:
+        write(path)
+    except OSError as exc:
+        (path.parent / "manifest.json").unlink(missing_ok=True)
+        raise ResourceError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs, extra=None) -> None:
     doc = {
         "config_hash": cfg.hash(),
@@ -115,13 +130,14 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs, extra=None) -
     }
     if extra:
         doc.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(out_dir / "manifest.json", lambda path: path.write_text(text))
 
 
 def _finish(out_dir: Path, cfg: ExperimentConfig, reports, outputs, extra=None) -> int:
     if reports:
-        write_reports_jsonl(reports, out_dir / "reports.jsonl")
-        write_reports_csv(reports, out_dir / "summary.csv")
+        _write(out_dir / "reports.jsonl", lambda path: write_reports_jsonl(reports, path))
+        _write(out_dir / "summary.csv", lambda path: write_reports_csv(reports, path))
         outputs = list(outputs) + ["reports.jsonl", "summary.csv"]
     _write_manifest(out_dir, cfg, outputs, extra)
     for report in reports:
@@ -133,7 +149,7 @@ def _finish(out_dir: Path, cfg: ExperimentConfig, reports, outputs, extra=None) 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    sample.to_csv(out_dir / "margins.csv")
+    _write(out_dir / "margins.csv", sample.to_csv)
     return _finish(out_dir, cfg, [], ["margins.csv"], {"margins": sample.manifest()})
 
 
@@ -159,7 +175,7 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     law = _target_law(cfg)
     threshold = cfg.threshold("ks") or ks_threshold(cfg.count)
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    sample.to_csv(out_dir / "margins.csv")
+    _write(out_dir / "margins.csv", sample.to_csv)
     normalized = sample.normalized
     reports = []
     for g in range(cfg.model.groups.m):
@@ -240,7 +256,8 @@ def _run_estimate_alpha(cfg: ExperimentConfig, out_dir: Path) -> int:
     # inline points were checked at load: [population, margin] pairs, population > 0
     estimate = estimate_alpha(ingest_margins(cfg.input_path) if cfg.input_path else cfg.raw["points"])
     print(f"alpha = {estimate.alpha:.4f}")
-    (out_dir / "alpha.json").write_text(json.dumps(asdict(estimate), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(asdict(estimate), sort_keys=True, indent=2) + "\n"
+    _write(out_dir / "alpha.json", lambda path: path.write_text(text))
     reports = []
     alpha_range = cfg.threshold("alpha_range")
     if alpha_range:
@@ -331,8 +348,9 @@ def main(argv=None) -> int:
 def report_error(exc: VotelimError | MemoryError) -> int:
     """Print one stderr line for an error that ends a run; return its exit code.
 
-    3 for a tripped resource guard (a quadrature out of nodes among them)
-    or exhausted memory, 2 for any other package error; exit 1 is left to
+    3 for a tripped resource guard (a quadrature out of nodes or an
+    artifact that could not be written among them) or exhausted memory,
+    2 for any other package error; exit 1 is left to
     failed verifications.  The command line and the scripts end runs here.
     """
     if isinstance(exc, MemoryError):

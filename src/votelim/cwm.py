@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ResourceError
-from .measures import TANH, PointMassMixture
+from .measures import TANH, BaseMeasure, PointMassMixture, _Gridded
 from .models import DeFinettiModel, GroupStructure, MarginPmf, _integrate, exact_margin_pmf
 from .quadrature import grid_points, refine_until_stable, tensor_rule
 
@@ -80,7 +80,7 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-class FreeEnergySurface:
+class FreeEnergySurface(_Gridded):
     """The latent-bias free energy x -> x' Q x / 2 - sum_g alpha_g ln cosh x_g.
 
     Q = sqrt(alpha) J^{-1} sqrt(alpha) with alpha_g = n_g / n, the only
@@ -89,6 +89,9 @@ class FreeEnergySurface:
     regime, checked once here, it is convex with the origin as unique
     global minimizer, which yields the Gaussian tail bound behind the
     integration box and the sampler's envelope.
+
+    Immutable, like the measures: ``quad_nodes`` evaluates exp(-n F) on
+    each level's grid once, and every marginal of mu_n reads that grid.
     """
 
     def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
@@ -96,20 +99,23 @@ class FreeEnergySurface:
             raise ConfigError("the mixing density needs a positive definite coupling")
         if spec.m != groups.m:
             raise ConfigError("coupling size does not match the group count")
-        self.spec = spec
-        self.n = n
-        self.sizes = groups.sizes(n)
-        self.m = groups.m
-        self.alpha = np.asarray(self.sizes, dtype=float) / n
-        root_alpha = np.sqrt(self.alpha)
-        self.q_matrix = root_alpha[:, None] * np.linalg.inv(spec.j) * root_alpha[None, :]
-        self._precision0 = n * (self.q_matrix - np.diag(self.alpha))
+        sizes = groups.sizes(n)
+        alpha = np.asarray(sizes, dtype=float) / n
+        root_alpha = np.sqrt(alpha)
+        q_matrix = root_alpha[:, None] * np.linalg.inv(spec.j) * root_alpha[None, :]
         if not spec.is_high_temperature:
             raise ConfigError(
                 "the mixing density needs the high-temperature regime "
                 "(identity minus coupling positive definite)"
             )
-        self._normalizer = None
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "m", groups.m)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "q_matrix", q_matrix)
+        object.__setattr__(self, "_precision0", n * (q_matrix - np.diag(alpha)))
+        object.__setattr__(self, "_normalizer", None)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """F on a batch of points: (K, M) in, (K,) out."""
@@ -131,7 +137,7 @@ class FreeEnergySurface:
         half = 10.0 * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
         return -half, half
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """The grid of the box weighted by the unnormalized density; weights sum to ~Z."""
         lower, upper = self.box()
         axes, weights = tensor_rule(lower, upper, level)
@@ -151,34 +157,35 @@ class FreeEnergySurface:
         """Z = integral of exp(-n F), cached after the first quadrature."""
         if self._normalizer is None:
             value = _integrate(self, lambda axes, weights: np.array([weights.sum()]))
-            self._normalizer = float(value[0])
+            object.__setattr__(self, "_normalizer", float(value[0]))
         return self._normalizer
 
 
 # -- the mixing measure -------------------------------------------------------------
 
-class MeanFieldMixing:
+class MeanFieldMixing(BaseMeasure):
     """mu_n with density exp(-n F) / Z on the coordinates ``coords`` of the latent bias.
 
     Quadrature nodes are the surface's grid with weights divided by their
     sum, so every level is a probability measure.  A marginal keeps the
     axes of ``coords`` and sums the weight grid over the other axes, so its
-    grid has ``level`` nodes per kept coordinate.
+    grid has ``level`` nodes per kept coordinate; it shares the surface, so
+    the density is evaluated once per level for all marginals.
     """
 
     def __init__(self, surface: FreeEnergySurface, coords=None):
-        self.surface = surface
-        self.coords = list(range(surface.m)) if coords is None else list(coords)
-        self.dim = len(self.coords)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "coords", tuple(range(surface.m)) if coords is None else tuple(coords))
+        object.__setattr__(self, "dim", len(self.coords))
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         axes, weights = self.surface.quad_nodes(level)
         dense = (weights / weights.sum()).reshape([len(axis) for axis in axes])
         # sums over the axes not in coords; the kept ones come out in coords' order
         marginal = np.einsum(dense, range(len(axes)), self.coords)
         return tuple(axes[c] for c in self.coords), marginal.reshape(-1)
 
-    def marginal(self, coords) -> "MeanFieldMixing":
+    def _marginal(self, coords) -> "MeanFieldMixing":
         return MeanFieldMixing(self.surface, [self.coords[c] for c in coords])
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL, _grid
+from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL, _batch
 from .models import DeFinettiModel, _integrate
 
 
@@ -34,13 +34,9 @@ class LimitLaw:
     def standard_gaussian(cls, dim: int) -> "LimitLaw":
         return cls("gaussian", dim, (True,) * dim, None, ())
 
-    @classmethod
-    def convolution(cls, base: BaseMeasure) -> "LimitLaw":
-        return cls("convolution", base.dim, (True,) * base.dim, base, tuple(range(base.dim)))
-
     def cf(self, t) -> np.ndarray:
         """Characteristic function: (K, dim) frequencies in, (K,) complex values out."""
-        t = _grid(t, self.dim)
+        t = _batch(t, self.dim)
         gauss = np.exp(-0.5 * np.sum(t[:, list(self.gauss_mask)] ** 2, axis=1)) + 0j
         if self.base is None:
             return gauss

@@ -15,6 +15,7 @@ frequencies to the (K,) complex array of the characteristic function, and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, UnsupportedMeasureError
-from .quadrature import binned_rule, grid_points, tensor_rule
+from .quadrature import MIX_BUDGET, binned_rule, grid_points, tensor_rule
 
 WEIGHT_TOL = 1e-12
 
@@ -32,7 +33,7 @@ WEIGHT_TOL = 1e-12
 GAUSSIAN_BOX_SIGMAS = 10.0
 
 
-def _grid(t, dim: int) -> np.ndarray:
+def _batch(t, dim: int) -> np.ndarray:
     """The (K, dim) float array of evaluation points; any other shape is an error."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[1] != dim:
@@ -55,6 +56,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of each row of a (K, d) array, adding its columns in order.
+
+    The bits of ``np.sum(a, axis=-1)`` for d below 8, where numpy adds a
+    row's entries one by one; but each add here is one pass over all K
+    rows, where the reduction runs a d-element loop per row.
+    """
+    total = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        total += a[:, k]
+    return total
+
+
 def _check_weights(weights: np.ndarray, what: str) -> None:
     if np.any(weights < 0):
         raise ConfigError(f"{what} weights must be nonnegative")
@@ -62,16 +76,62 @@ def _check_weights(weights: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} weights must sum to 1 within {WEIGHT_TOL:g}")
 
 
-class BaseMeasure:
+class _Immutable:
+    """Attributes are set once, in ``__init__`` through ``object.__setattr__``.
+
+    Instances memoize what they compute from those attributes, so a later
+    assignment could make a memo stale; it raises instead.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class _Gridded(_Immutable):
+    """An immutable owner of quadrature grids, each built once per level.
+
+    ``quad_nodes(level)`` returns the ``(axes, weights)`` grid of the
+    subclass's ``_grid(level)`` with every array read-only, and keeps it
+    when its weights have at most ``MIX_BUDGET`` cells; a larger grid is
+    built again on every call, so a memo holds a bounded set of small
+    grids.  A build that raises keeps nothing.
+    """
+
+    @functools.cached_property
+    def _grids(self) -> dict:
+        # cached_property writes the instance dict directly, past __setattr__
+        return {}
+
+    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        grid = self._grids.get(level)
+        if grid is None:
+            grid = self._grid(level)
+            for array in (*grid[0], grid[1]):
+                array.flags.writeable = False
+            if grid[1].size <= MIX_BUDGET:
+                self._grids[level] = grid
+        return grid
+
+
+class BaseMeasure(_Gridded):
     """Common interface of the measure algebra.
 
     Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)`` ((K, dim)
     frequencies in, (K,) complex values out), ``contract(eps)``,
-    ``negate()``, ``quad_nodes(level)``, ``marginal(coords)``, ``cdf(x)``
-    (1-D only, evaluated elementwise on an array), and a canonical
-    ``_key()``.  Keys merge repeated atoms and components and leave out
-    zero-weight ones, so two measures with equal keys are equal; comparing a
-    measure's key with its image's decides invariance under x -> -x or x -> 2x.
+    ``negate()``, ``_grid(level)``, ``_marginal(coords)``, ``cdf(x)`` (1-D
+    only, evaluated elementwise on an array), and a canonical ``_key()``.
+    Keys merge repeated atoms and components and leave out zero-weight
+    ones, so two measures with equal keys are equal; comparing a measure's
+    key with its image's decides invariance under x -> -x or x -> 2x.
+
+    Measures are immutable: their attributes are set once, in ``__init__``,
+    and assigning one raises.  So ``quad_nodes(level)`` builds each level's
+    grid once per instance and hands out the same read-only arrays on every
+    later call (``_Gridded``), and ``marginal(coords)`` over all
+    coordinates, in order, is the measure itself, grids included.
 
     ``quad_nodes(level)`` returns ``(axes, weights)``, a tensor grid: ``axes``
     holds one 1-D array of node coordinates per dimension and ``weights``
@@ -87,6 +147,13 @@ class BaseMeasure:
     """
 
     dim: int
+
+    def marginal(self, coords) -> "BaseMeasure":
+        """The law of the coordinates ``coords``, in that order."""
+        coords = list(coords)
+        if coords == list(range(self.dim)):
+            return self
+        return self._marginal(coords)
 
     @property
     def is_symmetric(self) -> bool:
@@ -113,17 +180,17 @@ class PointMassMixture(BaseMeasure):
         dim = locs[0].size
         if any(l.size != dim for l in locs):
             raise ConfigError("all atom locations must share one dimension")
-        self.locations = _readonly(np.stack(locs))
-        self.weights = _readonly([w for _, w in atoms])
+        object.__setattr__(self, "locations", _readonly(np.stack(locs)))
+        object.__setattr__(self, "weights", _readonly([w for _, w in atoms]))
         _check_weights(self.weights, "atom")
-        self.dim = dim
+        object.__setattr__(self, "dim", dim)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         idx = rng.choice(len(self.weights), size=count, p=self.weights)
         return self.locations[idx]
 
     def cf(self, t) -> np.ndarray:
-        return np.exp(1j * (_grid(t, self.dim) @ self.locations.T)) @ self.weights
+        return np.exp(1j * (_batch(t, self.dim) @ self.locations.T)) @ self.weights
 
     def contract(self, eps) -> "PointMassMixture":
         eps = _positive_eps(eps, self.dim)
@@ -132,11 +199,10 @@ class PointMassMixture(BaseMeasure):
     def negate(self) -> "PointMassMixture":
         return PointMassMixture(list(zip(-self.locations, self.weights)))
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         return binned_rule(self.locations, self.weights)
 
-    def marginal(self, coords) -> "PointMassMixture":
-        coords = list(coords)
+    def _marginal(self, coords) -> "PointMassMixture":
         return PointMassMixture(list(zip(self.locations[:, coords], self.weights)))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
@@ -155,13 +221,13 @@ class UniformBox(BaseMeasure):
     """Uniform distribution on a closed box with lower < upper componentwise."""
 
     def __init__(self, lower, upper):
-        self.lower = _readonly(_vector(lower))
-        self.upper = _readonly(_vector(upper))
+        object.__setattr__(self, "lower", _readonly(_vector(lower)))
+        object.__setattr__(self, "upper", _readonly(_vector(upper)))
         if self.lower.size != self.upper.size:
             raise ConfigError("box bounds must share one dimension")
         if not np.all(self.lower < self.upper):
             raise ConfigError("UniformBox requires lower < upper componentwise")
-        self.dim = self.lower.size
+        object.__setattr__(self, "dim", self.lower.size)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Group-major draws: the broadcast ``lower + (upper - lower) * u``, one column at a time."""
@@ -174,7 +240,7 @@ class UniformBox(BaseMeasure):
 
     def cf(self, t) -> np.ndarray:
         # per coordinate: e^{i t c} sin(t h)/(t h) with c the center, h the halfwidth
-        t = _grid(t, self.dim)
+        t = _batch(t, self.dim)
         center = 0.5 * (self.lower + self.upper)
         half = 0.5 * (self.upper - self.lower)
         return np.exp(1j * (t @ center)) * np.prod(np.sinc(t * half / np.pi), axis=1)
@@ -186,13 +252,12 @@ class UniformBox(BaseMeasure):
     def negate(self) -> "UniformBox":
         return UniformBox(-self.upper, -self.lower)
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         axes, weights = tensor_rule(self.lower, self.upper, level)
         volume = float(np.prod(self.upper - self.lower))
         return axes, weights / volume
 
-    def marginal(self, coords) -> "UniformBox":
-        coords = list(coords)
+    def _marginal(self, coords) -> "UniformBox":
         return UniformBox(self.lower[coords], self.upper[coords])
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
@@ -208,8 +273,8 @@ class Gaussian(BaseMeasure):
     """Multivariate normal with symmetric positive semi-definite covariance."""
 
     def __init__(self, mean, covariance):
-        self.mean = _readonly(_vector(mean))
-        self.dim = self.mean.size
+        object.__setattr__(self, "mean", _readonly(_vector(mean)))
+        object.__setattr__(self, "dim", self.mean.size)
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim == 0:
             cov = cov.reshape(1, 1)
@@ -223,11 +288,11 @@ class Gaussian(BaseMeasure):
         if eigvals.min() < -1e-10 * max(1.0, eigvals.max()):
             raise ConfigError("covariance must be positive semi-definite")
         eigvals = np.clip(eigvals, 0.0, None)
-        self.covariance = _readonly(cov)
+        object.__setattr__(self, "covariance", _readonly(cov))
         # factor A with A A^T = covariance, used for deterministic sampling
-        self._factor = _readonly(eigvecs * np.sqrt(eigvals))
-        self._eigvecs = _readonly(eigvecs)
-        self._eigvals = _readonly(eigvals)
+        object.__setattr__(self, "_factor", _readonly(eigvecs * np.sqrt(eigvals)))
+        object.__setattr__(self, "_eigvecs", _readonly(eigvecs))
+        object.__setattr__(self, "_eigvals", _readonly(eigvals))
 
     @property
     def _is_degenerate(self) -> bool:
@@ -238,7 +303,7 @@ class Gaussian(BaseMeasure):
         return self.mean + z @ self._factor.T
 
     def cf(self, t) -> np.ndarray:
-        t = _grid(t, self.dim)
+        t = _batch(t, self.dim)
         return np.exp(1j * (t @ self.mean) - 0.5 * np.sum((t @ self.covariance) * t, axis=1))
 
     def contract(self, eps) -> "Gaussian":
@@ -248,7 +313,7 @@ class Gaussian(BaseMeasure):
     def negate(self) -> "Gaussian":
         return Gaussian(-self.mean, self.covariance)
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         if self._is_degenerate:
             raise UnsupportedMeasureError(
                 "quadrature nodes need a positive definite Gaussian covariance"
@@ -266,14 +331,13 @@ class Gaussian(BaseMeasure):
         centred -= self.mean
         whiten = self._eigvecs * np.sqrt(1.0 / self._eigvals)
         white = centred @ whiten
-        maha = np.sum(np.square(white, out=white), axis=-1)
+        maha = _row_sum(np.square(white, out=white))
         log_det = np.sum(np.log(self._eigvals))
         density = np.add(self.dim * math.log(2.0 * math.pi) + log_det, maha, out=maha)
         np.exp(np.multiply(-0.5, density, out=density), out=density)
         return axes, np.multiply(weights, density, out=density)
 
-    def marginal(self, coords) -> "Gaussian":
-        coords = list(coords)
+    def _marginal(self, coords) -> "Gaussian":
         return Gaussian(self.mean[coords], self.covariance[np.ix_(coords, coords)])
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
@@ -299,14 +363,14 @@ class Product(BaseMeasure):
             raise ConfigError("Product needs at least one factor")
         if any(f.dim != 1 for f in factors):
             raise ConfigError("Product factors must all be 1-D")
-        self.factors = tuple(factors)
-        self.dim = len(self.factors)
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "dim", len(self.factors))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return np.column_stack([f.sample(rng, count)[:, 0] for f in self.factors])
 
     def cf(self, t) -> np.ndarray:
-        t = _grid(t, self.dim)
+        t = _batch(t, self.dim)
         return np.prod([f.cf(t[:, k : k + 1]) for k, f in enumerate(self.factors)], axis=0)
 
     def contract(self, eps) -> "Product":
@@ -316,15 +380,14 @@ class Product(BaseMeasure):
     def negate(self) -> "Product":
         return Product([f.negate() for f in self.factors])
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         parts = [f.quad_nodes(level) for f in self.factors]
         weights = parts[0][1]
         for _, w in parts[1:]:
             weights = np.multiply.outer(weights, w)
         return tuple(axes[0] for axes, _ in parts), weights.reshape(-1)
 
-    def marginal(self, coords) -> BaseMeasure:
-        coords = list(coords)
+    def _marginal(self, coords) -> BaseMeasure:
         if len(coords) == 1:
             return self.factors[coords[0]]
         return Product([self.factors[k] for k in coords])
@@ -343,13 +406,13 @@ class Mixture(BaseMeasure):
     def __init__(self, components: Sequence[tuple]):
         if not components:
             raise ConfigError("Mixture needs at least one component")
-        self.components = tuple(m for m, _ in components)
-        self.weights = _readonly([w for _, w in components])
+        object.__setattr__(self, "components", tuple(m for m, _ in components))
+        object.__setattr__(self, "weights", _readonly([w for _, w in components]))
         _check_weights(self.weights, "mixture")
         dims = {m.dim for m in self.components}
         if len(dims) != 1:
             raise ConfigError("mixture components must share one dimension")
-        self.dim = dims.pop()
+        object.__setattr__(self, "dim", dims.pop())
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         idx = rng.choice(len(self.components), size=count, p=self.weights)
@@ -370,7 +433,7 @@ class Mixture(BaseMeasure):
     def negate(self) -> "Mixture":
         return Mixture([(c.negate(), w) for c, w in zip(self.components, self.weights)])
 
-    def quad_nodes(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         # the joint grid spans every component's axis values; the
         # integration routines add the components' integrals instead
         points, weights = [], []
@@ -380,7 +443,7 @@ class Mixture(BaseMeasure):
             weights.append(w * q)
         return binned_rule(np.concatenate(points), np.concatenate(weights))
 
-    def marginal(self, coords) -> "Mixture":
+    def _marginal(self, coords) -> "Mixture":
         return Mixture([(c.marginal(coords), w) for c, w in zip(self.components, self.weights)])
 
     def cdf(self, x: np.ndarray) -> np.ndarray:

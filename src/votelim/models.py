@@ -35,9 +35,10 @@ from .measures import (
     PointMassMixture,
     Product,
     UniformBox,
+    _Immutable,
     apply_bias_map,
 )
-from .quadrature import binned_rule, refine_until_stable
+from .quadrature import MIX_BUDGET, binned_rule, refine_until_stable
 
 LATTICE_GUARD = 10**7
 BRUTE_FORCE_MAX_N = 20
@@ -54,20 +55,6 @@ SAMPLE_GUARD = 10**8
 
 #: samples per write in MarginSample.to_csv
 CSV_CHUNK = 8192
-
-
-class _Immutable:
-    """Attributes are set once, in ``__init__`` through ``object.__setattr__``.
-
-    Instances memoize what they compute from those attributes, so a later
-    assignment could make a memo stale; it raises instead.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
 class GroupStructure(_Immutable):
@@ -287,13 +274,6 @@ def _binom_table(n_g: int, p: np.ndarray) -> np.ndarray:
     return np.clip(_binom_pmf(k, n_g, p[:, None]), 0.0, 1.0)
 
 
-#: most elements one exact-layer contraction may hold at once: a partial
-#: contraction, a group's table, or the weight grid of a set of atoms.  Larger
-#: grids are halved along their first axis longer than one until each part
-#: fits; a single node always proceeds.
-MIX_BUDGET = 2_000_000
-
-
 def _mix(table, sizes, p, weights: np.ndarray) -> np.ndarray:
     """sum over grid nodes of weight * prod_g table(n_g, p_g)[j_g], over (j_1, ..., j_M).
 
@@ -440,34 +420,49 @@ def _mixed_law(model: DeFinettiModel, measure, sizes, table) -> np.ndarray:
     return _integrate(measure, integrand)
 
 
+def _vote_products(voters: int, p: np.ndarray) -> np.ndarray:
+    """Row i is the probability of vote vector i of ``voters`` voters, for every p.
+
+    Bit v of i is set when voter v votes +1.  Each row is built voter by
+    voter as a product of factors p (a +1 vote) and 1 - p (a -1 vote):
+    vectors h..2h-1 extend vectors 0..h-1 with a +1 vote of voter v, where
+    h = 2^v, so each voter's extension is one contiguous block.
+    """
+    prob = np.empty((1 << voters, len(p)))
+    prob[0] = 1.0
+    for voter in range(voters):
+        h = 1 << voter
+        np.multiply(prob[:h], p, out=prob[h : 2 * h])
+        prob[:h] *= 1.0 - p
+    return prob
+
+
 def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     """Row q sums the probabilities of all 2^n_g vote vectors of one group by +1 count.
 
-    Each vote vector's probability is built voter by voter as a product of
+    Every vote vector's probability is formed as a product of per-voter
     factors p[q] (a +1 vote) and 1 - p[q] (a -1 vote), so the count
     distribution arises from enumeration alone, with no binomial coefficients.
-    The working array is vote-vector-major, (2^n_g, a block of p) with at most
-    4e6 elements, so each voter's extension is one contiguous block.  Bit v
-    of a vector's index is set when voter v votes +1, so the vectors are
-    binned by the popcount of their index, against a one-hot matrix built
-    for at most 4e6 / (n_g + 1) vectors at a time.
+    The voters are split into a low and a high half: vector i's probability
+    is the product of its low bits' vector and its high bits' vector
+    (``_vote_products``), one broadcast multiply into a vote-vector-major
+    (2^n_g, a block of p) array of at most 4e6 elements.  The vectors are
+    binned count-major: a (n_g + 1, vectors) indicator of each count's
+    popcount times the products gives the table's transpose.  The indicator
+    is built on each call, for at most 4e6 / (n_g + 1) vectors at a time.
     """
     block = max(1, 4_000_000 >> n_g)
     if len(p) > block:
         return np.vstack([_enumerated_count_table(n_g, p[i : i + block]) for i in range(0, len(p), block)])
-    prob = np.empty((1 << n_g, len(p)))
-    prob[0] = 1.0
-    for voter in range(n_g):
-        # vectors h..2h-1 extend vectors 0..h-1 with a +1 vote of this voter
-        h = 1 << voter
-        np.multiply(prob[:h], p, out=prob[h : 2 * h])
-        prob[:h] *= 1.0 - p
+    low = n_g // 2
+    prob = (_vote_products(n_g - low, p)[:, None] * _vote_products(low, p)).reshape(1 << n_g, len(p))
+    counts = np.arange(n_g + 1)[:, None]
     rows = max(1, 4_000_000 // (n_g + 1))
     table = 0.0
     for r in range(0, 1 << n_g, rows):
         plus = np.bitwise_count(np.arange(r, min(r + rows, 1 << n_g)))
-        table = table + prob[r : r + rows].T @ (plus[:, None] == np.arange(n_g + 1)).astype(float)
-    return table
+        table = table + (counts == plus).astype(float) @ prob[r : r + rows]
+    return table.T
 
 
 def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:

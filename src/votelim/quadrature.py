@@ -32,6 +32,13 @@ DEFAULT_TOL = 1e-12
 #: practice stays below it.
 NODE_GUARD = 2**22
 
+#: most elements one exact-layer contraction may hold at once: a partial
+#: contraction, a group's table, or the weight grid of a set of atoms.  Larger
+#: grids are halved along their first axis longer than one until each part
+#: fits; a single node always proceeds.  A measure keeps the grids it builds
+#: up to this many cells (``measures._Gridded``).
+MIX_BUDGET = 2_000_000
+
 
 @functools.lru_cache(maxsize=64)
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

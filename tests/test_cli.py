@@ -1,9 +1,11 @@
 import contextlib
 import copy
+import errno
 import functools
 import io
 import json
 import operator
+import os
 import platform
 import re
 import tempfile
@@ -1113,3 +1115,47 @@ def test_estimate_alpha_inline_points(tmp_path, capsys):
     saved = json.loads((tmp_path / "out" / "alpha.json").read_text())
     assert sorted(saved) == ["alpha", "intercept", "n_points", "residual_variance"]
     assert saved["n_points"] == 2 and saved["alpha"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _half_written_manifest(self, text, *args, **kwargs):
+    with open(self, "w") as fh:
+        fh.write(text[:10])
+    _no_space()
+
+
+@pytest.mark.parametrize(
+    "target, name, writer, artifact",
+    [
+        (models.MarginSample, "to_csv", _no_space, "margins.csv"),
+        (cli, "write_reports_jsonl", _no_space, "reports.jsonl"),
+        (cli, "write_reports_csv", _no_space, "summary.csv"),
+        (Path, "write_text", _half_written_manifest, "manifest.json"),
+    ],
+    ids=["margins", "reports", "summary", "manifest"],
+)
+def test_a_full_disk_exits_3_naming_the_artifact_and_leaves_no_manifest(
+    tmp_path, capsys, monkeypatch, target, name, writer, artifact
+):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc()))
+    out = tmp_path / "o"
+    monkeypatch.setattr(target, name, writer)
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"resource guard: cannot write {str(out / artifact)!r}: No space left on device\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_an_alpha_file_that_cannot_be_written_exits_3(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "a.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1,
+                                   "points": [[100, 0.1], [10000, 0.01]]}))
+    monkeypatch.setattr(Path, "write_text", _no_space)
+    assert main(["estimate-alpha", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(f"cannot write {str(tmp_path / 'o' / 'alpha.json')!r}: No space left on device\n")
+    assert err.count("\n") == 1 and not (tmp_path / "o" / "manifest.json").exists()

@@ -13,6 +13,7 @@ from votelim import (
     DeFinettiModel,
     FreeEnergySurface,
     GroupStructure,
+    QuadratureError,
     ResourceError,
     TANH,
     brute_force_pmf,
@@ -463,3 +464,46 @@ def test_two_group_pair_correlation_matches_enumeration(proportions):
         enumerated.append((second - n_g) / (n_g * (n_g - 1)))
     quadrature = pair_correlation(cwm_model(J_TWO, groups), n)
     assert quadrature == pytest.approx(enumerated, rel=1e-10)
+
+
+#: pair_correlation of the J_TWO model with groups (1/2, 1/2), as computed
+#: when each group's marginal evaluated the density on its own
+J_TWO_PAIR_CORRELATION = {
+    16: ("0x1.d2883cb8d6370p-4", "0x1.d2883cb8d6370p-4"),
+    100: ("0x1.9a69e8b6691a0p-6", "0x1.9a69e8b6691a1p-6"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(J_TWO_PAIR_CORRELATION))
+def test_pair_correlation_evaluates_the_density_once_per_level(monkeypatch, n):
+    density, grids = FreeEnergySurface.density, []
+
+    def counted(self, x):
+        grids.append(len(x))
+        return density(self, x)
+
+    monkeypatch.setattr(FreeEnergySurface, "density", counted)
+    values = pair_correlation(cwm_model(J_TWO, GROUPS_2), n)
+    assert len(grids) >= 2 and len(set(grids)) == len(grids)
+    assert [v.hex() for v in values.tolist()] == list(J_TWO_PAIR_CORRELATION[n])
+
+
+def test_the_surface_and_the_mixing_measure_are_immutable():
+    measure = cwm_model(J_TWO, GROUPS_2).mixing_measure(16)
+    for obj, name in ((measure, "coords"), (measure.surface, "n")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, None)
+    axes, weights = measure.surface.quad_nodes(64)
+    assert measure.surface.quad_nodes(64)[1] is weights
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
+    assert measure.marginal([0, 1]) is measure
+    assert measure.marginal([0]).surface is measure.surface
+
+
+def test_a_grid_that_misses_the_density_peak_raises_each_time_and_is_not_kept():
+    surface = FreeEnergySurface(CouplingSpec.single_group(0.99999), GROUPS_1, 16)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="density peak"):
+            surface.quad_nodes(64)
+    assert surface._grids == {}

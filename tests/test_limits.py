@@ -36,6 +36,11 @@ from conftest import (
 )
 
 
+def _convolution(base):
+    """G + Y with G standard normal and Y ~ base on every coordinate."""
+    return LimitLaw("convolution", base.dim, (True,) * base.dim, base, tuple(range(base.dim)))
+
+
 # -- regime dispatch ------------------------------------------------------------
 
 def test_fast_dispatch_is_gaussian():
@@ -160,25 +165,25 @@ def test_gaussian_cdf_at_origin():
 
 
 def test_convolution_with_symmetric_atoms_at_origin():
-    law = LimitLaw.convolution(TWO_ATOM_2)
+    law = _convolution(TWO_ATOM_2)
     assert law.cdf(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_convolution_cdf_closed_form():
-    law = LimitLaw.convolution(TWO_ATOM_2)
+    law = _convolution(TWO_ATOM_2)
     expected = 0.5 * ndtr(4.0) + 0.5 * ndtr(0.0)
     assert law.cdf(np.array([2.0]))[0] == pytest.approx(float(expected), abs=1e-13)
 
 
 def test_convolution_cdf_with_uniform_base_matches_quadrature_oracle():
-    law = LimitLaw.convolution(UNIFORM_1)
+    law = _convolution(UNIFORM_1)
     x = 0.8
     expected, _ = quad(lambda y: ndtr(x - y) / 2.0, -1, 1, epsabs=1e-13)
     assert law.cdf(np.array([x]))[0] == pytest.approx(expected, abs=1e-11)
 
 
 def test_cdf_monotone_with_correct_limits():
-    law = LimitLaw.convolution(UNIFORM_1)
+    law = _convolution(UNIFORM_1)
     grid = np.linspace(-8, 8, 33)
     values = law.cdf(grid)
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -241,8 +246,8 @@ ARRAY_CDF_CASES = {
     "product": Product([Gaussian([-0.2], [[0.5]])]),
     "mixture": Mixture([(BOX_MIX, 0.5), (DEGENERATE_GAUSS, 0.5)]),
     "law-gaussian": LimitLaw.standard_gaussian(1),
-    "law-conv-atoms": LimitLaw.convolution(SCRAMBLED_ATOMS),
-    "law-conv-uniform": LimitLaw.convolution(UniformBox([-1.0], [2.0])),
+    "law-conv-atoms": _convolution(SCRAMBLED_ATOMS),
+    "law-conv-uniform": _convolution(UniformBox([-1.0], [2.0])),
     "law-base": LimitLaw("base", 1, (False,), BOX_MIX, (0,)),
     "law-cluster-fast": THREE_REGIMES.marginal(0),
     "law-cluster-critical": THREE_REGIMES.marginal(1),
@@ -266,7 +271,7 @@ def test_array_cdf_rejects_multivariate_measure():
 
 
 def test_convolution_cdf_matches_quadrature_oracle_on_grid():
-    law = LimitLaw.convolution(UNIFORM_1)
+    law = _convolution(UNIFORM_1)
     grid = np.linspace(-8, 8, 33)
     expected = [quad(lambda y: ndtr(x - y) / 2.0, -1, 1, epsabs=1e-13)[0] for x in grid]
     assert law.cdf(grid) == pytest.approx(expected, abs=1e-11)
@@ -276,7 +281,7 @@ def test_convolution_cdf_refines_over_every_point():
     # nodes that suffice at the leftmost point (where Phi(x - y) vanishes on
     # the whole box) are far too coarse at the centre of a wide box
     half = 100.0
-    law = LimitLaw.convolution(UniformBox([-half], [half]))
+    law = _convolution(UniformBox([-half], [half]))
     grid = np.linspace(-1.5 * half, 1.5 * half, 61)
 
     def antiderivative(z):  # of Phi: z Phi(z) + phi(z)
@@ -302,7 +307,7 @@ def test_gaussian_cf_formula():
 
 
 def test_convolution_cf_product_rule_with_quadrature_oracle():
-    law = LimitLaw.convolution(UNIFORM_1)  # h = 1
+    law = _convolution(UNIFORM_1)  # h = 1
     t = 2.0
     base_cf, _ = quad(lambda y: math.cos(t * y) / 2.0, -1, 1, epsabs=1e-13)
     assert law.cf([[t]])[0] == pytest.approx(math.exp(-2.0) * base_cf, abs=1e-12)
@@ -312,7 +317,7 @@ def test_convolution_cf_product_rule_with_quadrature_oracle():
 
 
 def test_cf_modulus_bounded():
-    law = LimitLaw.convolution(TWO_ATOM_2)
+    law = _convolution(TWO_ATOM_2)
     assert np.all(np.abs(law.cf(np.linspace(-10, 10, 41)[:, None])) <= 1.0 + 1e-12)
 
 
@@ -360,8 +365,8 @@ ARRAY_CF_CASES = {
     "mixture": Mixture([(BOX_MIX, 0.5), (DEGENERATE_GAUSS, 0.5)]),
     "mixture-2d": Mixture([(SCATTERED_ATOMS_2, 0.3), (UniformBox([-1.0, 0.5], [2.0, 0.75]), 0.7)]),
     "law-gaussian": LimitLaw.standard_gaussian(3),
-    "law-conv-atoms": LimitLaw.convolution(SCATTERED_ATOMS_2),
-    "law-conv-uniform": LimitLaw.convolution(UniformBox([-1.0], [2.0])),
+    "law-conv-atoms": _convolution(SCATTERED_ATOMS_2),
+    "law-conv-uniform": _convolution(UniformBox([-1.0], [2.0])),
     "law-base": LimitLaw("base", 2, (False, False), SCATTERED_ATOMS_2, (0, 1)),
     "law-cluster": THREE_REGIMES,
 }
@@ -401,8 +406,8 @@ def gil_pelaez_cdf(cf, x):
     "law",
     [
         LimitLaw.standard_gaussian(1),
-        LimitLaw.convolution(TWO_ATOM_2),
-        LimitLaw.convolution(UNIFORM_1),
+        _convolution(TWO_ATOM_2),
+        _convolution(UNIFORM_1),
     ],
     ids=["gaussian", "conv-atoms", "conv-uniform"],
 )

@@ -16,9 +16,10 @@ from votelim import (
     Product,
     StaticSequence,
     UniformBox,
+    UnsupportedMeasureError,
 )
-from votelim.measures import GAUSSIAN_BOX_SIGMAS, ExplicitSchedule, Mixture, apply_bias_map
-from votelim.quadrature import grid_points, tensor_rule
+from votelim.measures import GAUSSIAN_BOX_SIGMAS, ExplicitSchedule, Mixture, _row_sum, apply_bias_map
+from votelim.quadrature import MIX_BUDGET, grid_points, tensor_rule
 from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measures_1d
 
 
@@ -346,3 +347,71 @@ def test_mixture_symmetry_via_paired_components():
     right = PointMassMixture([([2.0], 1.0)])
     assert Mixture([(left, 0.5), (right, 0.5)]).is_symmetric
     assert not Mixture([(left, 0.6), (right, 0.4)]).is_symmetric
+
+
+# -- immutability and the grid memo -------------------------------------------------
+
+IMMUTABLE_MEASURES = {
+    "atoms": DELTA_0,
+    "box": UNIFORM_1,
+    "gaussian": Gaussian([0.0, 0.5], [[1.0, 0.3], [0.3, 2.0]]),
+    "product": Product([UNIFORM_1, GAUSS_1]),
+    "mixture": Mixture([(UNIFORM_1, 0.5), (GAUSS_1, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("measure", IMMUTABLE_MEASURES.values(), ids=IMMUTABLE_MEASURES.keys())
+def test_assigning_a_measure_attribute_raises(measure):
+    with pytest.raises(AttributeError, match="immutable"):
+        measure.dim = 3
+    with pytest.raises(AttributeError, match="immutable"):
+        measure.extra = 1
+    with pytest.raises(AttributeError, match="immutable"):
+        del measure.dim
+
+
+@pytest.mark.parametrize("measure", IMMUTABLE_MEASURES.values(), ids=IMMUTABLE_MEASURES.keys())
+def test_a_memoized_grid_is_shared_and_read_only(measure):
+    axes, weights = measure.quad_nodes(64)
+    again = measure.quad_nodes(64)
+    assert again[1] is weights and all(a is b for a, b in zip(again[0], axes))
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        axes[0] *= 2.0
+
+
+def test_a_grid_above_the_mix_budget_is_built_again():
+    box = UniformBox([-1.0] * 3, [1.0] * 3)
+    small = box.quad_nodes(64)
+    assert small[1].size <= MIX_BUDGET and box.quad_nodes(64)[1] is small[1]
+    large = box.quad_nodes(128)
+    assert large[1].size > MIX_BUDGET
+    again = box.quad_nodes(128)
+    assert again[1] is not large[1] and np.array_equal(again[1], large[1])
+    assert not again[1].flags.writeable
+    assert sorted(box._grids) == [64]
+
+
+def test_a_failed_grid_raises_on_every_call_and_is_not_kept():
+    degenerate = Gaussian([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+    for _ in range(2):
+        with pytest.raises(UnsupportedMeasureError, match="positive definite"):
+            degenerate.quad_nodes(64)
+    assert degenerate._grids == {}
+
+
+@pytest.mark.parametrize("measure", IMMUTABLE_MEASURES.values(), ids=IMMUTABLE_MEASURES.keys())
+def test_a_whole_marginal_is_the_measure_itself(measure):
+    assert measure.marginal(range(measure.dim)) is measure
+    if measure.dim == 2:
+        swapped = measure.marginal([1, 0])
+        assert swapped is not measure
+        assert swapped.cf([[0.3, -0.7]]) == pytest.approx(measure.cf([[-0.7, 0.3]]), abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_the_column_sum_has_the_bits_of_the_row_reduction(dim):
+    rng = np.random.default_rng(dim)
+    squares = np.square(rng.standard_normal((4099, dim)) * rng.uniform(0.0, 1e3, (4099, dim)))
+    assert np.array_equal(_row_sum(squares), np.sum(squares, axis=-1))

@@ -979,6 +979,23 @@ def test_tables_are_built_once_per_distinct_node_coordinate(monkeypatch):
     assert joint.max_abs_diff(brute) < 1e-12
 
 
+def test_an_m1_oracle_op_builds_each_level_grid_once(monkeypatch):
+    """The exact law reads mu_n itself as its one marginal, so the 2^n oracle
+    after it finds every level's grid already built."""
+    model = contracted(GAUSS_1, 0.5, bias=TANH)
+    levels, real = [], Gaussian._grid
+
+    def spy(self, level):
+        levels.append(level)
+        return real(self, level)
+
+    monkeypatch.setattr(Gaussian, "_grid", spy)
+    exact = exact_margin_pmf(model, 13)
+    brute = brute_force_pmf(model, 13)
+    assert len(levels) >= 2 and levels == sorted(set(levels))
+    assert exact.max_abs_diff(brute) < 1e-14
+
+
 def _per_node_mix(table, sizes, p, weights):
     """The literal per-node sum: one table product per node, weighted and added."""
     out = np.zeros(tuple(s + 1 for s in sizes))

@@ -112,6 +112,9 @@ REGIME_ARTIFACTS = {
     "llt_baseline": {
         "reports.jsonl": "2197e0d29519879693e9663426a409657b759067f8c45bcc50cc0c1fb3d72f7c",
     },
+    "cwm_equivalence": {
+        "reports.jsonl": "ff49fa7a3852347392e761bbb43757e9131c59565036c6af89404049d966832d",
+    },
 }
 
 

@@ -21,7 +21,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import KINDS, ExperimentConfig, load_config
@@ -118,6 +117,8 @@ def _write(path: Path, write) -> None:
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs, extra=None) -> None:
+    import scipy  # for its version only; imported here, so `import votelim.cli` does not load it
+
     doc = {
         "config_hash": cfg.hash(),
         "experiment": cfg.experiment,

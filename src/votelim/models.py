@@ -53,8 +53,17 @@ SAMPLE_BLOCK = 8192
 #: whatever memory the host has
 SAMPLE_GUARD = 10**8
 
-#: samples per write in MarginSample.to_csv
+#: samples per string that MarginSample.to_csv joins and writes
 CSV_CHUNK = 8192
+
+#: samples over which MarginSample.to_csv formats each recurring margin's
+#: row tail once.  Per group the writer then holds ``np.unique``'s output
+#: (three arrays of at most CSV_WINDOW integers) and the tails of the
+#: window's recurring margins: at most CSV_WINDOW / 2 strings of under 100
+#: bytes, when every margin occurs twice.  A one-group write of that kind
+#: peaks at 11.5 MB (tracemalloc), whatever the sample count.
+#: 2^17 > 10^5, so every shipped sample fits in one window.
+CSV_WINDOW = 2**17
 
 
 class GroupStructure(_Immutable):
@@ -529,27 +538,55 @@ class MarginSample:
 
         One row per (sample, group), in sample-major order, with CRLF line
         ends and ``repr`` floats: the bytes of ``csv.writer``, so identical
-        samples give identical files.  Written ``CSV_CHUNK`` samples at a
-        time, so memory stays bounded, with no Python call per row.  A raw
-        margin k of group g fixes the rest of its row, ``,g,k,k/gamma_g``,
-        so within a chunk each group's column is reduced to its distinct
-        margins (a chunk of a large group repeats few lattice values), each
-        row tail is formatted once and scattered back beside the formatted
-        sample indices, and the chunk is joined into one string.
+        samples give identical files.  A raw margin k of group g fixes the
+        rest of its row, ``,g,k,k/gamma_g``.  Each group's column is read
+        ``CSV_WINDOW`` samples at a time and reduced to its distinct
+        margins; the tail of a margin that recurs in the window is
+        formatted once, and that of a margin occurring once in the block
+        of rows where it appears.  Rows are written ``CSV_CHUNK`` samples
+        at a time: the tails are scattered beside the formatted sample
+        indices and the block is joined into one string, with no Python
+        call per row.  So memory stays bounded by the two constants.
         """
-        m = len(self.group_sizes)
         with open(path, "w", newline="") as fh:
             fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
-            for start in range(0, self.count, CSV_CHUNK):
-                stop = min(start + CSV_CHUNK, self.count)
-                cells = np.empty((stop - start, m, 2), dtype=object)
-                cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
-                for g, gamma_g in enumerate(self.gamma):
-                    # int / float rounds as numpy's int64 -> float64 divide does
-                    margins, inverse = np.unique(self.raw[start:stop, g], return_inverse=True)
-                    tails = [f",{g},{k!r},{k / gamma_g!r}\r\n" for k in margins.tolist()]
-                    cells[:, g, 1] = np.fromiter(tails, object, len(tails))[inverse]
-                fh.write("".join(cells.reshape(-1).tolist()))
+            for w0 in range(0, self.count, CSV_WINDOW):
+                fh.writelines(self._csv_blocks(w0, min(w0 + CSV_WINDOW, self.count)))
+
+    def _csv_blocks(self, w0: int, w1: int):
+        """The CSV rows of samples [w0, w1), one string per ``CSV_CHUNK`` samples.
+
+        A generator, so a window's tails are released before the next
+        window's are built.
+        """
+        columns = []
+        for g, gamma_g in enumerate(self.gamma):
+            window = self.raw[w0:w1, g]
+            # a sort costs about a fifth of np.unique with its inverse, which a
+            # window where no margin recurs does without (a difference of two
+            # unequal margins never wraps to 0)
+            if np.diff(np.sort(window)).all():  # the window lists its distinct margins itself
+                margins, inverse, counts = window, np.arange(len(window)), np.ones(len(window), int)
+            else:
+                margins, inverse, counts = np.unique(window, return_inverse=True, return_counts=True)
+            once = counts == 1
+            tails = np.empty(len(margins), dtype=object)
+            tails[~once] = _row_tails(g, gamma_g, margins[~once])
+            columns.append((g, gamma_g, margins, inverse, once, tails))
+        for start in range(w0, w1, CSV_CHUNK):
+            stop = min(start + CSV_CHUNK, w1)
+            cells = np.empty((stop - start, len(columns), 2), dtype=object)
+            cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
+            for g, gamma_g, margins, inverse, once, tails in columns:
+                block = inverse[start - w0:stop - w0]
+                single = once[block]
+                if single.all():  # no margin of the block recurs: format its rows in order
+                    cells[:, g, 1] = _row_tails(g, gamma_g, self.raw[start:stop, g])
+                    continue
+                column = tails[block]
+                column[single] = _row_tails(g, gamma_g, margins[block[single]])
+                cells[:, g, 1] = column
+            yield "".join(cells.reshape(-1).tolist())
 
     def manifest(self) -> dict:
         return {
@@ -560,6 +597,13 @@ class MarginSample:
             "gamma": list(self.gamma),
             "regimes": list(self.regimes),
         }
+
+
+def _row_tails(g: int, gamma_g: float, margins: np.ndarray) -> np.ndarray:
+    """The CSV row tails ``,g,k,k/gamma_g`` of ``margins``, as an object array."""
+    # int / float rounds as numpy's int64 -> float64 divide does
+    tails = [f",{g},{k!r},{k / gamma_g!r}\r\n" for k in margins.tolist()]
+    return np.fromiter(tails, object, len(tails))
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:

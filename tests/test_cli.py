@@ -330,16 +330,33 @@ def _wrong_length(value):
 
 _MUTATIONS = (float("inf"), float("-inf"), float("nan"), 0, -1, "abc", [], _wrong_length)
 
+#: command-line values: negative, zero, huge and not an integer for the
+#: integer flags (the sampler never starts more threads than blocks), and
+#: for ``--out`` an existing file and a path below it
+_FLAG_MUTATIONS = {
+    "--seed": ("-1", "0", str(10**30), "abc"),
+    "--workers": ("-1", "0", str(10**30), "abc"),
+    "--out": ("a-file", "a-file/sub"),
+}
+
+
+def _flag_refused(flag, value):
+    """Whether ``flag value`` must exit 2 naming the flag, after argparse took it."""
+    return flag == "--out" or int(value) < (1 if flag == "--workers" else 0)
+
 
 @st.composite
 def _mutated_shipped_docs(draw):
+    """(kind, document, flag): one value of the document or one flag mutated."""
     doc = _small_shipped_doc(draw(st.sampled_from(sorted(CONFIGS.glob("*.yaml")))))
     kind = doc["experiment"]
-    path = draw(st.sampled_from(list(_value_paths(doc))))
+    path = draw(st.sampled_from(list(_value_paths(doc)) + [(flag,) for flag in _FLAG_MUTATIONS]))
+    if path[0] in _FLAG_MUTATIONS:
+        return kind, doc, (path[0], draw(st.sampled_from(_FLAG_MUTATIONS[path[0]])))
     mutation = draw(st.sampled_from(_MUTATIONS))
     parent = functools.reduce(operator.getitem, path[:-1], doc)
     parent[path[-1]] = mutation(parent[path[-1]]) if callable(mutation) else mutation
-    return kind, doc
+    return kind, doc, None
 
 
 def _refuse_nan(constant):
@@ -349,18 +366,41 @@ def _refuse_nan(constant):
     return float(constant)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+# 400 examples draw every flag value at least twice (hypothesis 6.155.2)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(_mutated_shipped_docs())
 def test_a_mutated_shipped_document_exits_with_its_code_and_at_most_one_error_line(case):
-    kind, doc = case
+    kind, doc, flag = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "c.yaml", Path(tmp) / "o"
         cfg.write_text(yaml.safe_dump(doc))
+        argv = [kind, "--config", str(cfg)]
+        if flag and flag[0] == "--out":
+            (Path(tmp) / "a-file").write_text("")
+            out = Path(tmp) / flag[1]
+        elif flag:
+            argv += list(flag)
+        argv += ["--out", str(out)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([kind, "--config", str(cfg), "--out", str(out)])
-        assert code in (0, 1, 2, 3)
+            if flag and flag[1] == "abc":
+                # argparse's own usage error: its usage (wrapped to the
+                # terminal's width), then one error line, exit 2
+                with pytest.raises(SystemExit) as exited:
+                    main(argv)
+            else:
+                code = main(argv)
         err = err.getvalue()
+        if flag and flag[1] == "abc":
+            assert exited.value.code == 2
+            *usage, last = err.splitlines()
+            assert usage[0].startswith(f"usage: votelim {kind} ")
+            assert all(line.startswith(" ") for line in usage[1:]), err
+            assert last == f"votelim {kind}: error: argument {flag[0]}: invalid int value: 'abc'"
+            return
+        if flag and _flag_refused(*flag):
+            assert code == 2 and err.startswith(f"error: {flag[0]}: "), err
+        assert code in (0, 1, 2, 3)
         assert err == "" or (err.startswith(("error: ", "resource guard: ")) and err.count("\n") == 1
                              and err.endswith("\n")), err
         assert bool(err) == (code in (2, 3))

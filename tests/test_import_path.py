@@ -1,14 +1,14 @@
-"""scipy.stats and scipy.special stay off the import path; scipy.stats off every run.
+"""scipy stays off the import path; scipy.stats off every run.
 
-``import votelim, votelim.cli`` loads numpy, PyYAML and bare ``scipy`` (for
-the manifest's version) and nothing else heavy.  ``scipy.special`` (about a
-quarter second to import) loads at first use: the first Gaussian or
-Gaussian-smoothed CDF (``ndtr``), the default KS threshold (``kolmogi``) or
-an exact binomial table.  So ``subcritical_base``, ``subcritical_decay`` and
-``decay_negative_control`` never load it.  ``scipy.stats`` (about a second)
-loads on no path: binomial tables come from the ufunc behind
-``scipy.stats.binom.pmf`` and Gaussian quadrature nodes compute their
-density in numpy.
+``import votelim, votelim.cli`` loads numpy and PyYAML and nothing else
+heavy.  Bare ``scipy`` loads when a run writes its manifest, which records
+its version.  ``scipy.special`` (about a quarter second to import) loads at
+first use: the first Gaussian or Gaussian-smoothed CDF (``ndtr``), the
+default KS threshold (``kolmogi``) or an exact binomial table.  So
+``subcritical_base``, ``subcritical_decay`` and ``decay_negative_control``
+never load it.  ``scipy.stats`` (about a second) loads on no path:
+binomial tables come from the ufunc behind ``scipy.stats.binom.pmf`` and
+Gaussian quadrature nodes compute their density in numpy.
 
 The run-time checks run in a fresh interpreter, since this test process has
 long since loaded both.  That interpreter refuses every import of the
@@ -142,6 +142,18 @@ def test_no_stage_loads_scipy_stats():
         "cwm_equivalence": "no import",
     }
     assert result["codes"] == {"llt_baseline": 0, "cwm_equivalence": 0}
+
+
+SCIPY_SCRIPT = r"""
+refuse("scipy")
+import votelim, votelim.cli
+print(json.dumps({"loaded": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_the_package_imports_without_scipy():
+    """The manifest's scipy version is read when a run writes it, not at import."""
+    assert run_script(SCIPY_SCRIPT) == {"loaded": []}
 
 
 SPECIAL_SCRIPT = r"""

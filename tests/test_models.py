@@ -615,9 +615,30 @@ def _reference_csv_bytes(sample) -> bytes:
     return buf.getvalue().encode()
 
 
+def _written(sample, path) -> bytes:
+    """The bytes ``sample.to_csv`` writes to ``path``, written as a new file.
+
+    On some file systems, truncating a file just written takes up to a
+    tenth of a second an open; a run writes new files.
+    """
+    path.unlink(missing_ok=True)
+    sample.to_csv(path)
+    return path.read_bytes()
+
+
+def _margin_columns(rng, count, m, repeats):
+    """(count, m) distinct margins in shuffled columns, each repeated ``repeats`` times.
+
+    With repeats 2 a column of odd length gives its last margin a third row,
+    so every margin still recurs.
+    """
+    values = np.minimum(np.arange(count) // repeats, max(count // repeats - 1, 0))
+    return rng.permuted(np.tile(3 * values - count, (m, 1)), axis=1).T
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("count", [37, CSV_CHUNK, 2 * CSV_CHUNK + 5])
-def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
+def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, monkeypatch, m, count):
     # chunk edges: fewer samples than one chunk, exactly one, and a ragged tail
     groups = GroupStructure(m, [1.0 / m] * m)
     base = UniformBox([-1.0] * m, [1.0] * m)
@@ -625,25 +646,61 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, m, count):
     sample = sample_margins(model, 30 * m, count, 11)
     assert (sample.normalized < 0).any() and (sample.normalized > 0).any()
     path = tmp_path / "margins.csv"
-    sample.to_csv(path)
-    assert path.read_bytes() == _reference_csv_bytes(sample)
+    assert _written(sample, path) == _reference_csv_bytes(sample)
     # hand-built: a sample-major ``raw`` with repeated values and divisors
     # whose quotients need all 17 digits
     rng = np.random.default_rng(count + m)
     raw = rng.integers(-1000, 1001, size=(count, m))
     built = MarginSample(30 * m, sample.group_sizes, raw, (3.0, 7.0, 0.1)[:m], sample.regimes, 11)
-    built.to_csv(path)
-    assert path.read_bytes() == _reference_csv_bytes(built)
+    assert _written(built, path) == _reference_csv_bytes(built)
     # one sample; every value of every chunk equal; int32 raw
     for raw_v in (raw[:1], np.full_like(raw, -7), raw.astype(np.int32)):
         edge = dataclasses.replace(built, raw=raw_v)
-        edge.to_csv(path)
-        assert path.read_bytes() == _reference_csv_bytes(edge)
+        assert _written(edge, path) == _reference_csv_bytes(edge)
     # margins near the population guard, where 64-bit text and quotients are widest
     huge = raw + np.where(raw < 0, -(10**12), 10**12)
     wide = dataclasses.replace(built, raw=huge, gamma=(0.1,) * m)
-    wide.to_csv(path)
-    assert path.read_bytes() == _reference_csv_bytes(wide)
+    assert _written(wide, path) == _reference_csv_bytes(wide)
+    # every margin of a column recurs; no margin recurs
+    recurring = _margin_columns(rng, count, m, 2)
+    distinct = _margin_columns(rng, count, m, 1)
+    assert np.unique(recurring[:, 0], return_counts=True)[1].min() >= 2
+    assert np.unique(distinct[:, 0], return_counts=True)[1].max() == 1
+    for raw_v in (recurring, distinct):
+        edge = dataclasses.replace(built, raw=raw_v)
+        assert _written(edge, path) == _reference_csv_bytes(edge)
+    # window edges, with a small window in blocks of 10 samples: the sample
+    # is one over a window (the last window holds one sample), exactly one,
+    # and one short of one
+    if count == 37:
+        monkeypatch.setattr(models, "CSV_CHUNK", 10)
+        for window in (36, 37, 38):
+            monkeypatch.setattr(models, "CSV_WINDOW", window)
+            for raw_v in (raw, recurring, distinct):
+                edge = dataclasses.replace(built, raw=raw_v)
+                assert _written(edge, path) == _reference_csv_bytes(edge)
+
+
+def test_margin_sample_csv_memory_does_not_grow_with_count(tmp_path, monkeypatch):
+    # every margin occurs exactly twice in its window, so the writer caches
+    # the most tails a window can hold; four windows must peak within 10%
+    # of one
+    window = 4096
+    monkeypatch.setattr(models, "CSV_WINDOW", window)
+    rng = np.random.default_rng(3)
+
+    def peak(count):
+        raw = np.concatenate([rng.permutation(np.arange(w, w + window) // 2) for w in range(0, count, window)])
+        sample = MarginSample(10**6, (10**6,), raw[:, None], (7.0,), ("subcritical",), 1)
+        tracemalloc.start()
+        try:
+            sample.to_csv(tmp_path / f"{count}.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(window)
+    assert peak(4 * window) <= 1.1 * one
 
 
 # -- summary statistics --------------------------------------------------------------------

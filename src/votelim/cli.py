@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import warnings
@@ -45,8 +46,9 @@ def ingest_margins(path) -> list[tuple]:
 
     Accepts headers ``population,abs_margin`` (raw counts, normalized on
     ingest) or ``population,margin_per_capita``.  Rows with nonpositive
-    or unparseable populations are rejected with their line numbers;
-    exact duplicate points are dropped with a warning.
+    populations, non-finite values or fields that do not parse are
+    rejected with their line numbers; exact duplicate points are dropped
+    with a warning.
     """
     import csv as _csv
 
@@ -79,7 +81,7 @@ def ingest_margins(path) -> list[tuple]:
             except (TypeError, ValueError):
                 bad_lines.append(line)
                 continue
-            if population <= 0:
+            if not (0 < population < math.inf and math.isfinite(margin)):
                 bad_lines.append(line)
                 continue
             per_capita = margin / population if raw_counts else margin

@@ -247,13 +247,16 @@ def estimate_alpha(points) -> AlphaEstimate:
     """Least-squares slope of log(margin) against log(n); alpha = -slope.
 
     Accepts two or more points with distinct n (two points determine the
-    slope exactly); margins must be strictly positive.
+    slope exactly); every value must be finite and every population and
+    margin strictly positive.
     """
     points = list(points)
     if len(points) < 2:
         raise DataError("alpha estimation needs at least 2 points")
     ns = np.asarray([p[0] for p in points], dtype=float)
     margins = np.asarray([p[1] for p in points], dtype=float)
+    if not (np.all(np.isfinite(ns) & (ns > 0)) and np.all(np.isfinite(margins))):
+        raise DataError("alpha estimation needs finite positive populations and finite margins")
     if len(set(ns.tolist())) < 2:
         raise DataError("alpha estimation needs at least 2 distinct population sizes")
     if np.any(margins <= 0):

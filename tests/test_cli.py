@@ -947,6 +947,11 @@ def test_ingest_rejects_bad_rows_with_line_numbers(tmp_path):
     with pytest.raises(DataError) as err:
         ingest_margins(path)
     assert "3" in str(err.value) and "4" in str(err.value)
+    # a non-finite population or margin is a malformed row too
+    for column in ("abs_margin", "margin_per_capita"):
+        path.write_text(f"population,{column}\n100,10\nnan,3\ninf,4\n1000,nan\n10000,inf\n10,-inf\n")
+        with pytest.raises(DataError, match=r"on lines \[3, 4, 5, 6, 7\]"):
+            ingest_margins(path)
 
 
 def test_ingest_empty_file(tmp_path):

@@ -342,19 +342,23 @@ def test_brute_force_guard():
         brute_force_pmf(static_delta0(), 21)
 
 
-def test_brute_force_at_the_size_guard_bins_within_the_block_budget():
-    # one (2^20, 21) one-hot matrix for the count binning would take 176 MB;
-    # only the brute force runs inside the trace; the exact law is its reference
-    n = models.BRUTE_FORCE_MAX_N
-    exact = exact_margin_pmf(static_delta0(), n)
+@pytest.mark.parametrize("model, n", [
+    (static_delta0(), models.BRUTE_FORCE_MAX_N),              # one node
+    (contracted(GAUSS_1, 0.15, bias=TANH), 16),               # grids of 64 to 256 nodes
+], ids=["delta0-n20", "tanh-gaussian-n16"])
+def test_brute_force_at_the_size_guard_bins_within_the_block_budget(model, n):
+    # the (2^n, len(p)) products and a (n + 1, 2^n) one-hot matrix would take
+    # tens of MiB; only the brute force runs inside the trace, the exact law
+    # is its reference
+    exact = exact_margin_pmf(model, n)
     tracemalloc.start()
     try:
-        brute = brute_force_pmf(static_delta0(), n)
+        brute = brute_force_pmf(model, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert exact.max_abs_diff(brute) < 1e-15
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_lattice_guard():

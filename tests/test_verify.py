@@ -217,6 +217,9 @@ def test_alpha_data_errors():
         estimate_alpha([(100, 0.1), (100, 0.2)])
     with pytest.raises(DataError):
         estimate_alpha([(100, 0.1), (1000, -0.5)])
+    for bad in [(math.nan, 0.1), (math.inf, 0.1), (0, 0.1), (1000, math.nan), (1000, math.inf)]:
+        with pytest.raises(DataError, match="finite"):
+            estimate_alpha([(100, 0.1), bad])
 
 
 # -- correlation decay reports ---------------------------------------------------------------

@@ -341,8 +341,9 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         root.error("expected a mapping of threshold names to values", "thresholds")
     _check_thresholds(_Doc(thresholds, lines, "thresholds"), kind.thresholds)
     delta = doc.get("delta")
-    if delta is not None and not (_is_number(delta) and 0 < delta < float("inf")):
-        root.error("delta must be a positive number", "delta")
+    # (-1, 1)^M holds all the mixing mass, so from delta = 1 on every tail is 0
+    if delta is not None and not (_is_number(delta) and 0 < delta < 1):
+        root.error("delta must be a positive number below 1", "delta")
     grids = {}
     for key in ("n_grid", "concentration_grid"):
         grid = doc.get(key)
@@ -380,6 +381,17 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         given = [key for key in group if doc.get(key)]
         if group and len(given) not in counts:
             root.error(f"this experiment takes {rule} {group}", (given or group)[-1])
+    # a grid on which a check cannot give a verdict: verify-llt and
+    # correlation-decay read the n grid as an order, and a line fits any
+    # two points of the concentration profile exactly
+    n_grid, sizes = grids["n_grid"], grids["concentration_grid"]
+    if experiment in ("verify-llt", "correlation-decay"):
+        if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+            root.error("n_grid must be strictly increasing", "n_grid")
+        if experiment == "verify-llt" and len(n_grid) < 2:
+            root.error("n_grid needs at least 2 sizes to compare the error across", "n_grid")
+    if sizes and len(set(sizes)) < 3:
+        root.error("concentration_grid needs at least 3 distinct sizes", "concentration_grid")
     unread = [name for name in kind.pair_thresholds if name in thresholds]
     if unread and not doc.get(kind.pair[0]):
         _Doc(thresholds, lines, "thresholds").error(

@@ -314,14 +314,12 @@ class CompactMixingDensity:
         return float(weights @ vals) / self.surface.normalizer()
 
     def mass_outside_symmetric_box(self, delta: float) -> float:
-        """Mass of (-1,1)^M minus [-delta, delta]^M, integrated directly.
+        """Mass of (-1,1)^M minus [-delta, delta]^M, integrated directly, for 0 < delta < 1.
 
         The complement is partitioned into 2M disjoint slabs (first
         coordinate exceeding delta decides the slab), so small tails are
         computed without catastrophic cancellation.
         """
-        if delta >= 1.0:
-            return 0.0
         total = 0.0
         for g in range(self.m):
             for side in (-1.0, 1.0):
@@ -351,17 +349,16 @@ def concentration_profile(
 
     In high temperature the tail decays exponentially in n, so the log
     tail mass should fall on a near-straight line.  Tail masses that
-    underflow double precision are reported as 0 with a flag.
+    underflow double precision are reported as 0 with a flag.  ``delta``
+    lies in (0, 1): the cube (-1, 1)^M holds all the mass, so a larger
+    delta leaves every tail 0 and no line to fit.
     """
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
+    if not 0 < delta < 1:
+        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     if not spec.is_high_temperature:
         raise ConfigError("concentration profiles are defined in high temperature only")
     out = []
     for n in n_grid:
-        if delta >= 1.0:
-            out.append(ConcentrationPoint(int(n), 0.0, False))
-            continue
         tail = CompactMixingDensity(spec, groups, int(n)).mass_outside_symmetric_box(delta)
         out.append(ConcentrationPoint(int(n), tail, tail == 0.0))
     return out

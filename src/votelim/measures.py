@@ -120,12 +120,14 @@ class BaseMeasure(_Gridded):
     """Common interface of the measure algebra.
 
     Subclasses provide: ``dim``, ``sample(rng, count)``, ``cf(t)`` ((K, dim)
-    frequencies in, (K,) complex values out), ``contract(eps)``,
-    ``negate()``, ``_grid(level)``, ``_marginal(coords)``, ``cdf(x)`` (1-D
-    only, evaluated elementwise on an array), and a canonical ``_key()``.
-    Keys merge repeated atoms and components and leave out zero-weight
-    ones, so two measures with equal keys are equal; comparing a measure's
-    key with its image's decides invariance under x -> -x or x -> 2x.
+    frequencies in, (K,) complex values out), ``contract(eps)`` (the image
+    under x -> eps * x for nonzero factors, one scalar or one per
+    coordinate; a negative factor reflects its coordinate),
+    ``_grid(level)``, ``_marginal(coords)``, ``cdf(x)`` (1-D only,
+    evaluated elementwise on an array), and a canonical ``_key()``.  Keys
+    merge repeated atoms and components and leave out zero-weight ones, so
+    two measures with equal keys are equal; comparing a measure's key with
+    its image's decides invariance (``is_invariant_under``).
 
     Measures are immutable: their attributes are set once, in ``__init__``,
     and assigning one raises.  So ``quad_nodes(level)`` builds each level's
@@ -155,10 +157,14 @@ class BaseMeasure(_Gridded):
             return self
         return self._marginal(coords)
 
+    def is_invariant_under(self, eps) -> bool:
+        """True if the measure equals its image under x -> eps * x (structural check)."""
+        return _keys_match(self._key(), self.contract(eps)._key())
+
     @property
     def is_symmetric(self) -> bool:
-        """True if the measure is invariant under x -> -x (structural check)."""
-        return _keys_match(self._key(), self.negate()._key())
+        """True if the measure is invariant under x -> -x."""
+        return self.is_invariant_under(-1.0)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedMeasureError(
@@ -193,11 +199,8 @@ class PointMassMixture(BaseMeasure):
         return np.exp(1j * (_batch(t, self.dim) @ self.locations.T)) @ self.weights
 
     def contract(self, eps) -> "PointMassMixture":
-        eps = _positive_eps(eps, self.dim)
+        eps = _factors(eps, self.dim)
         return PointMassMixture(list(zip(self.locations * eps, self.weights)))
-
-    def negate(self) -> "PointMassMixture":
-        return PointMassMixture(list(zip(-self.locations, self.weights)))
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         return binned_rule(self.locations, self.weights)
@@ -246,11 +249,10 @@ class UniformBox(BaseMeasure):
         return np.exp(1j * (t @ center)) * np.prod(np.sinc(t * half / np.pi), axis=1)
 
     def contract(self, eps) -> "UniformBox":
-        eps = _positive_eps(eps, self.dim)
-        return UniformBox(self.lower * eps, self.upper * eps)
-
-    def negate(self) -> "UniformBox":
-        return UniformBox(-self.upper, -self.lower)
+        eps = _factors(eps, self.dim)
+        # a negative factor swaps the ends of its side
+        lower, upper = self.lower * eps, self.upper * eps
+        return UniformBox(np.minimum(lower, upper), np.maximum(lower, upper))
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         axes, weights = tensor_rule(self.lower, self.upper, level)
@@ -307,11 +309,8 @@ class Gaussian(BaseMeasure):
         return np.exp(1j * (t @ self.mean) - 0.5 * np.sum((t @ self.covariance) * t, axis=1))
 
     def contract(self, eps) -> "Gaussian":
-        eps = _positive_eps(eps, self.dim)
+        eps = _factors(eps, self.dim)
         return Gaussian(self.mean * eps, self.covariance * np.outer(eps, eps))
-
-    def negate(self) -> "Gaussian":
-        return Gaussian(-self.mean, self.covariance)
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         if self._is_degenerate:
@@ -374,11 +373,8 @@ class Product(BaseMeasure):
         return np.prod([f.cf(t[:, k : k + 1]) for k, f in enumerate(self.factors)], axis=0)
 
     def contract(self, eps) -> "Product":
-        eps = _positive_eps(eps, self.dim)
+        eps = _factors(eps, self.dim)
         return Product([f.contract(eps[k : k + 1]) for k, f in enumerate(self.factors)])
-
-    def negate(self) -> "Product":
-        return Product([f.negate() for f in self.factors])
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         parts = [f.quad_nodes(level) for f in self.factors]
@@ -429,9 +425,6 @@ class Mixture(BaseMeasure):
 
     def contract(self, eps) -> "Mixture":
         return Mixture([(c.contract(eps), w) for c, w in zip(self.components, self.weights)])
-
-    def negate(self) -> "Mixture":
-        return Mixture([(c.negate(), w) for c, w in zip(self.components, self.weights)])
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         # the joint grid spans every component's axis values; the
@@ -486,13 +479,14 @@ def _keys_match(a: tuple, b: tuple) -> bool:
     )
 
 
-def _positive_eps(eps, dim: int) -> np.ndarray:
+def _factors(eps, dim: int) -> np.ndarray:
+    """The ``dim`` scaling factors of ``contract``: a scalar is broadcast, and none may be 0."""
     eps = np.asarray(eps, dtype=float)
     if eps.ndim == 0:
         eps = np.full(dim, float(eps))
     eps = _vector(eps, dim)
-    if not np.all(eps > 0):
-        raise ConfigError("contraction factors must be positive componentwise")
+    if not np.all(np.abs(eps) > 0):  # a nan fails too
+        raise ConfigError("contraction factors must be nonzero componentwise")
     return eps
 
 
@@ -597,10 +591,7 @@ class PowerLawSchedule:
 
     def critical_h(self) -> tuple:
         """Limit of eps * sqrt(n_g) per group; defined on critical groups only."""
-        return tuple(
-            c if a == CRITICAL_EXPONENT else None
-            for c, a in zip(self.coefficients, self.exponents)
-        )
+        return _critical_h(self.regimes(), self.coefficients)
 
 
 class ExplicitSchedule:
@@ -608,7 +599,7 @@ class ExplicitSchedule:
 
     Regime classification from finitely many tabulated values is
     undecidable, so the caller declares one regime tag per group (and the
-    critical constant h where applicable).
+    positive critical constant h where applicable).
     """
 
     def __init__(self, table, regimes, h=None):
@@ -623,6 +614,8 @@ class ExplicitSchedule:
         if len(self.declared) != m or any(r not in REGIMES for r in self.declared):
             raise ConfigError(f"regimes must be {m} tags from {REGIMES}")
         self.h = None if h is None else _per_group(h, m, "h")
+        if self.h is not None and not all(v > 0 for v in self.h):
+            raise ConfigError(f"h must be positive on every group, got {list(self.h)}")
         for eps in self.table.values():
             if any(e <= 0 for e in eps):
                 raise ConfigError("tabulated eps values must be strictly positive")
@@ -643,8 +636,9 @@ class ExplicitSchedule:
         return self.declared
 
     def critical_h(self) -> tuple:
-        if self.h is None:
-            return tuple(None for _ in range(self.m))
-        return tuple(
-            hv if r == CRITICAL else None for hv, r in zip(self.h, self.declared)
-        )
+        return _critical_h(self.regimes(), self.h or (None,) * self.m)
+
+
+def _critical_h(regimes, h) -> tuple:
+    """``h[g]`` on each critical group g, None on the others."""
+    return tuple(hv if r == CRITICAL else None for r, hv in zip(regimes, h))

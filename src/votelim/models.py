@@ -578,13 +578,7 @@ class MarginSample:
         columns = []
         for g, gamma_g in enumerate(self.gamma):
             window = self.raw[w0:w1, g]
-            # a sort costs about a fifth of np.unique with its inverse, which a
-            # window where no margin recurs does without (a difference of two
-            # unequal margins never wraps to 0)
-            if np.diff(np.sort(window)).all():  # the window lists its distinct margins itself
-                margins, inverse, counts = window, np.arange(len(window)), np.ones(len(window), int)
-            else:
-                margins, inverse, counts = np.unique(window, return_inverse=True, return_counts=True)
+            margins, inverse, counts = np.unique(window, return_inverse=True, return_counts=True)
             once = counts == 1
             tails = np.empty(len(margins), dtype=object)
             tails[~once] = _row_tails(g, gamma_g, margins[~once])
@@ -596,9 +590,6 @@ class MarginSample:
             for g, gamma_g, margins, inverse, once, tails in columns:
                 block = inverse[start - w0:stop - w0]
                 single = once[block]
-                if single.all():  # no margin of the block recurs: format its rows in order
-                    cells[:, g, 1] = _row_tails(g, gamma_g, self.raw[start:stop, g])
-                    continue
                 column = tails[block]
                 column[single] = _row_tails(g, gamma_g, margins[block[single]])
                 cells[:, g, 1] = column

@@ -114,7 +114,7 @@ def test_resource_guard_exit_code(tmp_path, capsys):
         "experiment": "verify-llt",
         "seed": 1,
         "model": small_clt_doc()["model"],
-        "n_grid": [10**8],
+        "n_grid": [10**8, 10**9],
     }
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["verify-llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -177,16 +177,47 @@ def test_unknown_threshold_name_is_an_anchored_error(tmp_path):
         config_from_dict(small_clt_doc(thresholds=[0.08]))
 
 
-@pytest.mark.parametrize("delta", [0, -0.5, "0.5", True, float("inf")])
-def test_delta_must_be_a_positive_number(delta):
-    with pytest.raises(ConfigError, match="delta must be a positive number"):
-        config_from_dict(shipped_doc("cwm_equivalence", delta=delta))
+@pytest.mark.parametrize("delta", [0, -0.5, "0.5", True, float("inf"), 1.0, 1.5])
+def test_delta_must_be_a_positive_number(tmp_path, delta):
+    cfg = tmp_path / "c.yaml"
+    text = yaml.safe_dump(shipped_doc("cwm_equivalence", delta=delta), sort_keys=False)
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^line {_line_of(text, 'delta:')}: delta: delta must be a positive number"):
+        load_config(cfg)
 
 
 @pytest.mark.parametrize("grid", [[20, 0], [20, 40.5], [True], "20", 20])
 def test_concentration_grid_must_hold_positive_integers(grid):
     with pytest.raises(ConfigError, match="concentration_grid must be a list of positive integers"):
         config_from_dict(shipped_doc("cwm_equivalence", concentration_grid=grid))
+
+
+@pytest.mark.parametrize(
+    "kind, key, grid, message",
+    [
+        ("verify-cwm", "concentration_grid", [20], "at least 3 distinct sizes"),
+        ("verify-cwm", "concentration_grid", [20, 40], "at least 3 distinct sizes"),
+        ("verify-cwm", "concentration_grid", [20, 20, 40], "at least 3 distinct sizes"),
+        ("verify-llt", "n_grid", [100], "at least 2 sizes"),
+        ("verify-llt", "n_grid", [1000, 100], "strictly increasing"),
+        ("correlation-decay", "n_grid", [1000, 100], "strictly increasing"),
+        ("correlation-decay", "n_grid", [100, 100, 1000], "strictly increasing"),
+    ],
+    ids=["cwm-one-size", "cwm-two-sizes", "cwm-two-distinct-sizes", "llt-one-size", "llt-decreasing",
+         "decay-decreasing", "decay-repeated"],
+)
+def test_a_grid_that_cannot_give_a_verdict_exits_2_citing_its_line(tmp_path, capsys, kind, key, grid,
+                                                                   message):
+    # two points fit a line exactly, one llt error has nothing to fall from,
+    # and both ordered checks read the grid from left to right
+    text = yaml.safe_dump({**_KIND_DOCS[kind](), key: grid}, sort_keys=False)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {_key_line(text, key)}: {key}: ") and message in err
+    assert err.count("\n") == 1 and not out.joinpath("reports.jsonl").exists()
 
 
 @pytest.mark.parametrize(
@@ -302,7 +333,7 @@ def test_one_sample_is_enough_for_one_group():
 # -- generated misuse -------------------------------------------------------------
 
 #: sizes at which every shipped document runs in milliseconds
-_SMALL_SIZES = {"n": 200, "count": 200, "n_grid": [20, 40], "concentration_grid": [20, 40]}
+_SMALL_SIZES = {"n": 200, "count": 200, "n_grid": [20, 40], "concentration_grid": [20, 30, 40]}
 
 
 def _small_shipped_doc(path):
@@ -1032,6 +1063,26 @@ def test_growing_explicit_schedule_is_exit_2(tmp_path, capsys):
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "eps_n -> 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_a_nonpositive_explicit_h_exits_2_citing_the_schedule(tmp_path, capsys, h):
+    # a negative h would silently reflect the critical group's limit law
+    doc = small_clt_doc()
+    doc["model"]["sequence"]["schedule"] = {
+        "kind": "explicit",
+        "table": {400: [0.05]},
+        "regimes": ["critical"],
+        "h": [h],
+    }
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "h.yaml"
+    cfg.write_text(text)
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {_line_of(text, 'schedule:')}: model.sequence.schedule: "
+        f"h must be positive on every group, got [{h}]\n"
+    )
 
 
 @pytest.mark.parametrize("model", [_static(_UNIFORM), _CW_BETA], ids=["spread-out-static", "curie-weiss"])

@@ -304,10 +304,11 @@ def test_concentration_log_linear_fit():
     assert slope < 0
 
 
-def test_concentration_full_support_box():
-    point = concentration_profile(BETA_HALF, GROUPS_1, [20], 1.0)[0]
-    assert point.tail_mass == 0.0
-    assert not point.underflow
+def test_concentration_refuses_delta_of_1_or_more():
+    # (-1, 1) holds all the mixing mass, so every tail would be 0 and no line could fit
+    for delta in (1.0, 1.5):
+        with pytest.raises(ConfigError, match=r"delta must lie in \(0, 1\)"):
+            concentration_profile(BETA_HALF, GROUPS_1, [20, 30, 40], delta)
 
 
 def test_concentration_requires_high_temperature():

@@ -101,6 +101,44 @@ def test_pushforward_consistency(measure, eps, a, width):
     assert direct == pytest.approx(pulled, abs=1e-12)
 
 
+#: one lopsided 1-D measure of each kind, with no atom at a point of REFLECTION_POINTS
+REFLECTED = {
+    "atoms": PointMassMixture([([-1.0], 0.2), ([0.5], 0.3), ([2.0], 0.5)]),
+    "box": UniformBox([-0.5], [2.0]),
+    "gaussian": Gaussian([0.7], [[2.0]]),
+    "product": Product([UniformBox([0.0], [1.0])]),
+    "mixture": Mixture([(UniformBox([0.0], [1.0]), 0.4),
+                        (PointMassMixture([([-1.0], 0.5), ([3.0], 0.5)]), 0.6)]),
+}
+REFLECTION_POINTS = np.linspace(-4.0, 4.0, 161) + 0.0123
+
+
+@pytest.mark.parametrize("name", list(REFLECTED))
+def test_contract_by_minus_one_is_the_reflection(name):
+    measure = REFLECTED[name]
+    image = measure.contract(-1.0)
+    if isinstance(measure, PointMassMixture):
+        assert np.array_equal(image.locations, -measure.locations)
+        assert np.array_equal(image.weights, measure.weights)
+    if isinstance(measure, UniformBox):
+        assert (image.lower[0], image.upper[0]) == (-measure.upper[0], -measure.lower[0])
+    # P(-X <= x) = 1 - P(X < -x), which is 1 - F(-x) wherever F is continuous
+    x = REFLECTION_POINTS
+    assert image.cdf(x) == pytest.approx(1.0 - measure.cdf(-x), abs=1e-12)
+    with pytest.raises(ConfigError, match="nonzero"):
+        measure.contract(0.0)
+
+
+def test_contract_takes_a_signed_factor_per_coordinate():
+    box = UniformBox([0.0, -1.0], [1.0, 3.0]).contract([-2.0, 0.5])
+    assert box.lower.tolist() == [-2.0, -0.5] and box.upper.tolist() == [0.0, 1.5]
+    g = Gaussian([1.0, 2.0], [[1.0, 0.3], [0.3, 2.0]]).contract([-1.0, 1.0])
+    assert g.mean.tolist() == [-1.0, 2.0]
+    assert g.covariance.tolist() == [[1.0, -0.3], [-0.3, 2.0]]
+    assert not g.is_invariant_under([1.0, -1.0])
+    assert DELTA_0.is_invariant_under(2.0) and not UNIFORM_1.is_invariant_under(2.0)
+
+
 # -- interval masses from the CDF ----------------------------------------------------
 
 def test_mass_uniform_proportional():
@@ -323,7 +361,7 @@ def test_marginal_of_product_and_gaussian():
 def test_negation_detects_asymmetry():
     shifted = UniformBox([0.0], [1.0])
     assert not shifted.is_symmetric
-    assert shifted.negate().is_symmetric is False
+    assert shifted.contract(-1.0).is_symmetric is False
     assert UNIFORM_1.is_symmetric
 
 

@@ -6,6 +6,15 @@ Gauss-Legendre with doubled node counts converges geometrically.  The
 adaptive driver compares two consecutive refinement levels and accepts
 once the change drops below the requested tolerance.
 
+The 1-D rules are stored, not computed: ``legendre_rules.npy`` holds, for
+each level in ``RULE_LEVELS``, the nonnegative half of what
+``numpy.polynomial.legendre.leggauss`` returns on numpy 2.4.6, and a
+process reads it once, on its first rule.  Stored rules keep the last bits
+of every result, spare each process a dense eigensolve (0.3 s at 2048
+nodes, 2.6 s at 4096 on a 2-core AMD EPYC), and are the same on every
+machine whatever its LAPACK.  ``scripts/legendre_rules.py`` rebuilds the
+file, and with ``--check`` compares a rebuild with it.
+
 A rule is a tensor grid ``(axes, weights)``: one 1-D array of nodes per
 coordinate and the flat weights over their product in C order.  Points
 are built (``grid_points``) only where a density is evaluated on them;
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -40,10 +50,59 @@ NODE_GUARD = 2**22
 MIX_BUDGET = 2_000_000
 
 
-@functools.lru_cache(maxsize=64)
+#: the node counts of the stored rules: every level ``refine_until_stable``
+#: can ask for, ``DEFAULT_START`` doubled up to ``DEFAULT_CAP``
+RULE_LEVELS = tuple(
+    DEFAULT_START * 2**k for k in range((DEFAULT_CAP // DEFAULT_START).bit_length())
+)
+
+#: a (2, sum(RULE_LEVELS) // 2) float64 array: the nonnegative nodes (row 0)
+#: and their weights (row 1) of each stored rule, level after level in the
+#: order of ``RULE_LEVELS``; ``scripts/legendre_rules.py`` writes it
+RULES_FILE = os.path.join(os.path.dirname(__file__), "legendre_rules.npy")
+
+#: the .npy format 1.0 header that ``np.save`` writes for that array
+_RULES_HEADER = b"{'descr': '<f8', 'fortran_order': False, 'shape': (2, %d), }" % (
+    sum(RULE_LEVELS) // 2
+)
+
+
+@functools.cache
+def _stored_halves() -> np.ndarray:
+    # the header is matched, not parsed: np.load parses it with
+    # ast.literal_eval, whose parser code a forked process faults in anew,
+    # 0.2-0.3 MB of its peak RSS
+    with open(RULES_FILE, "rb") as f:
+        prefix = f.read(10)
+        header = f.read(int.from_bytes(prefix[8:], "little"))
+        data = f.read()
+    if (prefix[:8] != b"\x93NUMPY\x01\x00" or not header.startswith(_RULES_HEADER)
+            or len(data) != 8 * sum(RULE_LEVELS)):
+        raise QuadratureError(
+            f"{RULES_FILE} does not hold the stored Gauss-Legendre rules; "
+            "scripts/legendre_rules.py rebuilds it"
+        )
+    return np.frombuffer(data, dtype="<f8").reshape(2, -1)
+
+
+@functools.lru_cache(maxsize=len(RULE_LEVELS))
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Read-only arrays, in ascending node order.  Raises QuadratureError
+    unless n is one of ``RULE_LEVELS``.
+    """
+    if n not in RULE_LEVELS:
+        raise QuadratureError(
+            f"no stored Gauss-Legendre rule has {n} nodes; the stored rules have "
+            f"{', '.join(map(str, RULE_LEVELS))}"
+        )
+    start = sum(level // 2 for level in RULE_LEVELS if level < n)
+    x, w = _stored_halves()[:, start:start + n // 2]
+    # leggauss's nodes are exactly antisymmetric and its weights exactly
+    # symmetric, so mirroring the stored half rebuilds its bits
+    nodes = np.concatenate([-x[::-1], x])
+    weights = np.concatenate([w[::-1], w])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -38,7 +38,7 @@ from votelim import (
     pair_correlation,
     sample_margins,
 )
-from votelim import models
+from votelim import models, quadrature
 from votelim.config import load_config
 from votelim.measures import ExplicitSchedule, Mixture, apply_bias_map
 from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
@@ -1066,6 +1066,12 @@ def _per_node_mix(table, sizes, p, weights):
     return out
 
 
+def _few_node_rule(n):
+    """leggauss's n-point rule, for the grids of a few nodes that a per-node
+    sum can afford; the package stores only rules of 64 nodes and more."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _raw_nodes(measure, level):
     """Every node as its own point, repeats kept: the atoms as given, a grid
     expanded, a mixture's components concatenated with their weights."""
@@ -1124,6 +1130,7 @@ def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     explicit-point path: the bias map on every raw node's point, binned back
     onto a grid by its distinct coordinates."""
     measure, bmap, level, sizes = MIX_CASES[case]
+    monkeypatch.setattr(quadrature, "legendre_rule", _few_node_rule)
     axes, weights = measure.quad_nodes(level)
     assert grid_points(axes).shape == (len(weights), len(sizes))
     points, point_weights = _raw_nodes(measure, level)

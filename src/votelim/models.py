@@ -53,7 +53,9 @@ SAMPLE_BLOCK = 8192
 #: whatever memory the host has
 SAMPLE_GUARD = 10**8
 
-#: samples per string that MarginSample.to_csv joins and writes
+#: samples per string that MarginSample.to_csv joins and writes: one flat
+#: list of 3 * M pieces per sample (index head, index foot, row tail), so
+#: 3 * M * CSV_CHUNK list slots, 576 KiB at M = 3
 CSV_CHUNK = 8192
 
 #: samples over which MarginSample.to_csv formats each recurring margin's
@@ -61,7 +63,7 @@ CSV_CHUNK = 8192
 #: (three arrays of at most CSV_WINDOW integers) and the tails of the
 #: window's recurring margins: at most CSV_WINDOW / 2 strings of under 100
 #: bytes, when every margin occurs twice.  A one-group write of that kind
-#: peaks at 11.5 MB (tracemalloc), whatever the sample count.
+#: peaks at 11.3 MB (tracemalloc, a full window), whatever the sample count.
 #: 2^17 > 10^5, so every shipped sample fits in one window.
 CSV_WINDOW = 2**17
 
@@ -559,10 +561,13 @@ class MarginSample:
         ``CSV_WINDOW`` samples at a time and reduced to its distinct
         margins; the tail of a margin that recurs in the window is
         formatted once, and that of a margin occurring once in the block
-        of rows where it appears.  Rows are written ``CSV_CHUNK`` samples
-        at a time: the tails are scattered beside the formatted sample
-        indices and the block is joined into one string, with no Python
-        call per row.  So memory stays bounded by the two constants.
+        of rows where it appears.  A sample index is two pieces from
+        ``_index_pieces``: a head shared by its block of 1000 indices and
+        a foot from a stored table, so no index is formatted alone.  Rows
+        are written ``CSV_CHUNK`` samples at a time: head, foot and tail of
+        every row are slotted into one flat list, which is joined into one
+        string, with no Python call per row.  So memory stays bounded by
+        the two constants.
         """
         with open(path, "w", newline="") as fh:
             fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
@@ -583,17 +588,20 @@ class MarginSample:
             tails = np.empty(len(margins), dtype=object)
             tails[~once] = _row_tails(g, gamma_g, margins[~once])
             columns.append((g, gamma_g, margins, inverse, once, tails))
+        stride = 3 * len(columns)
         for start in range(w0, w1, CSV_CHUNK):
             stop = min(start + CSV_CHUNK, w1)
-            cells = np.empty((stop - start, len(columns), 2), dtype=object)
-            cells[:, :, 0] = np.fromiter(map(repr, range(start, stop)), object, stop - start)[:, None]
+            heads, feet = _index_pieces(start, stop)
+            flat = [""] * (stride * (stop - start))
             for g, gamma_g, margins, inverse, once, tails in columns:
                 block = inverse[start - w0:stop - w0]
                 single = once[block]
                 column = tails[block]
                 column[single] = _row_tails(g, gamma_g, margins[block[single]])
-                cells[:, g, 1] = column
-            yield "".join(cells.reshape(-1).tolist())
+                flat[3 * g::stride] = heads
+                flat[3 * g + 1::stride] = feet
+                flat[3 * g + 2::stride] = column.tolist()
+            yield "".join(flat)
 
     def manifest(self) -> dict:
         return {
@@ -604,6 +612,32 @@ class MarginSample:
             "gamma": list(self.gamma),
             "regimes": list(self.regimes),
         }
+
+
+@functools.cache
+def _index_feet() -> tuple[list[str], list[str]]:
+    """The last three digits' text of an index: bare (``repr(r)``) and zero-padded, r < 1000.
+
+    Built on first use, since import time is part of every command's start-up.
+    """
+    return [repr(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
+
+
+def _index_pieces(start: int, stop: int) -> tuple[list[str], list[str]]:
+    """Heads and feet with ``heads[j] + feet[j] == repr(start + j)`` for [start, stop).
+
+    An index i has the head ``repr(i // 1000)``, or ``""`` below 1000, which
+    every index of its block of 1000 shares, and the foot ``i % 1000``,
+    zero-padded to three digits after a head and bare after none.
+    """
+    bare, padded = _index_feet()
+    heads, feet = [], []
+    for block in range(start // 1000, (stop - 1) // 1000 + 1):
+        lo = max(start - 1000 * block, 0)
+        hi = min(stop - 1000 * block, 1000)
+        heads += [repr(block) if block else ""] * (hi - lo)
+        feet += (padded if block else bare)[lo:hi]
+    return heads, feet
 
 
 def _row_tails(g: int, gamma_g: float, margins: np.ndarray) -> np.ndarray:

@@ -683,6 +683,28 @@ def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, monkeypatch, m, coun
             for raw_v in (raw, recurring, distinct):
                 edge = dataclasses.replace(built, raw=raw_v)
                 assert _written(edge, path) == _reference_csv_bytes(edge)
+    # windows and chunks that start inside a block of 1000 sample indices:
+    # the chunks [997, 1330) and [9970, 10303) cross 999 -> 1000 and
+    # 9999 -> 10000
+    if count == 2 * CSV_CHUNK + 5:
+        monkeypatch.setattr(models, "CSV_WINDOW", 997)
+        monkeypatch.setattr(models, "CSV_CHUNK", 333)
+        for raw_v in (raw, recurring, distinct):
+            edge = dataclasses.replace(built, raw=raw_v)
+            assert _written(edge, path) == _reference_csv_bytes(edge)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 1), (0, 1010), (7, 2999), (999_990, 1_000_010), (99_999_990, 10**8)]
+    + [(10**k - 10, 10**k + 10) for k in range(1, 8)],
+)
+def test_index_pieces_spell_every_sample_index(start, stop):
+    # off block edges and across every decimal width an index below
+    # SAMPLE_GUARD can have
+    heads, feet = models._index_pieces(start, stop)
+    assert len(heads) == len(feet) == stop - start
+    assert "".join(h + f for h, f in zip(heads, feet)) == "".join(map(repr, range(start, stop)))
 
 
 def test_margin_sample_csv_memory_does_not_grow_with_count(tmp_path, monkeypatch):
@@ -804,6 +826,23 @@ def test_pair_correlation_contracted_uniform_closed_form():
     n = 10**4
     got = pair_correlation(model, n)[0]
     assert got == pytest.approx(1.0 / (3.0 * n), rel=1e-9)
+
+
+SECOND_MOMENT_MODELS = oracle_matrix() + [
+    ("mean-field-m2", DeFinettiModel(GROUPS_2, CurieWeissSequence(CouplingSpec([[0.5, 0.2], [0.2, 0.5]])), TANH)),
+]
+
+
+@pytest.mark.parametrize("model", [m for _, m in SECOND_MOMENT_MODELS], ids=[name for name, _ in SECOND_MOMENT_MODELS])
+@pytest.mark.parametrize("n", [8, 13, 200])
+def test_second_moment_of_margin_law_matches_pair_correlation(model, n):
+    # E[S_g^2] = n_g + n_g (n_g - 1) E[m_bar_g^2]: the exact law's second
+    # moment against pair_correlation, two routes that share only mu_n
+    rho = pair_correlation(model, n)
+    for g, n_g in enumerate(model.groups.sizes(n)):
+        law = group_margin_pmf(model, n, g)
+        k = law.margin_axis(0).astype(float)
+        assert law.probs @ k**2 == pytest.approx(n_g + n_g * (n_g - 1) * rho[g], rel=1e-12, abs=0)
 
 
 def test_pair_correlation_decreases_toward_zero():

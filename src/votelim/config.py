@@ -179,12 +179,12 @@ def _build_measure(node: _Doc):
     node.error(f"unknown measure variant {variant!r}", "variant")
 
 
-def _build_schedule(node: _Doc):
+def _build_schedule(node: _Doc, m: int):
     kind = node.require("kind")
     if kind == "power-law":
         _reject_unknown_keys(node, ("kind", "coefficient", "exponent"))
         return node.wrap(
-            lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"))
+            lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"), m=m)
         )
     if kind == "explicit":
         _reject_unknown_keys(node, ("kind", "table", "regimes", "h"))
@@ -224,12 +224,7 @@ def build_model(node: _Doc) -> DeFinettiModel:
     elif kind == "contracted":
         _reject_unknown_keys(seq_node, ("kind", "base", "schedule"))
         base = _build_measure(seq_node.child("base"))
-        schedule = _build_schedule(seq_node.child("schedule"))
-        m = groups.m
-        if isinstance(schedule, PowerLawSchedule) and schedule.m == 1 and m > 1:
-            schedule = PowerLawSchedule(
-                schedule.coefficients * m, schedule.exponents * m, m=m
-            )
+        schedule = _build_schedule(seq_node.child("schedule"), groups.m)
         sequence = ContractedSequence(base, schedule)
     elif kind == "curie-weiss":
         _reject_unknown_keys(seq_node, ("kind", "coupling"))
@@ -433,10 +428,15 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     The text is parsed once: the composed node gives both the document and
     the line of every key, so errors in keys read from the file cite their
     line.  An error in an overridden key names the flag ``--key`` that
-    overrides it on the command line instead.
+    overrides it on the command line instead.  A file that cannot be read
+    as UTF-8 text (missing, a directory, other bytes) is a ConfigError too.
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read the config: {reason}") from None
     try:
         loader = yaml.SafeLoader(text)
         node = loader.get_single_node()

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ResourceError
-from .measures import TANH, BaseMeasure, PointMassMixture, _Gridded
+from .measures import (
+    GAUSSIAN_BOX_SIGMAS, TANH, BaseMeasure, PointMassMixture, _Gridded, _Immutable, _readonly,
+)
 from .models import DeFinettiModel, GroupStructure, MarginPmf, _integrate, exact_margin_pmf
 from .quadrature import grid_points, refine_until_stable, tensor_rule
 
@@ -35,8 +37,11 @@ REPRESENTATION_MAX_N = 16
 MIN_ENVELOPE_ACCEPTANCE = 0.01
 
 
-class CouplingSpec:
-    """Symmetric positive semi-definite coupling matrix J (optionally a scalar beta)."""
+class CouplingSpec(_Immutable):
+    """Symmetric positive semi-definite coupling matrix J (optionally a scalar beta).
+
+    Immutable; ``j`` is a read-only copy, so the cached eigenvalues stay its own.
+    """
 
     def __init__(self, j):
         j = np.asarray(j, dtype=float)
@@ -49,10 +54,9 @@ class CouplingSpec:
         eigvals = np.linalg.eigvalsh(j)
         if eigvals.min() < -1e-12 * max(1.0, abs(eigvals).max()):
             raise ConfigError("coupling matrix must be positive semi-definite")
-        self.j = j
-        self.j.flags.writeable = False
-        self.m = j.shape[0]
-        self._eigvals = eigvals
+        object.__setattr__(self, "j", _readonly(j))
+        object.__setattr__(self, "m", j.shape[0])
+        object.__setattr__(self, "_eigvals", _readonly(eigvals))
 
     @classmethod
     def single_group(cls, beta: float) -> "CouplingSpec":
@@ -112,9 +116,9 @@ class FreeEnergySurface(_Gridded):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "m", groups.m)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "q_matrix", q_matrix)
-        object.__setattr__(self, "_precision0", n * (q_matrix - np.diag(alpha)))
+        object.__setattr__(self, "alpha", _readonly(alpha))
+        object.__setattr__(self, "q_matrix", _readonly(q_matrix))
+        object.__setattr__(self, "_precision0", _readonly(n * (q_matrix - np.diag(alpha))))
         object.__setattr__(self, "_normalizer", None)
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -127,14 +131,14 @@ class FreeEnergySurface(_Gridded):
         return np.exp(-self.n * self.value(x))
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integration box: 10 curvature standard deviations per coordinate.
+        """Integration box: ``GAUSSIAN_BOX_SIGMAS`` curvature standard deviations per coordinate.
 
         The curvature standard deviations are the marginal ones of the
         Gaussian matching F's quadratic part, N(0, P0^-1).  F is convex and
         F(x) >= x' P0 x / (2n) in high temperature, so the omitted tail mass
         is below the matching Gaussian's, under 1e-22.
         """
-        half = 10.0 * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
+        half = GAUSSIAN_BOX_SIGMAS * np.sqrt(np.diag(np.linalg.inv(self._precision0)))
         return -half, half
 
     def _grid(self, level: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

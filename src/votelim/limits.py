@@ -7,6 +7,9 @@ fast groups get pure noise, critical groups noise plus the scaled base
 measure, subcritical groups the base measure alone.  This single shape
 covers the all-fast Gaussian limit, the critical convolution limit, the
 subcritical base-measure limit, and the mixed three-cluster limit.
+
+``limit_for`` alone maps a model to its law.  A contracted sequence and a
+static point mass at the origin have one; no other sequence does.
 """
 
 from __future__ import annotations
@@ -98,18 +101,26 @@ def _smoothed_cdf(x: np.ndarray, axes, weights: np.ndarray) -> np.ndarray:
 def limit_for(model: DeFinettiModel) -> LimitLaw:
     """The theorem-prescribed limit law of the normalized margin vector.
 
-    Dispatch is a pure function of the per-group regimes: fast groups
-    contribute independent standard Gaussian coordinates, critical groups
-    Gaussian noise convolved with the base measure scaled by the critical
-    constant h, subcritical groups the plain base measure (their margins
-    being normalized by eps * n_g).
+    A static point mass at the origin, the independent-voter baseline,
+    gives N(0, I).  A contracted sequence dispatches on its per-group
+    regimes: fast groups contribute independent standard Gaussian
+    coordinates, critical groups Gaussian noise convolved with the base
+    measure scaled by the critical constant h, subcritical groups the plain
+    base measure (their margins being normalized by eps * n_g).  A
+    spread-out static measure or a mean-field sequence is a ConfigError.
     """
-    if model.sequence.kind != "contracted":
+    sequence = model.sequence
+    if sequence.kind == "static":
+        # the point mass at 0 is the only measure equal to its image under x -> 2x
+        if sequence.base.is_invariant_under(2.0):
+            return LimitLaw.standard_gaussian(model.groups.m)
         raise ConfigError(
-            "limit laws are prescribed for contracted sequences only "
-            "(static and mean-field models have no dispatchable regime)"
+            "no dispatchable limit for a spread-out static mixing measure; "
+            "set thresholds.target_law: gaussian to compare against the normal law"
         )
-    schedule = model.sequence.schedule
+    if sequence.kind != "contracted":
+        raise ConfigError(f"no dispatchable limit for a {sequence.kind} sequence")
+    schedule = sequence.schedule
     regimes = schedule.regimes()
     h = schedule.critical_h()
     gauss_mask = tuple(r in (FAST, CRITICAL) for r in regimes)
@@ -126,7 +137,7 @@ def limit_for(model: DeFinettiModel) -> LimitLaw:
             scale.append(float(h[g]))
         else:
             scale.append(1.0)
-    base = model.sequence.base.marginal(base_coords).contract(scale)
+    base = sequence.base.marginal(base_coords).contract(scale)
     if all(r == CRITICAL for r in regimes):
         kind = "convolution"
     elif all(r == SUBCRITICAL for r in regimes):

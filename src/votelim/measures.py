@@ -491,6 +491,10 @@ def _factors(eps, dim: int) -> np.ndarray:
 
 
 # -- bias maps ---------------------------------------------------------------
+#
+# A bias map takes a float array of latent biases to [-1, 1] entry by
+# entry.  Acting componentwise, it keeps independent coordinates
+# independent, which the exact layer relies on.
 
 @dataclass(frozen=True)
 class TanhBias:
@@ -525,15 +529,6 @@ def bias_map(name: str):
         raise ConfigError(f"unknown bias map {name!r}; expected one of {sorted(_BIAS_MAPS)}")
 
 
-def apply_bias_map(bmap, m):
-    """Apply a bias map to a latent bias vector; result lies in [-1, 1]^M.
-
-    Every bias map acts componentwise, so it keeps independent coordinates
-    independent (the exact layer relies on this).
-    """
-    return bmap(np.asarray(m, dtype=float))
-
-
 # -- contraction schedules ----------------------------------------------------
 
 FAST = "fast"
@@ -546,9 +541,10 @@ CRITICAL_EXPONENT = 0.5
 
 
 def _per_group(values, m: int, what: str) -> tuple[float, ...]:
+    """The ``m`` per-group floats; a scalar or a one-element list applies to every group."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(m, float(arr))
+    if arr.shape in ((), (1,)):
+        arr = np.full(m, arr.item())
     if arr.shape != (m,):
         raise ConfigError(f"{what} must be a scalar or a length-{m} vector")
     return tuple(float(v) for v in arr)

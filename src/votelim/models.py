@@ -36,7 +36,6 @@ from .measures import (
     Product,
     UniformBox,
     _Immutable,
-    apply_bias_map,
 )
 from .quadrature import MIX_BUDGET, binned_rule, refine_until_stable
 
@@ -321,9 +320,9 @@ def _mix(table, sizes, p, weights: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(dense.transpose())
 
 
-def _probabilities(bmap, axes) -> list[np.ndarray]:
-    """Each group's success probability (1 + bias map) / 2 on its own grid axis."""
-    return [0.5 * (1.0 + apply_bias_map(bmap, axis)) for axis in axes]
+def _success_probability(bmap, m: np.ndarray) -> np.ndarray:
+    """A voter's success probability (1 + b(m)) / 2 at each latent bias in ``m``."""
+    return 0.5 * (1.0 + bmap(m))
 
 
 def _guard_lattice(sizes) -> None:
@@ -432,7 +431,7 @@ def _mixed_law(model: DeFinettiModel, measure, sizes, table) -> np.ndarray:
     """Per-group count laws ``table(n_g, p)`` on the ``sizes`` lattice, mixed over ``measure``."""
 
     def integrand(axes, weights):
-        p = _probabilities(model.bias_map, axes)
+        p = [_success_probability(model.bias_map, axis) for axis in axes]
         return _mix(table, sizes, p, np.asarray(weights, dtype=float))
 
     return _integrate(measure, integrand)
@@ -708,7 +707,7 @@ def sample_margins(
         rows = slice(block * SAMPLE_BLOCK, min((block + 1) * SAMPLE_BLOCK, count))
         rng = block_rng(seed, block)
         m_vals = measure.sample(rng, rows.stop - rows.start)
-        p = 0.5 * (1.0 + apply_bias_map(model.bias_map, m_vals))
+        p = _success_probability(model.bias_map, m_vals)
         binomial_margins(rng, sizes, p, out=raw[rows])
 
     blocks = range(-(-count // SAMPLE_BLOCK))
@@ -785,7 +784,7 @@ def pair_correlation(model: DeFinettiModel, n: int) -> np.ndarray:
 
     def second_moment(axes, weights) -> np.ndarray:
         # a (K, 1) column, so the product is a (1,) array
-        m_bar = apply_bias_map(model.bias_map, axes[0][:, None])
+        m_bar = model.bias_map(axes[0][:, None])
         return np.asarray(weights) @ (m_bar**2)
 
     return np.concatenate(

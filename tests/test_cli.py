@@ -157,6 +157,19 @@ def _line_of(text, fragment):
     return next(i + 1 for i, ln in enumerate(text.splitlines()) if fragment in ln)
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_config_exits_2_naming_its_path(tmp_path, capsys, case):
+    path = tmp_path / "c.yaml"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf-8":
+        path.write_bytes(yaml.safe_dump(small_clt_doc()).encode() + b"# \xff\n")
+    assert main(["verify-clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read the config: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_misspelled_top_level_key_is_an_anchored_error(tmp_path, capsys):
     cfg = tmp_path / "typo.yaml"
     text = yaml.safe_dump(small_clt_doc(), sort_keys=False).replace("thresholds:", "thresholdz:")
@@ -978,8 +991,9 @@ def test_ingest_rejects_bad_rows_with_line_numbers(tmp_path):
     with pytest.raises(DataError) as err:
         ingest_margins(path)
     assert "3" in str(err.value) and "4" in str(err.value)
-    # a non-finite population or margin is a malformed row too
-    for column in ("abs_margin", "margin_per_capita"):
+    # a non-finite population or margin is a malformed row too; a space
+    # after the header's comma changes nothing
+    for column in ("abs_margin", "margin_per_capita", " abs_margin", " margin_per_capita "):
         path.write_text(f"population,{column}\n100,10\nnan,3\ninf,4\n1000,nan\n10000,inf\n10,-inf\n")
         with pytest.raises(DataError, match=r"on lines \[3, 4, 5, 6, 7\]"):
             ingest_margins(path)
@@ -1083,6 +1097,40 @@ def test_a_nonpositive_explicit_h_exits_2_citing_the_schedule(tmp_path, capsys, 
         f"error: line {_line_of(text, 'schedule:')}: model.sequence.schedule: "
         f"h must be positive on every group, got [{h}]\n"
     )
+
+
+def _two_group_power_law(coefficient, exponent):
+    doc = small_clt_doc()
+    doc["model"]["groups"] = {"m": 2, "proportions": [0.5, 0.5]}
+    sequence = doc["model"]["sequence"]
+    sequence["base"] = {"variant": "uniform-box", "lower": [-1, -1], "upper": [1, 1]}
+    sequence["schedule"] = {"kind": "power-law", "coefficient": coefficient, "exponent": exponent}
+    return doc
+
+
+@pytest.mark.parametrize("key, value", [("coefficient", [1.0, 1.0, 1.0]),
+                                        ("exponent", [0.75, 0.5, 0.25])])
+def test_a_power_law_list_of_the_wrong_length_exits_2_citing_the_schedule(tmp_path, capsys, key,
+                                                                          value):
+    doc = _two_group_power_law(1.0, 0.75)
+    doc["model"]["sequence"]["schedule"][key] = value
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text(text)
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {_line_of(text, 'schedule:')}: model.sequence.schedule: "
+        f"{key}s must be a scalar or a length-2 vector\n"
+    )
+
+
+@pytest.mark.parametrize("coefficient, exponent, exponents", [
+    (0.5, 0.75, (0.75, 0.75)), ([0.5], [0.75], (0.75, 0.75)), ([0.5], 0.75, (0.75, 0.75)),
+    (0.5, [0.75], (0.75, 0.75)), ([0.5], [0.75, 0.25], (0.75, 0.25)),
+])
+def test_a_one_element_power_law_applies_to_every_group(coefficient, exponent, exponents):
+    schedule = config_from_dict(_two_group_power_law(coefficient, exponent)).model.sequence.schedule
+    assert (schedule.m, schedule.coefficients, schedule.exponents) == (2, (0.5, 0.5), exponents)
 
 
 @pytest.mark.parametrize("model", [_static(_UNIFORM), _CW_BETA], ids=["spread-out-static", "curie-weiss"])

@@ -59,6 +59,19 @@ def test_high_temperature_flag():
     assert not CouplingSpec([[0.9, 0.2], [0.2, 0.9]]).is_high_temperature
 
 
+def test_coupling_spec_keeps_a_read_only_copy_and_is_immutable():
+    j = np.array([[0.5, 0.2], [0.2, 0.5]])
+    spec = CouplingSpec(j)
+    j[0, 0] = 0.9  # the caller's matrix stays the caller's
+    assert spec.j[0, 0] == 0.5 and spec.is_high_temperature
+    with pytest.raises(ValueError, match="read-only"):
+        spec.j[0, 0] = 0.9
+    for name in ("j", "m", "_eigvals"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, name, np.eye(2))
+    assert np.array_equal(spec.j, [[0.5, 0.2], [0.2, 0.5]])
+
+
 # -- free energy ----------------------------------------------------------------
 
 def artanh_series(m, terms=200):
@@ -187,6 +200,17 @@ def test_density_peaks_at_origin_in_high_temperature():
 def test_density_needs_positive_definite_coupling():
     with pytest.raises(ConfigError):
         FreeEnergySurface(CouplingSpec.single_group(0.0), GROUPS_1, 8)
+
+
+def test_free_energy_surface_arrays_are_read_only():
+    # the memoized grids are built from these arrays, so none may change
+    surface = FreeEnergySurface(J_TWO, GROUPS_2, 8)
+    _, weights = surface.quad_nodes(64)
+    for name in ("alpha", "q_matrix", "_precision0"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(surface, name)[0] = 0.0
+    assert np.array_equal(surface.quad_nodes(64)[1], weights)
+    assert np.array_equal(surface.alpha, [0.5, 0.5])
 
 
 def test_normalizer_cached_and_stable():

@@ -12,8 +12,11 @@ from scipy.special import ndtr, roots_legendre
 
 from votelim import (
     CLAMP,
+    TANH,
     ConfigError,
     ContractedSequence,
+    CouplingSpec,
+    CurieWeissSequence,
     DeFinettiModel,
     Gaussian,
     GroupStructure,
@@ -21,6 +24,7 @@ from votelim import (
     PointMassMixture,
     PowerLawSchedule,
     Product,
+    StaticSequence,
     UniformBox,
     UnsupportedMeasureError,
     limit_for,
@@ -112,9 +116,22 @@ def test_cluster_cf_on_c1_support_is_gaussian():
     assert law.cf([[1.5, 0.0, 0.0]])[0] == pytest.approx(math.exp(-1.5**2 / 2), abs=1e-14)
 
 
-def test_dispatch_requires_contracted_sequence():
-    with pytest.raises(ConfigError):
-        limit_for(static_delta0())
+@pytest.mark.parametrize("m", [1, 2])
+def test_dispatch_gives_a_static_origin_the_standard_gaussian(m):
+    # the point mass at the origin is the independent-voter baseline
+    assert limit_for(static_delta0(m)) == LimitLaw.standard_gaussian(m)
+
+
+def test_dispatch_refuses_a_spread_out_static_measure():
+    model = DeFinettiModel(GROUPS_1, StaticSequence(UNIFORM_1), CLAMP)
+    with pytest.raises(ConfigError, match="no dispatchable limit for a spread-out static"):
+        limit_for(model)
+
+
+def test_dispatch_refuses_a_mean_field_model():
+    model = DeFinettiModel(GROUPS_1, CurieWeissSequence(CouplingSpec.single_group(0.5)), TANH)
+    with pytest.raises(ConfigError, match="no dispatchable limit for a curie-weiss sequence"):
+        limit_for(model)
 
 
 def test_explicit_critical_without_h_is_an_error():

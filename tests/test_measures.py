@@ -18,7 +18,7 @@ from votelim import (
     UniformBox,
     UnsupportedMeasureError,
 )
-from votelim.measures import GAUSSIAN_BOX_SIGMAS, ExplicitSchedule, Mixture, _row_sum, apply_bias_map
+from votelim.measures import GAUSSIAN_BOX_SIGMAS, ExplicitSchedule, Mixture, _row_sum
 from votelim.quadrature import MIX_BUDGET, grid_points, tensor_rule
 from conftest import DELTA_0, GAUSS_1, UNIFORM_1, measures_1d, symmetric_measures_1d
 
@@ -276,15 +276,15 @@ def test_product_factors_must_be_1d():
 # -- bias maps ------------------------------------------------------------------------
 
 def test_tanh_at_zero_and_half():
-    assert apply_bias_map(TANH, [0.0])[0] == 0.0
+    assert TANH([0.0])[0] == 0.0
     # independent oracle: tanh(x) = integral of sech^2 from 0 to x
     expected, _ = quad(lambda u: 1.0 / math.cosh(u) ** 2, 0.0, 0.5, epsabs=1e-14)
-    assert apply_bias_map(TANH, [0.5])[0] == pytest.approx(expected, abs=1e-12)
-    assert apply_bias_map(TANH, [0.5])[0] == pytest.approx(0.462117157, abs=1e-9)
+    assert TANH([0.5])[0] == pytest.approx(expected, abs=1e-12)
+    assert TANH([0.5])[0] == pytest.approx(0.462117157, abs=1e-9)
 
 
 def test_clamp_behavior():
-    out = apply_bias_map(CLAMP, [0.3, -2.0])
+    out = CLAMP([0.3, -2.0])
     assert np.allclose(out, [0.3, -1.0])
 
 
@@ -292,15 +292,15 @@ def test_clamp_behavior():
 @settings(max_examples=50)
 def test_bias_maps_are_odd_bounded_monotone(x):
     for bmap in (TANH, CLAMP):
-        y = apply_bias_map(bmap, [x])[0]
+        y = bmap([x])[0]
         assert -1.0 <= y <= 1.0
-        assert apply_bias_map(bmap, [-x])[0] == pytest.approx(-y, abs=1e-15)
-        assert apply_bias_map(bmap, [x + 0.5])[0] >= y
+        assert bmap([-x])[0] == pytest.approx(-y, abs=1e-15)
+        assert bmap([x + 0.5])[0] >= y
 
 
 def test_bias_map_limits():
-    assert apply_bias_map(TANH, [50.0])[0] == pytest.approx(1.0, abs=1e-12)
-    assert apply_bias_map(CLAMP, [50.0])[0] == 1.0
+    assert TANH([50.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert CLAMP([50.0])[0] == 1.0
 
 
 # -- contraction schedules ---------------------------------------------------------------

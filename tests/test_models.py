@@ -40,7 +40,7 @@ from votelim import (
 )
 from votelim import models, quadrature
 from votelim.config import load_config
-from votelim.measures import ExplicitSchedule, Mixture, apply_bias_map
+from votelim.measures import ExplicitSchedule, Mixture
 from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
 from votelim.cwm import FreeEnergySurface, MeanFieldMixing
 from votelim.quadrature import binned_rule, grid_points, refine_until_stable
@@ -195,7 +195,7 @@ def conditional_margin_pmf(m, groups, n):
     mixed binomial law on a one-node grid, where CLAMP is the identity."""
     sizes = groups.sizes(n)
     nodes = tuple(np.asarray(m, dtype=float)[:, None])
-    p = models._probabilities(CLAMP, nodes)
+    p = [models._success_probability(CLAMP, axis) for axis in nodes]
     return MarginPmf(sizes, models._mix(models._binom_table, sizes, p, np.array([1.0])))
 
 
@@ -1173,7 +1173,7 @@ def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     axes, weights = measure.quad_nodes(level)
     assert grid_points(axes).shape == (len(weights), len(sizes))
     points, point_weights = _raw_nodes(measure, level)
-    p = 0.5 * (1.0 + apply_bias_map(bmap, points))
+    p = models._success_probability(bmap, points)
     if "atoms" in case:
         assert np.any(p == 0.0) and np.any(p == 1.0)
         assert all(len(np.unique(p[:, g])) < len(p) for g in range(p.shape[1]))
@@ -1182,7 +1182,8 @@ def test_contraction_matches_the_per_node_sum(monkeypatch, case, budget):
     real_mix = models._mix
     monkeypatch.setattr(models, "_mix", lambda *args: calls.append(1) or real_mix(*args))
     for table in (models._binom_table, models._enumerated_count_table):
-        got = models._mix(table, sizes, models._probabilities(bmap, axes), weights)
+        p_grid = [models._success_probability(bmap, axis) for axis in axes]
+        got = models._mix(table, sizes, p_grid, weights)
         assert np.max(np.abs(got - _per_node_mix(table, sizes, p, point_weights))) < 1e-15
         p_axes, binned = binned_rule(p, point_weights)
         assert np.array_equal(got, models._mix(table, sizes, list(p_axes), binned))

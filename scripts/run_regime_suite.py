@@ -3,7 +3,7 @@
 controls, the local-limit baseline and the mean-field equivalence check.
 
 Each experiment comes from a config file in configs/ and writes its
-artifacts (margins CSV, report JSONL, manifest) into a subdirectory of
+artifacts (margins.npy, report JSONL, manifest) into a subdirectory of
 the chosen output root.  The negative control is expected to fail; the
 script's exit status is 0 only when every run behaves as expected, 1
 otherwise, and the command line's 2 or 3 when a config cannot be loaded

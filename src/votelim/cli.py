@@ -3,11 +3,11 @@
 Subcommands mirror the experiment kinds.  Every run writes a manifest
 carrying the hash of the effective config (after flag overrides, without
 ``out`` and ``workers``, which change no result), the seed, and the
-versions of the tool, Python, numpy and scipy; margin samples go to CSV,
-verification results to JSON lines plus a CSV summary table.  Exit
-codes: 0 all verifications passed, 1 some verification failed, 2 any other
-package error, 3 a resource guard tripped or an artifact could not be
-written (``report_error``).
+versions of the tool, Python, numpy and scipy; raw margin samples go to
+``margins.npy``, verification results to JSON lines plus a CSV summary
+table.  Exit codes: 0 all verifications passed, 1 some verification
+failed, 2 any other package error, 3 a resource guard tripped or an
+artifact could not be written (``report_error``).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _finish(out_dir: Path, cfg: ExperimentConfig, reports, outputs, extra=None) 
 
 def _run_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    _write(out_dir / "margins.csv", sample.to_csv)
-    return _finish(out_dir, cfg, [], ["margins.csv"], {"margins": sample.manifest()})
+    _write(out_dir / "margins.npy", sample.to_npy)
+    return _finish(out_dir, cfg, [], ["margins.npy"], {"margins": sample.manifest()})
 
 
 def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -162,7 +162,7 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
     law = LimitLaw.standard_gaussian(cfg.model.groups.m) if gaussian else limit_for(cfg.model)
     threshold = cfg.threshold("ks") or ks_threshold(cfg.count)
     sample = sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed, workers=cfg.workers)
-    _write(out_dir / "margins.csv", sample.to_csv)
+    _write(out_dir / "margins.npy", sample.to_npy)
     normalized = sample.normalized
     reports = []
     for g in range(cfg.model.groups.m):
@@ -189,7 +189,7 @@ def _run_verify_clt(cfg: ExperimentConfig, out_dir: Path) -> int:
                     make_report(cfg.experiment, f"cross-correlation-{a}-{b}",
                                 abs(float(corr[a, b])), rho_threshold, seed=cfg.seed)
                 )
-    return _finish(out_dir, cfg, reports, ["margins.csv"], {"margins": sample.manifest()})
+    return _finish(out_dir, cfg, reports, ["margins.npy"], {"margins": sample.manifest()})
 
 
 def _run_verify_llt(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -291,7 +291,7 @@ def run(cfg: ExperimentConfig, out_dir=None) -> int:
     try:
         out_path.mkdir(parents=True, exist_ok=True)
         # every name a runner writes: its own files plus _finish's three
-        for name in ("manifest.json", "margins.csv", "reports.jsonl", "summary.csv", "alpha.json"):
+        for name in ("manifest.json", "margins.npy", "reports.jsonl", "summary.csv", "alpha.json"):
             if (out_path / name).resolve() != keep:
                 (out_path / name).unlink(missing_ok=True)
     except OSError as exc:

@@ -20,7 +20,10 @@ import yaml
 
 from .cwm import CouplingSpec, CurieWeissSequence
 from .errors import ConfigError
+from .limits import limit_for
 from .measures import (
+    CRITICAL,
+    SUBCRITICAL,
     ExplicitSchedule,
     Gaussian,
     Mixture,
@@ -271,6 +274,24 @@ class ExperimentConfig:
         return self.thresholds.get(name, KINDS[self.experiment].thresholds[name])
 
 
+def _llt_regime(model: DeFinettiModel) -> str | None:
+    """The regime that keeps verify-llt from judging ``model``, or None if it can.
+
+    ``verify.llt_sup_error`` compares the exact lattice law with the N(0, I)
+    density, which is the limit only where ``limit_for`` gives N(0, I).
+    """
+    try:
+        if limit_for(model).kind == "gaussian":
+            return None
+    except ConfigError:
+        pass
+    sequence = model.sequence
+    if sequence.kind == "contracted":
+        regimes = sequence.schedule.regimes()
+        return " and ".join(r for r in (CRITICAL, SUBCRITICAL) if r in regimes)
+    return "mean-field" if sequence.kind == "curie-weiss" else "spread-out static"
+
+
 def _reject_unknown_keys(node: _Doc, known) -> None:
     if not isinstance(node.doc, dict):
         node.error("expected a mapping")
@@ -397,6 +418,10 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     model = build_model(root.child("model")) if "model" in kind.required else None
     if kind.sequence and model.sequence.kind != kind.sequence:
         root.error(f"{experiment} needs a {kind.sequence} sequence", "model")
+    regime = _llt_regime(model) if experiment == "verify-llt" else None
+    if regime:
+        root.error(f"verify-llt compares the lattice law with the N(0, I) density, "
+                   f"which is not the limit of a {regime} model", "model")
     if "count" in kind.required:
         # verify-clt correlates every pair of groups, which takes two samples
         least = 2 if experiment == "verify-clt" and model.groups.m > 1 else 1

@@ -45,15 +45,6 @@ class LimitLaw:
             return gauss
         return gauss * self.base.cf(t[:, list(self.base_coords)])
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.zeros((count, self.dim))
-        mask = np.asarray(self.gauss_mask)
-        if mask.any():
-            out[:, mask] = rng.standard_normal((count, int(mask.sum())))
-        if self.base is not None:
-            out[:, list(self.base_coords)] += self.base.sample(rng, count)
-        return out
-
     def marginal(self, coord: int) -> "LimitLaw":
         gauss = (self.gauss_mask[coord],)
         if coord in self.base_coords:

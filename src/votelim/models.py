@@ -52,20 +52,6 @@ SAMPLE_BLOCK = 8192
 #: whatever memory the host has
 SAMPLE_GUARD = 10**8
 
-#: samples per string that MarginSample.to_csv joins and writes: one flat
-#: list of 3 * M pieces per sample (index head, index foot, row tail), so
-#: 3 * M * CSV_CHUNK list slots, 576 KiB at M = 3
-CSV_CHUNK = 8192
-
-#: samples over which MarginSample.to_csv formats each recurring margin's
-#: row tail once.  Per group the writer then holds ``np.unique``'s output
-#: (three arrays of at most CSV_WINDOW integers) and the tails of the
-#: window's recurring margins: at most CSV_WINDOW / 2 strings of under 100
-#: bytes, when every margin occurs twice.  A one-group write of that kind
-#: peaks at 11.3 MB (tracemalloc, a full window), whatever the sample count.
-#: 2^17 > 10^5, so every shipped sample fits in one window.
-CSV_WINDOW = 2**17
-
 #: float64 elements in each of the 2^n oracle's two per-block arrays, the
 #: vote-vector products and their one-hot popcount matrix: 2 MiB apiece.
 #: Against 2^18, 2^17 took 1.7 MB off the exact_oracle benchmark's peak RSS
@@ -222,9 +208,8 @@ class DeFinettiModel(_Immutable):
 class MarginPmf:
     """Exact joint law of the group margins on their parity lattice.
 
-    Internally an array over count indices j (margin k_g = 2 j_g - n_g);
-    ``prob(k)`` takes an integer margin vector of length M and gives
-    probability 0 off the lattice.  Any other ``k`` is a ConfigError.
+    An array over count indices j: entry j is the probability of the
+    margins k_g = 2 j_g - n_g.
     """
 
     def __init__(self, group_sizes, probs: np.ndarray):
@@ -241,22 +226,6 @@ class MarginPmf:
     def margin_axis(self, g: int) -> np.ndarray:
         n_g = self.group_sizes[g]
         return 2 * np.arange(n_g + 1) - n_g
-
-    def prob(self, k) -> float:
-        k = np.atleast_1d(np.asarray(k))
-        if k.shape != (self.m,):
-            raise ConfigError(f"margin vector must have length {self.m}, got shape {k.shape}")
-        integral = k.dtype.kind in "iu" or (
-            k.dtype.kind == "f" and bool(np.all(np.isfinite(k) & (k == np.floor(k))))
-        )
-        if not integral:
-            raise ConfigError(f"margin vector entries must be integers, got {k.tolist()}")
-        idx = []
-        for g, n_g in enumerate(self.group_sizes):
-            if abs(int(k[g])) > n_g or (int(k[g]) + n_g) % 2 != 0:
-                return 0.0
-            idx.append((int(k[g]) + n_g) // 2)
-        return float(self.probs[tuple(idx)])
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -550,57 +519,18 @@ class MarginSample:
     def count(self) -> int:
         return self.raw.shape[0]
 
-    def to_csv(self, path) -> None:
-        """Columnar long-format CSV: sample_index, group, raw_margin, normalized_margin.
+    def to_npy(self, path) -> None:
+        """``raw`` as a ``.npy`` file, format 1.0: shape (count, M), its dtype little-endian.
 
-        One row per (sample, group), in sample-major order, with CRLF line
-        ends and ``repr`` floats: the bytes of ``csv.writer``, so identical
-        samples give identical files.  A raw margin k of group g fixes the
-        rest of its row, ``,g,k,k/gamma_g``.  Each group's column is read
-        ``CSV_WINDOW`` samples at a time and reduced to its distinct
-        margins; the tail of a margin that recurs in the window is
-        formatted once, and that of a margin occurring once in the block
-        of rows where it appears.  A sample index is two pieces from
-        ``_index_pieces``: a head shared by its block of 1000 indices and
-        a foot from a stored table, so no index is formatted alone.  Rows
-        are written ``CSV_CHUNK`` samples at a time: head, foot and tail of
-        every row are slotted into one flat list, which is joined into one
-        string, with no Python call per row.  So memory stays bounded by
-        the two constants.
+        int32 or int64, in the order it is stored (group-major from
+        ``sample_margins``), so the array goes to the file as it lies in
+        memory, with no copy and no per-margin work.  Identical samples give
+        identical bytes on any host, and ``np.load(path) / gamma`` is
+        ``normalized`` bit for bit.
         """
-        with open(path, "w", newline="") as fh:
-            fh.write("sample_index,group,raw_margin,normalized_margin\r\n")
-            for w0 in range(0, self.count, CSV_WINDOW):
-                fh.writelines(self._csv_blocks(w0, min(w0 + CSV_WINDOW, self.count)))
-
-    def _csv_blocks(self, w0: int, w1: int):
-        """The CSV rows of samples [w0, w1), one string per ``CSV_CHUNK`` samples.
-
-        A generator, so a window's tails are released before the next
-        window's are built.
-        """
-        columns = []
-        for g, gamma_g in enumerate(self.gamma):
-            window = self.raw[w0:w1, g]
-            margins, inverse, counts = np.unique(window, return_inverse=True, return_counts=True)
-            once = counts == 1
-            tails = np.empty(len(margins), dtype=object)
-            tails[~once] = _row_tails(g, gamma_g, margins[~once])
-            columns.append((g, gamma_g, margins, inverse, once, tails))
-        stride = 3 * len(columns)
-        for start in range(w0, w1, CSV_CHUNK):
-            stop = min(start + CSV_CHUNK, w1)
-            heads, feet = _index_pieces(start, stop)
-            flat = [""] * (stride * (stop - start))
-            for g, gamma_g, margins, inverse, once, tails in columns:
-                block = inverse[start - w0:stop - w0]
-                single = once[block]
-                column = tails[block]
-                column[single] = _row_tails(g, gamma_g, margins[block[single]])
-                flat[3 * g::stride] = heads
-                flat[3 * g + 1::stride] = feet
-                flat[3 * g + 2::stride] = column.tolist()
-            yield "".join(flat)
+        little = self.raw.astype(self.raw.dtype.newbyteorder("<"), copy=False)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, little, version=(1, 0))
 
     def manifest(self) -> dict:
         return {
@@ -611,39 +541,6 @@ class MarginSample:
             "gamma": list(self.gamma),
             "regimes": list(self.regimes),
         }
-
-
-@functools.cache
-def _index_feet() -> tuple[list[str], list[str]]:
-    """The last three digits' text of an index: bare (``repr(r)``) and zero-padded, r < 1000.
-
-    Built on first use, since import time is part of every command's start-up.
-    """
-    return [repr(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
-
-
-def _index_pieces(start: int, stop: int) -> tuple[list[str], list[str]]:
-    """Heads and feet with ``heads[j] + feet[j] == repr(start + j)`` for [start, stop).
-
-    An index i has the head ``repr(i // 1000)``, or ``""`` below 1000, which
-    every index of its block of 1000 shares, and the foot ``i % 1000``,
-    zero-padded to three digits after a head and bare after none.
-    """
-    bare, padded = _index_feet()
-    heads, feet = [], []
-    for block in range(start // 1000, (stop - 1) // 1000 + 1):
-        lo = max(start - 1000 * block, 0)
-        hi = min(stop - 1000 * block, 1000)
-        heads += [repr(block) if block else ""] * (hi - lo)
-        feet += (padded if block else bare)[lo:hi]
-    return heads, feet
-
-
-def _row_tails(g: int, gamma_g: float, margins: np.ndarray) -> np.ndarray:
-    """The CSV row tails ``,g,k,k/gamma_g`` of ``margins``, as an object array."""
-    # int / float rounds as numpy's int64 -> float64 divide does
-    tails = [f",{g},{k!r},{k / gamma_g!r}\r\n" for k in margins.tolist()]
-    return np.fromiter(tails, object, len(tails))
 
 
 def block_rng(seed: int, block: int) -> np.random.Generator:

@@ -1,4 +1,5 @@
-"""Shared model builders, the oracle model matrix, and hypothesis strategies."""
+"""Shared model builders, the oracle model matrix, exact-law and sampler
+helpers, and hypothesis strategies."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -6,6 +7,7 @@ import numpy as np
 from votelim import (
     CLAMP,
     TANH,
+    ConfigError,
     ContractedSequence,
     DeFinettiModel,
     Gaussian,
@@ -58,6 +60,29 @@ def oracle_matrix():
         ("two-atom-a0.15-m2", contracted(two2, 0.15)),
     ]
     return models
+
+
+# -- exact laws ----------------------------------------------------------------
+
+def margin_prob(pmf, k) -> float:
+    """P(S = k) under an exact law ``pmf``, for an integer margin vector k of length M.
+
+    0 off the parity lattice; any other ``k`` is a ConfigError.
+    """
+    k = np.atleast_1d(np.asarray(k))
+    if k.shape != (pmf.m,):
+        raise ConfigError(f"margin vector must have length {pmf.m}, got shape {k.shape}")
+    integral = k.dtype.kind in "iu" or (
+        k.dtype.kind == "f" and bool(np.all(np.isfinite(k) & (k == np.floor(k))))
+    )
+    if not integral:
+        raise ConfigError(f"margin vector entries must be integers, got {k.tolist()}")
+    idx = []
+    for g, n_g in enumerate(pmf.group_sizes):
+        if abs(int(k[g])) > n_g or (int(k[g]) + n_g) % 2 != 0:
+            return 0.0
+        idx.append((int(k[g]) + n_g) // 2)
+    return float(pmf.probs[tuple(idx)])
 
 
 # -- sampler against an exact law ----------------------------------------------

@@ -253,7 +253,7 @@ def test_criterion_11_worker_count_reproducibility(tmp_path):
         ]
         outputs[workers] = {
             "stats": [(r["statistic"], r["observed"]) for r in reports],
-            "margins": (out_dir / "margins.csv").read_bytes(),
+            "margins": (out_dir / "margins.npy").read_bytes(),
         }
     identical_stats = outputs[1]["stats"] == outputs[8]["stats"]
     identical_margins = outputs[1]["margins"] == outputs[8]["margins"]

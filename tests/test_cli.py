@@ -140,11 +140,11 @@ def test_a_sample_over_the_budget_exits_3_before_sampling(tmp_path, monkeypatch,
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err == "resource guard: 2000 samples of 1 group margins exceed the 1000-margin budget\n"
-    assert not (out / "margins.csv").exists()
+    assert not (out / "margins.npy").exists()
     # a sample of exactly the budget is drawn
     cfg.write_text(yaml.safe_dump({**small_simulate_doc(), "count": 1000}))
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "margins.csv").exists()
+    assert (out / "margins.npy").exists()
 
 
 def test_subcommand_must_match_config(tmp_path):
@@ -264,7 +264,7 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     out = tmp_path / "o"
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
     assert "line " in capsys.readouterr().err
-    assert not (out / "margins.csv").exists()
+    assert not (out / "margins.npy").exists()
 
 
 @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ def test_a_non_finite_number_exits_2_at_its_line(tmp_path, capsys, value):
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}: model.sequence.schedule.coefficient: must be a finite number" in err
-    assert "Traceback" not in err and not (out / "margins.csv").exists()
+    assert "Traceback" not in err and not (out / "margins.npy").exists()
 
 
 def test_non_finite_list_items_and_points_are_refused():
@@ -751,9 +751,29 @@ def test_simulate_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == config_hash(doc)
     assert manifest["seed"] == 42
-    assert "margins.csv" in manifest["outputs"]
-    header = (out / "margins.csv").read_text().splitlines()[0]
-    assert header == "sample_index,group,raw_margin,normalized_margin"
+    assert manifest["outputs"] == ["margins.npy"]
+    raw = np.load(out / "margins.npy")
+    assert (raw.dtype.str, raw.shape) == ("<i4", (doc["count"], 1))
+    assert not (out / "margins.csv").exists()
+
+
+def test_readme_lines_rebuild_the_normalized_margins_and_a_csv(tmp_path, monkeypatch):
+    # the numpy lines of README's Artifacts section, run in a two-group output directory
+    cfg = config_from_dict(_model_doc(2, "clamp", _box_power(1.0, 0.75, m=2)))
+    assert run(cfg, tmp_path) == 0
+    sample = models.sample_margins(cfg.model, cfg.n, cfg.count, cfg.seed)
+    readme = (ROOT / "README.md").read_text().split("### Artifacts")[1]
+    code = readme.split("```python\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(code, scope)
+    assert scope["normalized"].tobytes() == sample.normalized.tobytes()
+    lines = (tmp_path / "margins.csv").read_text().splitlines()
+    assert lines[0] == "sample_index,group,raw_margin,normalized_margin"
+    fields = [line.split(",") for line in lines[1:]]
+    assert [(int(i), int(g)) for i, g, _, _ in fields] == [(i, g) for i in range(cfg.count) for g in range(2)]
+    assert np.array_equal(np.array([int(k) for _, _, k, _ in fields]).reshape(-1, 2), sample.raw)
+    assert np.array([float(x) for *_, x in fields]).reshape(-1, 2).tobytes() == sample.normalized.tobytes()
 
 
 def test_verify_clt_small_run_passes(tmp_path):
@@ -792,7 +812,7 @@ def test_a_rerun_that_fails_leaves_no_stale_manifest(tmp_path):
     assert main(["verify-clt", "--config", str(good), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
     # clamped atoms at +-(3, 3) make both groups unanimous: at seed 9 both
-    # samples have margin 2 in group 0, a data error after margins.csv
+    # samples have margin 2 in group 0, a data error after margins.npy
     atoms = {"variant": "point-mass-mixture",
              "atoms": [{"location": [3, 3], "weight": 0.5}, {"location": [-3, -3], "weight": 0.5}]}
     model = _model_doc(2, "clamp", {"kind": "static", "base": atoms})["model"]
@@ -800,7 +820,7 @@ def test_a_rerun_that_fails_leaves_no_stale_manifest(tmp_path):
     bad.write_text(yaml.safe_dump(small_clt_doc(model=model, n=4, count=2,
                                                 thresholds={"target_law": "gaussian"})))
     assert main(["verify-clt", "--config", str(bad), "--out", str(out), "--seed", "9"]) == 2
-    assert (out / "margins.csv").exists()
+    assert (out / "margins.npy").exists()
     assert not (out / "manifest.json").exists()
     assert not (out / "reports.jsonl").exists() and not (out / "summary.csv").exists()
 
@@ -819,17 +839,17 @@ def test_a_manifest_that_cannot_be_removed_exits_2_before_any_work(tmp_path, cap
 
 @pytest.mark.parametrize("out_flag", [True, False], ids=["out-flag", "cwd"])
 def test_an_input_inside_the_output_directory_is_kept(tmp_path, monkeypatch, out_flag):
-    # margins.csv is an artifact name and also the name scripts give alpha data
+    # summary.csv is an artifact name and also a name a user may give alpha data
     monkeypatch.chdir(tmp_path)
-    data = tmp_path / "margins.csv"
+    data = tmp_path / "summary.csv"
     data.write_text("population,abs_margin\n100,10\n10000,50\n")
-    (tmp_path / "summary.csv").write_text("stale\n")
+    (tmp_path / "reports.jsonl").write_text("stale\n")
     cfg = tmp_path / "alpha.yaml"
-    cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1, "input": "margins.csv"}))
+    cfg.write_text(yaml.safe_dump({"experiment": "estimate-alpha", "seed": 1, "input": "summary.csv"}))
     argv = ["estimate-alpha", "--config", str(cfg)] + (["--out", str(tmp_path)] if out_flag else [])
     assert main(argv) == 0
     assert data.read_text() == "population,abs_margin\n100,10\n10000,50\n"
-    assert (tmp_path / "alpha.json").exists() and not (tmp_path / "summary.csv").exists()
+    assert (tmp_path / "alpha.json").exists() and not (tmp_path / "reports.jsonl").exists()
 
 
 _NEAR_CRITICAL_CWM = {
@@ -839,11 +859,22 @@ _NEAR_CRITICAL_CWM = {
 }
 
 
-def _degenerate_llt_doc():
-    gauss = {"variant": "gaussian", "mean": [0, 0], "covariance": [[0.01, 0.01], [0.01, 0.01]]}
-    doc = _static(gauss, m=2, bias="tanh")
+def _llt_doc(m, bias, sequence, n_grid):
+    doc = _model_doc(m, bias, sequence)
     del doc["n"], doc["count"]
-    return {**doc, "experiment": "verify-llt", "n_grid": [10, 20]}
+    return {**doc, "experiment": "verify-llt", "n_grid": n_grid}
+
+
+def _box_power(coefficient, exponent, m=1):
+    box = {"variant": "uniform-box", "lower": [-1] * m, "upper": [1] * m}
+    return {"kind": "contracted", "base": box,
+            "schedule": {"kind": "power-law", "coefficient": coefficient, "exponent": exponent}}
+
+
+def _degenerate_llt_doc():
+    # fast groups, so verify-llt takes the model and its quadrature meets the singular covariance
+    gauss = {"variant": "gaussian", "mean": [0, 0], "covariance": [[0.01, 0.01], [0.01, 0.01]]}
+    return _llt_doc(2, "tanh", {"kind": "contracted", "base": gauss, "schedule": _POWER}, [10, 20])
 
 
 @pytest.mark.parametrize(
@@ -865,6 +896,48 @@ def test_a_package_error_never_exits_1(tmp_path, capsys, kind, doc, code, prefix
     err = capsys.readouterr().err
     assert err.startswith(prefix), err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+#: case -> (a verify-llt document, the regime its error names): a critical
+#: box (h = 2), a subcritical box, Curie-Weiss at beta = 1/2, a spread-out
+#: static box, and two groups of two regimes each
+_LLT_REFUSALS = {
+    "critical-h2": (_llt_doc(1, "clamp", _box_power(2.0, 0.5), [100, 1000, 10000]), "critical"),
+    "subcritical": (_llt_doc(1, "clamp", _box_power(1.0, 0.15), [100, 1000, 10000]), "subcritical"),
+    "curie-weiss": (_llt_doc(1, "tanh", {"kind": "curie-weiss", "coupling": {"beta": 0.5}},
+                             [100, 1000, 4000]), "mean-field"),
+    "spread-out-static": (_llt_doc(1, "clamp", {"kind": "static", "base": _UNIFORM}, [100, 1000]),
+                          "spread-out static"),
+    "fast-and-subcritical": (_llt_doc(2, "clamp", _box_power(1.0, [0.75, 0.15], m=2), [100, 1000]),
+                             "subcritical"),
+    "critical-and-subcritical": (_llt_doc(2, "clamp", _box_power(2.0, [0.5, 0.15], m=2), [100, 1000]),
+                                 "critical and subcritical"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LLT_REFUSALS))
+def test_verify_llt_refuses_a_model_whose_limit_is_not_standard_normal(tmp_path, capsys, monkeypatch, case):
+    # the check compares with the N(0, I) density, so any other limit is an
+    # error at load, before any work
+    monkeypatch.setattr(cli, "llt_sup_error", lambda *args: pytest.fail("computed"))
+    doc, regime = _LLT_REFUSALS[case]
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "llt.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["verify-llt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {_line_of(text, 'model:')}: model: verify-llt compares the lattice law with "
+        f"the N(0, I) density, which is not the limit of a {regime} model\n"
+    )
+    assert not out.exists()
+
+
+def test_verify_llt_takes_a_fast_model(tmp_path):
+    doc = _llt_doc(1, "clamp", _box_power(1.0, 0.75), [100, 1000, 10000])
+    assert run(config_from_dict(doc), tmp_path / "o") == 0
+    reports = [json.loads(line) for line in (tmp_path / "o" / "reports.jsonl").read_text().splitlines()]
+    assert reports[1]["observed"] < 1e-3
 
 
 #: distinct normalized values per group in each shipped verify-clt sample
@@ -911,7 +984,7 @@ def test_worker_override_keeps_results_identical(tmp_path):
     out1, out8 = tmp_path / "w1", tmp_path / "w8"
     assert main(["verify-clt", "--config", str(cfg_file), "--out", str(out1), "--workers", "1"]) == 0
     assert main(["verify-clt", "--config", str(cfg_file), "--out", str(out8), "--workers", "8"]) == 0
-    assert (out1 / "margins.csv").read_bytes() == (out8 / "margins.csv").read_bytes()
+    assert (out1 / "margins.npy").read_bytes() == (out8 / "margins.npy").read_bytes()
     r1 = (out1 / "reports.jsonl").read_text()
     r8 = (out8 / "reports.jsonl").read_text()
     assert r1 == r8
@@ -943,7 +1016,7 @@ def test_verify_clt_without_workers_writes_the_artifacts_of_one_worker(tmp_path)
         cfg_file.write_text(yaml.safe_dump({**doc, **workers}))
         outs[label] = tmp_path / label
         assert main(["verify-clt", "--config", str(cfg_file), "--out", str(outs[label])]) == 0
-    for artifact in ("margins.csv", "reports.jsonl", "manifest.json"):
+    for artifact in ("margins.npy", "reports.jsonl", "manifest.json"):
         assert (outs["default"] / artifact).read_bytes() == (outs["one"] / artifact).read_bytes()
 
 
@@ -968,7 +1041,7 @@ def test_seed_override_changes_hash_and_samples(tmp_path):
     hash_a = json.loads((out_a / "manifest.json").read_text())["config_hash"]
     hash_b = json.loads((out_b / "manifest.json").read_text())["config_hash"]
     assert hash_a != hash_b
-    assert (out_a / "margins.csv").read_bytes() != (out_b / "margins.csv").read_bytes()
+    assert (out_a / "margins.npy").read_bytes() != (out_b / "margins.npy").read_bytes()
 
 
 # -- margin ingestion --------------------------------------------------------------------
@@ -1135,13 +1208,13 @@ def test_a_one_element_power_law_applies_to_every_group(coefficient, exponent, e
 
 @pytest.mark.parametrize("model", [_static(_UNIFORM), _CW_BETA], ids=["spread-out-static", "curie-weiss"])
 def test_verify_clt_without_a_limit_law_samples_nothing(tmp_path, capsys, model):
-    # the target law is resolved before sampling, so no orphan margins.csv is left
+    # the target law is resolved before sampling, so no orphan margins.npy is left
     cfg = tmp_path / "nolimit.yaml"
     cfg.write_text(yaml.safe_dump(small_clt_doc(model=model["model"])))
     out = tmp_path / "o"
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
     assert "limit" in capsys.readouterr().err
-    assert not (out / "margins.csv").exists()
+    assert not (out / "margins.npy").exists()
 
 
 _DELTA0 = {"variant": "point-mass-mixture", "atoms": [{"location": [0.0], "weight": 1.0}]}
@@ -1185,7 +1258,7 @@ def test_static_target_law_is_gaussian_only_at_the_origin(tmp_path, capsys, case
     else:
         assert code == 2
         assert "no dispatchable limit" in capsys.readouterr().err
-        assert not (out / "margins.csv").exists()
+        assert not (out / "margins.npy").exists()
 
 
 def test_nested_product_mixture_measure_from_config(tmp_path):
@@ -1274,7 +1347,7 @@ def _half_written_manifest(self, text, *args, **kwargs):
 @pytest.mark.parametrize(
     "target, name, writer, artifact",
     [
-        (models.MarginSample, "to_csv", _no_space, "margins.csv"),
+        (models.MarginSample, "to_npy", _no_space, "margins.npy"),
         (cli, "write_reports_jsonl", _no_space, "reports.jsonl"),
         (cli, "write_reports_csv", _no_space, "summary.csv"),
         (Path, "write_text", _half_written_manifest, "manifest.json"),

@@ -96,7 +96,7 @@ model = DeFinettiModel(
 )
 sample = sample_margins(model, 400, 3000, 5)
 with tempfile.TemporaryDirectory() as tmp:
-    sample.to_csv(Path(tmp) / "margins.csv")
+    sample.to_npy(Path(tmp) / "margins.npy")
 law = limit_for(model)
 kinds = []
 for g in range(2):

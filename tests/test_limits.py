@@ -170,9 +170,20 @@ def limit_cdf(law, x, count=1_000_000, seed=0):
     return value
 
 
+def limit_sample(law, rng, count):
+    """``count`` draws of a limit law: Gaussian noise on its mask plus the base on its coordinates."""
+    out = np.zeros((count, law.dim))
+    mask = np.asarray(law.gauss_mask)
+    if mask.any():
+        out[:, mask] = rng.standard_normal((count, int(mask.sum())))
+    if law.base is not None:
+        out[:, list(law.base_coords)] += law.base.sample(rng, count)
+    return out
+
+
 def limit_cdf_mc(law, x, count=1_000_000, seed=0):
     """Monte Carlo estimate of P(X <= x componentwise) with its standard error."""
-    draws = law.sample(np.random.default_rng(seed), count)
+    draws = limit_sample(law, np.random.default_rng(seed), count)
     p = float(np.all(draws <= np.asarray(x, dtype=float), axis=1).mean())
     return p, float(np.sqrt(max(p * (1.0 - p), 1.0 / count) / count))
 

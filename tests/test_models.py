@@ -1,9 +1,8 @@
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -41,7 +40,7 @@ from votelim import (
 from votelim import models, quadrature
 from votelim.config import load_config
 from votelim.measures import ExplicitSchedule, Mixture
-from votelim.models import CSV_CHUNK, SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
+from votelim.models import SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
 from votelim.cwm import FreeEnergySurface, MeanFieldMixing
 from votelim.quadrature import binned_rule, grid_points, refine_until_stable
 from conftest import (
@@ -50,6 +49,7 @@ from conftest import (
     GROUPS_2,
     UNIFORM_1,
     contracted,
+    margin_prob,
     multinomial_tv_quantile,
     oracle_matrix,
     sample_tv,
@@ -203,22 +203,22 @@ def test_conditional_pmf_matches_enumeration():
     pmf = conditional_margin_pmf([0.5], GROUPS_1, 4)
     oracle = enumerate_conditional_pmf(0.5, 4)
     for k, prob in oracle.items():
-        assert pmf.prob([k]) == pytest.approx(prob, abs=1e-14)
-    assert pmf.prob([2]) == pytest.approx(27.0 / 64.0, abs=1e-14)
+        assert margin_prob(pmf, [k]) == pytest.approx(prob, abs=1e-14)
+    assert margin_prob(pmf, [2]) == pytest.approx(27.0 / 64.0, abs=1e-14)
 
 
 def test_conditional_pmf_fair_coins():
-    assert conditional_margin_pmf([0.0], GROUPS_1, 2).prob([0]) == pytest.approx(0.5)
+    assert margin_prob(conditional_margin_pmf([0.0], GROUPS_1, 2), [0]) == pytest.approx(0.5)
 
 
 def test_conditional_pmf_degenerate_bias():
-    assert conditional_margin_pmf([1.0], GROUPS_1, 10).prob([10]) == 1.0
+    assert margin_prob(conditional_margin_pmf([1.0], GROUPS_1, 10), [10]) == 1.0
 
 
 def test_conditional_pmf_off_lattice_is_zero():
     pmf = conditional_margin_pmf([0.3], GROUPS_1, 4)
-    assert pmf.prob([3]) == 0.0  # wrong parity
-    assert pmf.prob([6]) == 0.0  # out of range
+    assert margin_prob(pmf, [3]) == 0.0  # wrong parity
+    assert margin_prob(pmf, [6]) == 0.0  # out of range
 
 
 def test_conditional_pmf_sums_to_one():
@@ -230,7 +230,7 @@ def test_conditional_pmf_sums_to_one():
 def test_margin_pmf_rejects_malformed_margin_vectors(k):
     pmf = conditional_margin_pmf([0.3, -0.6], GROUPS_2, 10)
     with pytest.raises(ConfigError):
-        pmf.prob(k)
+        margin_prob(pmf, k)
 
 
 def test_margin_pmf_rejects_a_table_off_its_lattice():
@@ -267,18 +267,18 @@ def test_binomial_table_equals_scipy_stats_bit_for_bit(monkeypatch, hide_ufunc):
 
 def test_static_delta0_n2():
     pmf = exact_margin_pmf(static_delta0(), 2)
-    assert pmf.prob([-2]) == pytest.approx(0.25, abs=1e-14)
-    assert pmf.prob([0]) == pytest.approx(0.5, abs=1e-14)
-    assert pmf.prob([2]) == pytest.approx(0.25, abs=1e-14)
+    assert margin_prob(pmf, [-2]) == pytest.approx(0.25, abs=1e-14)
+    assert margin_prob(pmf, [0]) == pytest.approx(0.5, abs=1e-14)
+    assert margin_prob(pmf, [2]) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_static_unit_atoms_are_unanimous():
     base = PointMassMixture([([-1.0], 0.5), ([1.0], 0.5)])
     model = DeFinettiModel(GROUPS_1, StaticSequence(base), CLAMP)
     pmf = exact_margin_pmf(model, 3)
-    assert pmf.prob([-3]) == pytest.approx(0.5, abs=1e-14)
-    assert pmf.prob([3]) == pytest.approx(0.5, abs=1e-14)
-    assert pmf.prob([1]) == 0.0
+    assert margin_prob(pmf, [-3]) == pytest.approx(0.5, abs=1e-14)
+    assert margin_prob(pmf, [3]) == pytest.approx(0.5, abs=1e-14)
+    assert margin_prob(pmf, [1]) == 0.0
 
 
 def test_contracted_uniform_matches_brute_force_at_fixed_eps():
@@ -329,7 +329,7 @@ def test_brute_force_binomial_counts():
     pmf = brute_force_pmf(static_delta0(), 4)
     expected = {-4: 1 / 16, -2: 4 / 16, 0: 6 / 16, 2: 4 / 16, 4: 1 / 16}
     for k, prob in expected.items():
-        assert pmf.prob([k]) == pytest.approx(prob, abs=1e-14)
+        assert margin_prob(pmf, [k]) == pytest.approx(prob, abs=1e-14)
 
 
 def test_brute_force_gaussian_tanh_agrees_with_exact():
@@ -595,138 +595,68 @@ def test_monte_carlo_matches_exact_pmf():
         assert abs(emp - p) < 4 * math.sqrt(p * (1 - p) / 10**6)
 
 
-def test_margin_sample_csv_roundtrip(tmp_path):
-    model = static_delta0()
-    s = sample_margins(model, 10, 25, 5)
-    path = tmp_path / "margins.csv"
-    s.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample_index,group,raw_margin,normalized_margin"
-    assert len(lines) == 26
-    idx, group, raw, norm = lines[1].split(",")
-    assert (int(idx), int(group)) == (0, 0)
-    assert float(norm) == pytest.approx(int(raw) / s.gamma[0])
+# -- the sample artifact ------------------------------------------------------------------
 
-
-def _reference_csv_bytes(sample) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["sample_index", "group", "raw_margin", "normalized_margin"])
-    normalized = sample.normalized  # one divide: each read of the property divides all of raw
-    for i in range(sample.count):
-        for g in range(len(sample.group_sizes)):
-            writer.writerow([i, g, int(sample.raw[i, g]), repr(float(normalized[i, g]))])
-    return buf.getvalue().encode()
-
-
-def _written(sample, path) -> bytes:
-    """The bytes ``sample.to_csv`` writes to ``path``, written as a new file.
-
-    On some file systems, truncating a file just written takes up to a
-    tenth of a second an open; a run writes new files.
-    """
-    path.unlink(missing_ok=True)
-    sample.to_csv(path)
-    return path.read_bytes()
-
-
-def _margin_columns(rng, count, m, repeats):
-    """(count, m) distinct margins in shuffled columns, each repeated ``repeats`` times.
-
-    With repeats 2 a column of odd length gives its last margin a third row,
-    so every margin still recurs.
-    """
-    values = np.minimum(np.arange(count) // repeats, max(count // repeats - 1, 0))
-    return rng.permuted(np.tile(3 * values - count, (m, 1)), axis=1).T
-
-
+@pytest.mark.parametrize("count", [1, 37, SAMPLE_BLOCK + 5])
+@pytest.mark.parametrize("width", [np.int32, np.int64], ids=["int32", "int64"])
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("count", [37, CSV_CHUNK, 2 * CSV_CHUNK + 5])
-def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, monkeypatch, m, count):
-    # chunk edges: fewer samples than one chunk, exactly one, and a ragged tail
+def test_margin_sample_npy_roundtrip(tmp_path, m, width, count):
+    # groups of 2^31 voters take margins past int32, so raw is int64
     groups = GroupStructure(m, [1.0 / m] * m)
-    base = UniformBox([-1.0] * m, [1.0] * m)
-    model = DeFinettiModel(groups, StaticSequence(base), CLAMP)
-    sample = sample_margins(model, 30 * m, count, 11)
-    assert (sample.normalized < 0).any() and (sample.normalized > 0).any()
-    path = tmp_path / "margins.csv"
-    assert _written(sample, path) == _reference_csv_bytes(sample)
-    # hand-built: a sample-major ``raw`` with repeated values and divisors
-    # whose quotients need all 17 digits
-    rng = np.random.default_rng(count + m)
-    raw = rng.integers(-1000, 1001, size=(count, m))
-    built = MarginSample(30 * m, sample.group_sizes, raw, (3.0, 7.0, 0.1)[:m], sample.regimes, 11)
-    assert _written(built, path) == _reference_csv_bytes(built)
-    # one sample; every value of every chunk equal; int32 raw
-    for raw_v in (raw[:1], np.full_like(raw, -7), raw.astype(np.int32)):
-        edge = dataclasses.replace(built, raw=raw_v)
-        assert _written(edge, path) == _reference_csv_bytes(edge)
-    # margins near the population guard, where 64-bit text and quotients are widest
-    huge = raw + np.where(raw < 0, -(10**12), 10**12)
-    wide = dataclasses.replace(built, raw=huge, gamma=(0.1,) * m)
-    assert _written(wide, path) == _reference_csv_bytes(wide)
-    # every margin of a column recurs; no margin recurs
-    recurring = _margin_columns(rng, count, m, 2)
-    distinct = _margin_columns(rng, count, m, 1)
-    assert np.unique(recurring[:, 0], return_counts=True)[1].min() >= 2
-    assert np.unique(distinct[:, 0], return_counts=True)[1].max() == 1
-    for raw_v in (recurring, distinct):
-        edge = dataclasses.replace(built, raw=raw_v)
-        assert _written(edge, path) == _reference_csv_bytes(edge)
-    # window edges, with a small window in blocks of 10 samples: the sample
-    # is one over a window (the last window holds one sample), exactly one,
-    # and one short of one
-    if count == 37:
-        monkeypatch.setattr(models, "CSV_CHUNK", 10)
-        for window in (36, 37, 38):
-            monkeypatch.setattr(models, "CSV_WINDOW", window)
-            for raw_v in (raw, recurring, distinct):
-                edge = dataclasses.replace(built, raw=raw_v)
-                assert _written(edge, path) == _reference_csv_bytes(edge)
-    # windows and chunks that start inside a block of 1000 sample indices:
-    # the chunks [997, 1330) and [9970, 10303) cross 999 -> 1000 and
-    # 9999 -> 10000
-    if count == 2 * CSV_CHUNK + 5:
-        monkeypatch.setattr(models, "CSV_WINDOW", 997)
-        monkeypatch.setattr(models, "CSV_CHUNK", 333)
-        for raw_v in (raw, recurring, distinct):
-            edge = dataclasses.replace(built, raw=raw_v)
-            assert _written(edge, path) == _reference_csv_bytes(edge)
+    model = DeFinettiModel(groups, StaticSequence(UniformBox([-1.0] * m, [1.0] * m)), CLAMP)
+    sample = sample_margins(model, (30 if width is np.int32 else 2**31) * m, count, 11)
+    assert sample.raw.dtype == width
+    path = tmp_path / "margins.npy"
+    sample.to_npy(path)
+    loaded = np.load(path)
+    assert (loaded.dtype, loaded.shape, loaded.flags.f_contiguous) == (sample.raw.dtype, (count, m), True)
+    assert np.array_equal(loaded, sample.raw)
+    # the divide by the manifest's gamma rebuilds the normalized margins bit for bit
+    gamma = json.loads(json.dumps(sample.manifest()))["gamma"]
+    assert (loaded / gamma).tobytes() == sample.normalized.tobytes()
 
 
-@pytest.mark.parametrize(
-    "start, stop",
-    [(0, 1), (0, 1010), (7, 2999), (999_990, 1_000_010), (99_999_990, 10**8)]
-    + [(10**k - 10, 10**k + 10) for k in range(1, 8)],
-)
-def test_index_pieces_spell_every_sample_index(start, stop):
-    # off block edges and across every decimal width an index below
-    # SAMPLE_GUARD can have
-    heads, feet = models._index_pieces(start, stop)
-    assert len(heads) == len(feet) == stop - start
-    assert "".join(h + f for h, f in zip(heads, feet)) == "".join(map(repr, range(start, stop)))
+def _npy_parts(path):
+    """A .npy file's format version, header, whether data starts 64-byte aligned, and data."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        header = np.lib.format.read_array_header_1_0(fh)
+        return version, header, fh.tell() % 64 == 0, fh.read()
 
 
-def test_margin_sample_csv_memory_does_not_grow_with_count(tmp_path, monkeypatch):
-    # every margin occurs exactly twice in its window, so the writer caches
-    # the most tails a window can hold; four windows must peak within 10%
-    # of one
-    window = 4096
-    monkeypatch.setattr(models, "CSV_WINDOW", window)
-    rng = np.random.default_rng(3)
+def test_margin_sample_npy_bytes_are_raw_as_stored_little_endian(tmp_path):
+    groups = GroupStructure(2, [0.5, 0.5])
+    model = DeFinettiModel(groups, StaticSequence(UniformBox([-1.0] * 2, [1.0] * 2)), CLAMP)
+    sample = sample_margins(model, 60, 37, 11)
+    path = tmp_path / "margins.npy"
+    sample.to_npy(path)
+    little = sample.raw.astype("<i4")
+    assert _npy_parts(path) == ((1, 0), ((37, 2), True, np.dtype("<i4")), True, little.tobytes(order="F"))
+    # raw as a big-endian host holds it writes the same bytes
+    dataclasses.replace(sample, raw=sample.raw.astype(">i4")).to_npy(tmp_path / "swapped.npy")
+    assert (tmp_path / "swapped.npy").read_bytes() == path.read_bytes()
+    # a sample-major raw is written in its own order
+    dataclasses.replace(sample, raw=np.ascontiguousarray(sample.raw)).to_npy(path)
+    assert _npy_parts(path) == ((1, 0), ((37, 2), False, np.dtype("<i4")), True, little.tobytes(order="C"))
 
+
+def test_margin_sample_npy_memory_does_not_grow_with_count(tmp_path):
+    # the array goes to the file as it lies in memory: a sample 256 times
+    # larger (8 MiB of margins) writes within 10% of the small one's peak
     def peak(count):
-        raw = np.concatenate([rng.permutation(np.arange(w, w + window) // 2) for w in range(0, count, window)])
-        sample = MarginSample(10**6, (10**6,), raw[:, None], (7.0,), ("subcritical",), 1)
+        raw = np.asfortranarray(np.arange(2 * count, dtype=np.int32).reshape(count, 2) - count)
+        sample = MarginSample(10**6, (5 * 10**5,) * 2, raw, (7.0, 7.0), ("subcritical",) * 2, 1)
         tracemalloc.start()
         try:
-            sample.to_csv(tmp_path / f"{count}.csv")
+            sample.to_npy(tmp_path / f"{count}.npy")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one = peak(window)
-    assert peak(4 * window) <= 1.1 * one
+    peak(2**12)  # a first write may allocate once
+    one = peak(2**12)
+    assert peak(2**20) <= 1.1 * one
+    assert one < 64 * 1024
 
 
 # -- summary statistics --------------------------------------------------------------------
@@ -875,7 +805,7 @@ def test_two_group_conditional_pmf_matches_enumeration():
             prob *= (1 + bias) / 2 if x == 1 else (1 - bias) / 2
         key = (sum(config[:3]), sum(config[3:]))
         oracle[key] = oracle.get(key, 0.0) + prob
-    worst = max(abs(pmf.prob(list(k)) - p) for k, p in oracle.items())
+    worst = max(abs(margin_prob(pmf, list(k)) - p) for k, p in oracle.items())
     assert worst < 1e-14
 
 

@@ -87,20 +87,20 @@ def test_run_cwm_suite_runs():
     assert "representation equivalence" in proc.stdout
 
 
-#: sha256 of each pinned artifact of the regime suite's configs: margins.csv
+#: sha256 of each pinned artifact of the regime suite's configs: margins.npy
 #: and reports.jsonl of each verify-clt config, reports.jsonl of the others; a
 #: speedup that changes these bytes changes what the run reports
 REGIME_ARTIFACTS = {
     "fast_clt": {
-        "margins.csv": "3e94e21728db966781d97705d6842e52be36d043f8802ea96c0731d2ab86cb6e",
+        "margins.npy": "d772ea29fd0210914158ca1b0958ead34e597e486041234468a91d8383938806",
         "reports.jsonl": "9d90add89c1147934fae05c115b9b412348e88b0b488bdc3af6827669c5eddc8",
     },
     "critical_clt": {
-        "margins.csv": "4be008d809ed504e9797a448ce2599b9877a08fe3d74620bac719d6e5f5fe89d",
+        "margins.npy": "a5fc3d553697f46fb1a2c01823d1c3c6d284b1045d374729be3965c3461afd6c",
         "reports.jsonl": "11a267988fa2954153219d35407759612ea9b2b5883a64dfc1427c5854375a7e",
     },
     "subcritical_base": {
-        "margins.csv": "6204650329712894553d5f535d8a553c0856578479766d11df51746178ef1932",
+        "margins.npy": "66d1a38c3ac325cf3504ad2fa863a05540d9f1d654cbc891acd4251dec020aa6",
         "reports.jsonl": "3b150409585fc7782c88382897ab9d13308712fdbee2d2b1bdc4e1cbf2642f94",
     },
     "subcritical_decay": {

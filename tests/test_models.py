@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -657,6 +659,89 @@ def test_margin_sample_npy_memory_does_not_grow_with_count(tmp_path):
     one = peak(2**12)
     assert peak(2**20) <= 1.1 * one
     assert one < 64 * 1024
+
+
+def _reference_csv_bytes(sample) -> bytes:
+    """The long-format CSV of ``sample`` as ``csv.writer`` writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sample_index", "group", "raw_margin", "normalized_margin"])
+    normalized = sample.normalized  # one divide: each read of the property divides all of raw
+    for i in range(sample.count):
+        for g in range(len(sample.group_sizes)):
+            writer.writerow([i, g, int(sample.raw[i, g]), repr(float(normalized[i, g]))])
+    return buf.getvalue().encode()
+
+
+_README_CSV_LINES = (
+    (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    .split("### Artifacts")[1].split("```python\n")[1].split("```")[0]
+)
+
+
+def _readme_csv_bytes(sample, directory, monkeypatch) -> bytes:
+    """The bytes README's lines write from ``sample``'s ``margins.npy`` and manifest.
+
+    Each call writes into a new directory: on some file systems, truncating
+    a file just written takes up to a tenth of a second an open.
+    """
+    directory.mkdir()
+    sample.to_npy(directory / "margins.npy")
+    (directory / "manifest.json").write_text(json.dumps({"margins": sample.manifest()}))
+    monkeypatch.chdir(directory)
+    exec(_README_CSV_LINES, {})
+    return (directory / "margins.csv").read_bytes()
+
+
+def _margin_columns(rng, count, m, repeats):
+    """(count, m) distinct margins in shuffled columns, each repeated ``repeats`` times.
+
+    With repeats 2 a column of odd length gives its last margin a third row,
+    so every margin still recurs.
+    """
+    values = np.minimum(np.arange(count) // repeats, max(count // repeats - 1, 0))
+    return rng.permuted(np.tile(3 * values - count, (m, 1)), axis=1).T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("count", [37, 8192, 16389])
+def test_margin_sample_csv_bytes_match_csv_writer(tmp_path, monkeypatch, m, count):
+    # README's lines rebuild, from margins.npy and the manifest's gamma, the
+    # CSV that csv.writer gives the sample: the margins.csv an older
+    # version wrote, byte for byte
+    calls = itertools.count()
+
+    def rebuilt(edge):
+        return _readme_csv_bytes(edge, tmp_path / str(next(calls)), monkeypatch)
+
+    groups = GroupStructure(m, [1.0 / m] * m)
+    base = UniformBox([-1.0] * m, [1.0] * m)
+    model = DeFinettiModel(groups, StaticSequence(base), CLAMP)
+    sample = sample_margins(model, 30 * m, count, 11)
+    assert (sample.normalized < 0).any() and (sample.normalized > 0).any()
+    assert rebuilt(sample) == _reference_csv_bytes(sample)
+    # hand-built: a sample-major ``raw`` with repeated values and divisors
+    # whose quotients need all 17 digits
+    rng = np.random.default_rng(count + m)
+    raw = rng.integers(-1000, 1001, size=(count, m))
+    built = MarginSample(30 * m, sample.group_sizes, raw, (3.0, 7.0, 0.1)[:m], sample.regimes, 11)
+    assert rebuilt(built) == _reference_csv_bytes(built)
+    # one sample; every value equal; int32 raw
+    for raw_v in (raw[:1], np.full_like(raw, -7), raw.astype(np.int32)):
+        edge = dataclasses.replace(built, raw=raw_v)
+        assert rebuilt(edge) == _reference_csv_bytes(edge)
+    # margins near the population guard, where 64-bit text and quotients are widest
+    huge = raw + np.where(raw < 0, -(10**12), 10**12)
+    wide = dataclasses.replace(built, raw=huge, gamma=(0.1,) * m)
+    assert rebuilt(wide) == _reference_csv_bytes(wide)
+    # every margin of a column recurs; no margin recurs
+    recurring = _margin_columns(rng, count, m, 2)
+    distinct = _margin_columns(rng, count, m, 1)
+    assert np.unique(recurring[:, 0], return_counts=True)[1].min() >= 2
+    assert np.unique(distinct[:, 0], return_counts=True)[1].max() == 1
+    for raw_v in (recurring, distinct):
+        edge = dataclasses.replace(built, raw=raw_v)
+        assert rebuilt(edge) == _reference_csv_bytes(edge)
 
 
 # -- summary statistics --------------------------------------------------------------------

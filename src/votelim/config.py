@@ -214,9 +214,10 @@ def build_model(node: _Doc) -> DeFinettiModel:
     _reject_unknown_keys(node, ("groups", "bias_map", "sequence"))
     groups_node = node.child("groups")
     _reject_unknown_keys(groups_node, ("m", "proportions"))
-    groups = groups_node.wrap(
-        lambda: GroupStructure(groups_node.require("m"), groups_node.require("proportions"))
-    )
+    m = groups_node.require("m")
+    if not _is_integer(m):
+        groups_node.error("m must be an integer", "m")
+    groups = groups_node.wrap(lambda: GroupStructure(int(m), groups_node.require("proportions")))
     bmap = node.wrap(lambda: bias_map(node.require("bias_map")), "bias_map")
     seq_node = node.child("sequence")
     kind = seq_node.require("kind")

@@ -7,9 +7,9 @@ exp(-n * F) / Z for the free-energy surface F built from the inverse
 coupling matrix.  ``CurieWeissSequence`` hands mu_n to the generic model
 layer, so the mixture form's exact law, 2^n oracle, pair correlation and
 sampler are the ones every model uses; the Gibbs form is enumerated here,
-independently, so the two serve as mutual oracles.  A tanh change of
-variables gives a third, compactly supported form on (-1, 1)^M used for
-concentration-of-measure profiles.
+independently, so the two serve as mutual oracles.  The surface also
+gives a third, compactly supported form on (-1, 1)^M, the tanh change of
+variables, used for concentration-of-measure profiles.
 
 The mixing density exists in the high-temperature regime only, where the
 free energy is convex with its unique minimum at the origin; the regime is
@@ -96,6 +96,10 @@ class FreeEnergySurface(_Gridded):
 
     Immutable, like the measures: ``quad_nodes`` evaluates exp(-n F) on
     each level's grid once, and every marginal of mu_n reads that grid.
+
+    The ``compact_`` methods transport mu_n to (-1, 1)^M by t = tanh(x):
+    density exp(-n F(artanh t)) * prod 1/(1 - t^2) / Z with the same
+    normalizer, which evaluates to 0 at |t_g| = 1.
     """
 
     def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
@@ -112,9 +116,7 @@ class FreeEnergySurface(_Gridded):
                 "the mixing density needs the high-temperature regime "
                 "(identity minus coupling positive definite)"
             )
-        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "m", groups.m)
         object.__setattr__(self, "alpha", _readonly(alpha))
         object.__setattr__(self, "q_matrix", _readonly(q_matrix))
@@ -163,6 +165,43 @@ class FreeEnergySurface(_Gridded):
             value = _integrate(self, lambda axes, weights: np.array([weights.sum()]))
             object.__setattr__(self, "_normalizer", float(value[0]))
         return self._normalizer
+
+    def compact_log_density(self, t: np.ndarray) -> np.ndarray:
+        """Log of the unnormalized compact density on a batch (K, M); -inf off the open cube."""
+        out = np.full(t.shape[0], -np.inf)
+        interior = np.all(np.abs(t) < 1.0, axis=1)
+        if np.any(interior):
+            ti = t[interior]
+            x = np.arctanh(ti)
+            log_jac = -np.sum(np.log1p(-(ti**2)), axis=1)
+            out[interior] = -self.n * self.value(x) + log_jac
+        return out
+
+    def _compact_box_integral(self, lower, upper, level: int) -> float:
+        axes, weights = tensor_rule(lower, upper, level)
+        vals = np.exp(self.compact_log_density(grid_points(axes)))
+        return float(weights @ vals) / self.normalizer()
+
+    def compact_tail_mass(self, delta: float) -> float:
+        """Compact mass of (-1,1)^M minus [-delta, delta]^M, 0 < delta < 1, integrated directly.
+
+        The complement is partitioned into 2M disjoint slabs (first
+        coordinate exceeding delta decides the slab), so small tails are
+        computed without catastrophic cancellation.
+        """
+        total = 0.0
+        for g in range(self.m):
+            for side in (-1.0, 1.0):
+                lower, upper = np.full(self.m, -1.0), np.full(self.m, 1.0)
+                lower[:g], upper[:g] = -delta, delta
+                lower[g], upper[g] = (delta, 1.0) if side > 0 else (-1.0, -delta)
+                value, _ = refine_until_stable(
+                    lambda level: np.array([self._compact_box_integral(lower, upper, level)]),
+                    tol=1e-300,
+                    rtol=1e-9,
+                )
+                total += float(value[0])
+        return total
 
 
 # -- the mixing measure -------------------------------------------------------------
@@ -235,7 +274,7 @@ class CurieWeissSequence:
     def validate(self, groups: GroupStructure, bias_map) -> None:
         if self.coupling.m != groups.m:
             raise ConfigError("coupling matrix size does not match the group count")
-        if getattr(bias_map, "name", None) != "tanh":
+        if bias_map is not TANH:
             raise ConfigError("the mean-field model requires the tanh bias map")
 
     def mixing_measure(self, groups: GroupStructure, n: int):
@@ -287,63 +326,10 @@ def representation_equivalence_check(
     return gibbs_pmf(spec, groups, n).max_abs_diff(exact_margin_pmf(model, n))
 
 
-# -- compact (tanh-transformed) form ----------------------------------------------
-
-class CompactMixingDensity:
-    """The mixing measure transported to (-1, 1)^M by t = tanh(x).
-
-    Density exp(-n F(artanh t)) * prod 1/(1 - t^2) / Z with the same
-    normalizer as the noncompact form; evaluates to 0 at |t_g| = 1.
-    """
-
-    def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
-        self.surface = FreeEnergySurface(spec, groups, n)
-        self.m = self.surface.m
-        self.n = n
-
-    def log_density_unnormalized(self, t: np.ndarray) -> np.ndarray:
-        """Log of the unnormalized density on a batch (K, M); -inf off the open cube."""
-        out = np.full(t.shape[0], -np.inf)
-        interior = np.all(np.abs(t) < 1.0, axis=1)
-        if np.any(interior):
-            ti = t[interior]
-            x = np.arctanh(ti)
-            log_jac = -np.sum(np.log1p(-(ti**2)), axis=1)
-            out[interior] = -self.n * self.surface.value(x) + log_jac
-        return out
-
-    def _box_integral(self, lower, upper, level: int) -> float:
-        axes, weights = tensor_rule(lower, upper, level)
-        vals = np.exp(self.log_density_unnormalized(grid_points(axes)))
-        return float(weights @ vals) / self.surface.normalizer()
-
-    def mass_outside_symmetric_box(self, delta: float) -> float:
-        """Mass of (-1,1)^M minus [-delta, delta]^M, integrated directly, for 0 < delta < 1.
-
-        The complement is partitioned into 2M disjoint slabs (first
-        coordinate exceeding delta decides the slab), so small tails are
-        computed without catastrophic cancellation.
-        """
-        total = 0.0
-        for g in range(self.m):
-            for side in (-1.0, 1.0):
-                lower, upper = np.full(self.m, -1.0), np.full(self.m, 1.0)
-                lower[:g], upper[:g] = -delta, delta
-                lower[g], upper[g] = (delta, 1.0) if side > 0 else (-1.0, -delta)
-                value, _ = refine_until_stable(
-                    lambda level: np.array([self._box_integral(lower, upper, level)]),
-                    tol=1e-300,
-                    rtol=1e-9,
-                )
-                total += float(value[0])
-        return total
-
-
 @dataclass(frozen=True)
 class ConcentrationPoint:
     n: int
     tail_mass: float
-    underflow: bool
 
 
 def concentration_profile(
@@ -352,17 +338,12 @@ def concentration_profile(
     """Mixing-measure mass outside [-delta, delta]^M along an n grid.
 
     In high temperature the tail decays exponentially in n, so the log
-    tail mass should fall on a near-straight line.  Tail masses that
-    underflow double precision are reported as 0 with a flag.  ``delta``
-    lies in (0, 1): the cube (-1, 1)^M holds all the mass, so a larger
-    delta leaves every tail 0 and no line to fit.
+    tail mass should fall on a near-straight line.  A tail mass below the
+    smallest double is reported as 0.  ``delta`` lies in (0, 1): the cube
+    (-1, 1)^M holds all the mass, so a larger delta leaves every tail 0 and
+    no line to fit.
     """
     if not 0 < delta < 1:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if not spec.is_high_temperature:
-        raise ConfigError("concentration profiles are defined in high temperature only")
-    out = []
-    for n in n_grid:
-        tail = CompactMixingDensity(spec, groups, int(n)).mass_outside_symmetric_box(delta)
-        out.append(ConcentrationPoint(int(n), tail, tail == 0.0))
-    return out
+    surfaces = (FreeEnergySurface(spec, groups, int(n)) for n in n_grid)
+    return [ConcentrationPoint(surface.n, surface.compact_tail_mass(delta)) for surface in surfaces]

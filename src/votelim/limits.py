@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .measures import BaseMeasure, CRITICAL, FAST, SUBCRITICAL, _batch
-from .models import DeFinettiModel, _integrate
+from .models import ORACLE_BLOCK, DeFinettiModel, _integrate
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class LimitLaw:
         return _integrate(self.base, lambda p, w: _smoothed_cdf(x, p, w))
 
 
-#: elements of one block of the (points x nodes) matrix in _smoothed_cdf
-CDF_BLOCK = 1 << 18
-
-
 def _smoothed_cdf(x: np.ndarray, axes, weights: np.ndarray) -> np.ndarray:
     """sum_j weights_j * Phi(x - nodes_j) over a 1-D node grid, in row blocks of bounded size."""
     from scipy.special import ndtr
@@ -83,7 +79,7 @@ def _smoothed_cdf(x: np.ndarray, axes, weights: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1)
     nodes = axes[0]
     out = np.empty(flat.size)
-    rows = max(1, CDF_BLOCK // nodes.size)
+    rows = max(1, ORACLE_BLOCK // nodes.size)
     for start in range(0, flat.size, rows):
         out[start : start + rows] = ndtr(flat[start : start + rows, None] - nodes) @ weights
     return out.reshape(x.shape)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -496,28 +495,14 @@ def _factors(eps, dim: int) -> np.ndarray:
 # entry.  Acting componentwise, it keeps independent coordinates
 # independent, which the exact layer relies on.
 
-@dataclass(frozen=True)
-class TanhBias:
-    """m -> tanh(m) componentwise; the canonical map for measures on R^M."""
-
-    name: str = "tanh"
-
-    def __call__(self, m):
-        return np.tanh(m)
+#: m -> tanh(m) componentwise; the canonical map for measures on R^M
+TANH = np.tanh
 
 
-@dataclass(frozen=True)
-class ClampIdentityBias:
+def CLAMP(m):
     """Identity clamped to [-1, 1]; canonical for measures already supported there."""
+    return np.clip(m, -1.0, 1.0)
 
-    name: str = "clamp"
-
-    def __call__(self, m):
-        return np.clip(m, -1.0, 1.0)
-
-
-TANH = TanhBias()
-CLAMP = ClampIdentityBias()
 
 _BIAS_MAPS = {"tanh": TANH, "clamp": CLAMP}
 

@@ -52,11 +52,14 @@ SAMPLE_BLOCK = 8192
 #: whatever memory the host has
 SAMPLE_GUARD = 10**8
 
-#: float64 elements in each of the 2^n oracle's two per-block arrays, the
-#: vote-vector products and their one-hot popcount matrix: 2 MiB apiece.
-#: Against 2^18, 2^17 took 1.7 MB off the exact_oracle benchmark's peak RSS
-#: and added 5.7% to its wall time; 2^20 added 8.3 MB and 9.7% (medians of
-#: 4 runs each on a 2-core AMD EPYC host, one BLAS thread).
+#: elements of each array the package fills block by block: the 2^n
+#: oracle's two per-block arrays (the vote-vector products and their one-hot
+#: popcount matrix, 2 MiB apiece as float64), a (points x nodes) block of the
+#: smoothed limit CDF (``limits``), and a (samples x frequencies) block of the
+#: empirical characteristic function (``verify``).  Against 2^18, 2^17 took
+#: 1.7 MB off the exact_oracle benchmark's peak RSS and added 5.7% to its
+#: wall time; 2^20 added 8.3 MB and 9.7% (medians of 4 runs each on a 2-core
+#: AMD EPYC host, one BLAS thread).
 ORACLE_BLOCK = 2**18
 
 

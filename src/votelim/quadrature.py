@@ -108,13 +108,6 @@ def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def interval_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped onto [a, b]."""
-    x, w = legendre_rule(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), w * half
-
-
 def tensor_rule(lower, upper, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Tensor-product Gauss-Legendre rule on a box, as ``(axes, weights)``.
 
@@ -131,9 +124,10 @@ def tensor_rule(lower, upper, n: int) -> tuple[tuple[np.ndarray, ...], np.ndarra
             f"tensor rule with {n} nodes in each of {dim} dimensions exceeds "
             f"the budget of {NODE_GUARD} nodes"
         )
-    rules = [interval_rule(lower[k], upper[k], n) for k in range(dim)]
-    weights = functools.reduce(np.multiply.outer, [w for _, w in rules]).reshape(-1)
-    return tuple(x for x, _ in rules), weights
+    x, w = legendre_rule(n)
+    half = 0.5 * (upper - lower)
+    weights = functools.reduce(np.multiply.outer, [w * h for h in half]).reshape(-1)
+    return tuple(a + h * (x + 1.0) for a, h in zip(lower, half)), weights
 
 
 def grid_points(axes) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .limits import LimitLaw
-from .models import DeFinettiModel, exact_margin_pmf, pair_correlation
+from .models import ORACLE_BLOCK, DeFinettiModel, exact_margin_pmf, pair_correlation
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,19 @@ def ks_statistic(sample, cdf) -> float:
     return float(max(upper.max(), lower.max(), 0.0))
 
 
-#: the default KS threshold's Kolmogorov-distribution quantile and safety factor
-KS_QUANTILE, KS_SAFETY = 0.999, 1.5
+#: the default KS threshold times sqrt(count): 1.5 * kolmogi(1 - 0.999), a
+#: safety factor of 1.5 on the asymptotic Kolmogorov distribution's 0.999
+#: quantile (``scipy.special.kolmogi``)
+KS_SCALE = 2.9242119052565627
 
 
 def ks_threshold(count: int) -> float:
     """Default KS acceptance threshold for a given sample size.
 
-    Asymptotic Kolmogorov-distribution quantile scaled by 1/sqrt(count)
-    with a safety factor; the theorems give no rates, so this is an
+    ``KS_SCALE / sqrt(count)``: the theorems give no rates, so this is an
     engineering calibration, fixed in configuration.
     """
-    from scipy.special import kolmogi
-
-    return float(KS_SAFETY * kolmogi(1.0 - KS_QUANTILE) / math.sqrt(count))
+    return KS_SCALE / math.sqrt(count)
 
 
 # -- empirical characteristic function ---------------------------------------------
@@ -164,7 +163,7 @@ def empirical_cf(sample: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     if sample.shape[0] == 0:
         raise DataError("the empirical characteristic function needs a nonempty sample")
     out = np.zeros(t_grid.shape[0], dtype=complex)
-    chunk = max(1, 4_000_000 // max(1, t_grid.shape[0]))
+    chunk = max(1, ORACLE_BLOCK // max(1, t_grid.shape[0]))
     for start in range(0, sample.shape[0], chunk):
         block = sample[start : start + chunk]
         out += np.exp(1j * block @ t_grid.T).sum(axis=0)

@@ -267,6 +267,49 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     assert not (out / "margins.npy").exists()
 
 
+def _groups_m_doc(kind, m):
+    """A two-group static simulate, or fast_clt (contracted), with ``groups.m`` set to ``m``."""
+    if kind == "simulate":
+        doc = small_simulate_doc()
+        doc["model"] = {
+            "groups": {"m": m, "proportions": [0.5, 0.5]},
+            "bias_map": "clamp",
+            "sequence": {"kind": "static", "base": {
+                "variant": "point-mass-mixture", "atoms": [{"location": [0.0, 0.0], "weight": 1.0}]}},
+        }
+        return doc
+    doc = shipped_doc("fast_clt")
+    doc["model"]["groups"]["m"] = m
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["simulate", "verify-clt"])
+@pytest.mark.parametrize("m", [2.5, "2", True], ids=["2.5", "str", "true"])
+def test_groups_m_must_be_an_integer(tmp_path, capsys, kind, m):
+    # the rule n and count follow: a bool is no integer, so true is not one group
+    text = yaml.safe_dump(_groups_m_doc(kind, m), sort_keys=False)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    line = text[: re.search(r"^    m:", text, re.M).start()].count("\n") + 1
+    assert capsys.readouterr().err == f"error: line {line}: model.groups.m: m must be an integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["simulate", "verify-clt"])
+def test_an_integer_valued_float_groups_m_is_that_many_groups(tmp_path, kind):
+    outputs = []
+    for m in (2, 2.0):
+        cfg = tmp_path / f"{m}.yaml"
+        cfg.write_text(yaml.safe_dump(_groups_m_doc(kind, m), sort_keys=False))
+        out = tmp_path / f"o{m}"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((out / "margins.npy").read_bytes())
+    assert outputs[1] == outputs[0]
+    assert np.load(tmp_path / "o2.0" / "margins.npy").shape[1] == 2
+
+
 @pytest.mark.parametrize(
     "name, flag, value, message",
     [

@@ -24,7 +24,6 @@ from votelim import (
     representation_equivalence_check,
     sample_margins,
 )
-from votelim.cwm import CompactMixingDensity
 from votelim.models import SAMPLE_BLOCK
 from votelim.quadrature import grid_points, tensor_rule
 from conftest import GROUPS_1, GROUPS_2, margin_prob, multinomial_tv_quantile, sample_tv
@@ -273,26 +272,26 @@ def test_curie_weiss_model_requires_tanh():
 def test_compact_density_integrates_to_one():
     # a tensor Gauss-Legendre rule on the compact variable against the
     # normalizer, which is integrated in the latent variable
-    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
     axes, weights = tensor_rule([-1.0], [1.0], 512)
-    mass = float(weights @ np.exp(compact.log_density_unnormalized(grid_points(axes))))
-    assert mass / compact.surface.normalizer() == pytest.approx(1.0, abs=1e-10)
+    mass = float(weights @ np.exp(surface.compact_log_density(grid_points(axes))))
+    assert mass / surface.normalizer() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_compact_density_zero_on_boundary_and_even():
-    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    density = np.exp(compact.log_density_unnormalized(np.array([[1.0], [-1.0], [0.3], [-0.3]])))
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
+    density = np.exp(surface.compact_log_density(np.array([[1.0], [-1.0], [0.3], [-0.3]])))
     assert density[0] == 0.0
     assert density[1] == 0.0
     assert density[2] == pytest.approx(density[3], rel=1e-12)
 
 
 def test_compact_transformed_mean_is_zero():
-    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
     axes, weights = tensor_rule([-1.0], [1.0], 256)
     points = grid_points(axes)
-    dens = np.exp(compact.log_density_unnormalized(points))
-    mean = float(weights @ (points[:, 0] * dens)) / compact.surface.normalizer()
+    dens = np.exp(surface.compact_log_density(points))
+    mean = float(weights @ (points[:, 0] * dens)) / surface.normalizer()
     assert mean == pytest.approx(0.0, abs=1e-12)
 
 
@@ -300,13 +299,12 @@ def test_change_of_variables_box_masses_agree():
     # mass outside [-a, a] in the compact variable, the tail verify-cwm
     # reports, equals 1 - the mass of [-artanh a, artanh a] under the
     # latent-variable density
-    compact = CompactMixingDensity(BETA_HALF, GROUPS_1, 10)
-    surface = compact.surface
+    surface = FreeEnergySurface(BETA_HALF, GROUPS_1, 10)
     for a in (0.2, 0.5, 0.8):
         x = math.atanh(a)
         axes, weights = tensor_rule([-x], [x], 512)
         latent_mass = float(weights @ surface.density(grid_points(axes))) / surface.normalizer()
-        assert compact.mass_outside_symmetric_box(a) == pytest.approx(1.0 - latent_mass, abs=1e-10)
+        assert surface.compact_tail_mass(a) == pytest.approx(1.0 - latent_mass, abs=1e-10)
 
 
 # -- concentration -------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def test_concentration_refuses_delta_of_1_or_more():
 
 
 def test_concentration_requires_high_temperature():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="needs the high-temperature regime"):
         concentration_profile(CouplingSpec.single_group(1.2), GROUPS_1, [20], 0.5)
     with pytest.raises(ConfigError):
         concentration_profile(BETA_HALF, GROUPS_1, [20], 0.0)

@@ -3,10 +3,10 @@
 ``import votelim, votelim.cli`` loads numpy and PyYAML and nothing else
 heavy.  Bare ``scipy`` loads when a run writes its manifest, which records
 its version.  ``scipy.special`` (about a quarter second to import) loads at
-first use: the first Gaussian or Gaussian-smoothed CDF (``ndtr``), the
-default KS threshold (``kolmogi``) or an exact binomial table.  So
-``subcritical_base``, ``subcritical_decay`` and ``decay_negative_control``
-never load it.  ``scipy.stats`` (about a second) loads on no path:
+first use: the first Gaussian or Gaussian-smoothed CDF (``ndtr``) or an
+exact binomial table.  So ``subcritical_base``, ``subcritical_decay`` and
+``decay_negative_control`` never load it, nor does the default KS threshold,
+a stored constant.  ``scipy.stats`` (about a second) loads on no path:
 binomial tables come from the ufunc behind ``scipy.stats.binom.pmf`` and
 Gaussian quadrature nodes compute their density in numpy.
 
@@ -175,6 +175,30 @@ def test_subcritical_configs_run_without_scipy_special():
     }
 
 
+DEFAULT_KS_SCRIPT = r"""
+refuse("scipy.special")
+import yaml
+from votelim.cli import run
+from votelim.config import config_from_dict
+
+doc = yaml.safe_load((Path(sys.argv[1]) / "subcritical_base.yaml").read_text())
+del doc["thresholds"]["ks"]
+with tempfile.TemporaryDirectory() as tmp:
+    code = run(config_from_dict(doc), tmp)
+    reports = [json.loads(line) for line in Path(tmp, "reports.jsonl").read_text().splitlines()]
+print(json.dumps({"loaded": "scipy.special" in sys.modules, "code": code,
+                  "thresholds": [r["threshold"] for r in reports]}))
+"""
+
+
+def test_the_default_ks_threshold_loads_no_scipy_special():
+    """subcritical_base without ``thresholds.ks`` computes the default as a stored constant."""
+    from votelim.verify import ks_threshold
+
+    result = run_script(DEFAULT_KS_SCRIPT)
+    assert result == {"loaded": False, "code": 0, "thresholds": [ks_threshold(100_000)]}
+
+
 # -- layering -------------------------------------------------------------------
 
 MODULES = {p.stem: p for p in (SRC / "votelim").glob("*.py") if p.stem != "__init__"}
@@ -268,5 +292,5 @@ def test_scipy_special_is_imported_only_inside_functions():
     )
     assert scipy_imports(sample, "special") == [(None, False)] * 3 + [("f", False)]
     found = source_imports("special")
-    assert {"limits", "measures", "models", "verify"} <= found.keys()
+    assert {"limits", "measures", "models"} <= found.keys()
     assert {name for name, hits in found.items() if any(f is None for f, _ in hits)} == set()

@@ -85,6 +85,10 @@ def test_run_cwm_suite_runs():
     proc = _run("run_cwm_suite.py", "--betas", "0.5", "--sizes", "8", "--conc-grid", "20", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "representation equivalence" in proc.stdout
+    # the defaults: beta 0.25 to 0.9, sizes 8 to 16, four concentration sizes
+    proc = _run("run_cwm_suite.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "beta=0.9" in proc.stdout
 
 
 #: sha256 of each pinned artifact of the regime suite's configs: margins.npy

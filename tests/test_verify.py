@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.special import ndtr, ndtri
+from scipy.special import kolmogi, ndtr, ndtri
 
 from votelim import (
     DataError,
@@ -19,6 +19,7 @@ from votelim import (
 )
 from votelim.models import exact_margin_pmf, sample_margins
 from votelim.verify import (
+    KS_SCALE,
     cf_factorization_discrepancy,
     default_cf_grid,
     empirical_cf,
@@ -114,6 +115,11 @@ def test_ks_threshold_calibration():
     # 99.9% Kolmogorov quantile (~1.9495) with safety factor 1.5
     assert ks_threshold(10**5) == pytest.approx(1.5 * 1.94947 / math.sqrt(10**5), rel=1e-4)
     assert ks_threshold(10**5) < 0.01
+
+
+def test_ks_scale_is_the_scaled_kolmogorov_quantile():
+    assert KS_SCALE == 1.5 * kolmogi(1.0 - 0.999)
+    assert ks_threshold(10**5) == KS_SCALE / math.sqrt(10**5)
 
 
 # -- empirical CF distance -----------------------------------------------------------

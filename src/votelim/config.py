@@ -365,10 +365,10 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     for key in ("n_grid", "concentration_grid"):
         grid = doc.get(key)
         if grid is not None and not (
-            isinstance(grid, list) and all(_is_number(x, int) and x > 0 for x in grid)
+            isinstance(grid, list) and all(_is_integer(x) and x > 0 for x in grid)
         ):
             root.error(f"{key} must be a list of positive integers", key)
-        grids[key] = tuple(grid) if grid is not None else None
+        grids[key] = tuple(int(x) for x in grid) if grid is not None else None
     for key in ("n", "count", "workers"):
         if doc.get(key) is not None and not _is_integer(doc[key]):
             root.error(f"{key} must be an integer", key)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ResourceError
 from .measures import (
+    CLAMP,
     BaseMeasure,
     Gaussian,
     Mixture,
@@ -37,7 +38,7 @@ from .measures import (
     UniformBox,
     _Immutable,
 )
-from .quadrature import MIX_BUDGET, binned_rule, refine_until_stable
+from .quadrature import DEFAULT_START, MIX_BUDGET, binned_rule, refine_until_stable
 
 LATTICE_GUARD = 10**7
 BRUTE_FORCE_MAX_N = 20
@@ -53,13 +54,13 @@ SAMPLE_BLOCK = 8192
 SAMPLE_GUARD = 10**8
 
 #: elements of each array the package fills block by block: the 2^n
-#: oracle's two per-block arrays (the vote-vector products and their one-hot
-#: popcount matrix, 2 MiB apiece as float64), a (points x nodes) block of the
-#: smoothed limit CDF (``limits``), and a (samples x frequencies) block of the
-#: empirical characteristic function (``verify``).  Against 2^18, 2^17 took
-#: 1.7 MB off the exact_oracle benchmark's peak RSS and added 5.7% to its
-#: wall time; 2^20 added 8.3 MB and 9.7% (medians of 4 runs each on a 2-core
-#: AMD EPYC host, one BLAS thread).
+#: oracle's per-block vote-vector products (2 MiB as float64), a (points x
+#: nodes) block of the smoothed limit CDF (``limits``), and a (samples x
+#: frequencies) block of the empirical characteristic function (``verify``).
+#: Against 2^18, 2^17 took 1.7 MB off the exact_oracle benchmark's peak RSS
+#: and added 5.7% to its wall time; 2^20 added 8.3 MB and 9.7% (medians of 4
+#: runs each on a 2-core AMD EPYC host, one BLAS thread, when the oracle's
+#: blocks also held a one-hot popcount matrix of the same size).
 ORACLE_BLOCK = 2**18
 
 
@@ -304,14 +305,34 @@ def _guard_lattice(sizes) -> None:
         )
 
 
-def _is_atomic(measure: BaseMeasure) -> bool:
-    if isinstance(measure, PointMassMixture):
-        return True
+def _every_part(measure: BaseMeasure, test) -> bool:
+    """True if ``test`` holds for every factor of a ``Product`` and every
+    component of a ``Mixture`` in ``measure``, nested ones included."""
     if isinstance(measure, Product):
-        return all(_is_atomic(f) for f in measure.factors)
+        return all(_every_part(f, test) for f in measure.factors)
     if isinstance(measure, Mixture):
-        return all(_is_atomic(c) for c in measure.components)
-    return False
+        return all(_every_part(c, test) for c in measure.components)
+    return test(measure)
+
+
+def _is_atomic(measure: BaseMeasure) -> bool:
+    return _every_part(measure, lambda part: isinstance(part, PointMassMixture))
+
+
+def _is_clamp_polynomial(measure: BaseMeasure) -> bool:
+    """True if every part of mu is a set of atoms or a ``UniformBox`` inside [-1, 1].
+
+    ``CLAMP`` is the identity on [-1, 1], so under it a count table of n_g
+    voters is a polynomial of degree n_g in each box coordinate, and atoms
+    are summed exactly at any level.
+    """
+
+    def polynomial(part) -> bool:
+        if isinstance(part, UniformBox):
+            return bool(np.all(part.lower >= -1.0) and np.all(part.upper <= 1.0))
+        return isinstance(part, PointMassMixture)
+
+    return _every_part(measure, polynomial)
 
 
 def _factorizes(measure: BaseMeasure) -> bool:
@@ -324,15 +345,20 @@ def _factorizes(measure: BaseMeasure) -> bool:
     return False
 
 
-def _integrate(measure, integrand) -> np.ndarray:
+def _integrate(measure, integrand, polynomial: bool = False) -> np.ndarray:
     """``integrand(axes, weights)`` over mu's nodes; it must be linear in the weights.
 
-    An atomic measure is summed once, at any level; any other is refined
-    until stable (``refine_until_stable``).  Either way the sum is
-    ``_node_sum``'s, so a mixture's components never share a grid.
+    An atomic measure is summed once, at any level.  Any other is summed
+    once at ``DEFAULT_START`` nodes when the caller knows the integrand is
+    a polynomial that this rule integrates exactly (``polynomial``, which
+    only ``_mixed_law`` sets), and otherwise refined until stable
+    (``refine_until_stable``).  Either way the sum is ``_node_sum``'s, so a
+    mixture's components never share a grid.
     """
     if _is_atomic(measure):
         return _node_sum(measure, integrand, 0)
+    if polynomial:
+        return _node_sum(measure, integrand, DEFAULT_START)
     values, _ = refine_until_stable(lambda level: _node_sum(measure, integrand, level))
     return values
 
@@ -368,7 +394,10 @@ def exact_margin_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     One recursion (``_node_sum``) sums the mixed law over mu_n's nodes: a
     ``Mixture`` adds its components' sums, atoms are summed exactly, and
     Gauss-Legendre grids are doubled until no pmf entry moves by more than
-    ``quadrature.DEFAULT_TOL`` (``_integrate``).  When mu_n has
+    ``quadrature.DEFAULT_TOL`` (``_integrate``), except where the law is a
+    polynomial the first rule integrates exactly: under ``CLAMP``, over
+    atoms and boxes inside [-1, 1], with n_g <= 127, it is summed once at
+    ``quadrature.DEFAULT_START`` nodes (``_mixed_law``).  When mu_n has
     independent coordinates (a ``Product``, a ``UniformBox`` or a diagonal
     ``Gaussian``), the bias map, which acts componentwise, keeps them
     independent: the law is the outer product of one 1-D mixed binomial law
@@ -400,13 +429,22 @@ def group_margin_pmf(model: DeFinettiModel, n: int, g: int) -> MarginPmf:
 
 
 def _mixed_law(model: DeFinettiModel, measure, sizes, table) -> np.ndarray:
-    """Per-group count laws ``table(n_g, p)`` on the ``sizes`` lattice, mixed over ``measure``."""
+    """Per-group count laws ``table(n_g, p)`` on the ``sizes`` lattice, mixed over ``measure``.
+
+    Under ``CLAMP``, a measure of atoms and boxes inside [-1, 1]
+    (``_is_clamp_polynomial``) with every n_g below 2 * ``DEFAULT_START``
+    is summed once, at ``DEFAULT_START`` nodes (``_integrate``'s
+    ``polynomial``): every entry is a polynomial of degree n_g in each box
+    coordinate, and that rule is exact up to degree 2 * ``DEFAULT_START`` - 1.
+    Every other law is refined until stable.
+    """
 
     def integrand(axes, weights):
         p = [_success_probability(model.bias_map, axis) for axis in axes]
         return _mix(table, sizes, p, np.asarray(weights, dtype=float))
 
-    return _integrate(measure, integrand)
+    polynomial = model.bias_map is CLAMP and max(sizes) < 2 * DEFAULT_START and _is_clamp_polynomial(measure)
+    return _integrate(measure, integrand, polynomial)
 
 
 def _vote_products(voters: int, p: np.ndarray) -> np.ndarray:
@@ -426,6 +464,14 @@ def _vote_products(voters: int, p: np.ndarray) -> np.ndarray:
     return prob
 
 
+@functools.lru_cache(maxsize=BRUTE_FORCE_MAX_N // 2 + 1)
+def _low_popcount_onehot(low: int) -> np.ndarray:
+    """The read-only (low + 1, 2^low) one-hot of the +1 counts of ``low`` voters' vote vectors."""
+    onehot = (np.arange(low + 1)[:, None] == np.bitwise_count(np.arange(1 << low))).astype(float)
+    onehot.flags.writeable = False
+    return onehot
+
+
 def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     """Row q sums the probabilities of all 2^n_g vote vectors of one group by +1 count.
 
@@ -434,28 +480,30 @@ def _enumerated_count_table(n_g: int, p: np.ndarray) -> np.ndarray:
     distribution arises from enumeration alone, with no binomial coefficients.
     The voters are split into a low and a high half: vector i's probability
     is the product of its high bits' vector and its low bits' vector
-    (``_vote_products``).  The vectors are walked in blocks of high-half
-    rows: each block's products ``high[h] * low`` go into one preallocated
-    (vectors, len(p)) buffer, a (n_g + 1, vectors) one-hot matrix of the
-    popcounts of the block's own index range bins them, and ``onehot @
-    products`` adds into the count-major table.  Both arrays hold at most
-    ``ORACLE_BLOCK`` elements, unless one high row alone, 2^(n_g // 2)
-    vectors, needs more; then a block is that one row.
+    (``_vote_products``), and its +1 count is the sum of the halves'
+    popcounts.  The high-half rows are taken in popcount order a, in blocks
+    of one popcount each: a block's products ``high[h] * low`` go into one
+    preallocated buffer of at most ``ORACLE_BLOCK`` elements (one high row
+    alone when 2^(n_g // 2) * len(p) is more), are summed over the block's
+    rows, and are binned by the cached (n_g // 2 + 1, 2^(n_g // 2)) one-hot
+    of the low half's popcounts into rows a..a + n_g // 2 of the
+    count-major table.
     """
     low = n_g // 2
     high_prob, low_prob = _vote_products(n_g - low, p), _vote_products(low, p)
     width = 1 << low
-    rows = max(1, ORACLE_BLOCK // (width * max(len(p), n_g + 1)))
-    products = np.empty((rows * width, len(p)))
-    onehot = np.empty((n_g + 1, rows * width))
-    counts = np.arange(n_g + 1)[:, None]
+    onehot = _low_popcount_onehot(low)
+    rows = max(1, ORACLE_BLOCK // (width * len(p)))
+    products = np.empty((rows, width, len(p)))
+    high_counts = np.bitwise_count(np.arange(len(high_prob)))
     table = np.zeros((n_g + 1, len(p)))
-    for h in range(0, len(high_prob), rows):
-        high = high_prob[h : h + rows, None]
-        k = len(high) * width
-        np.multiply(high, low_prob, out=products[:k].reshape(len(high), width, len(p)))
-        np.equal(counts, np.bitwise_count(np.arange(h * width, h * width + k)), out=onehot[:, :k])
-        table += onehot[:, :k] @ products[:k]
+    for a in range(n_g - low + 1):
+        members = high_prob[high_counts == a]
+        for h in range(0, len(members), rows):
+            high = members[h : h + rows, None]
+            block = products[: len(high)]
+            np.multiply(high, low_prob, out=block)
+            table[a : a + low + 1] += onehot @ block.sum(axis=0)
     return table.T
 
 
@@ -473,14 +521,16 @@ def brute_force_pmf(model: DeFinettiModel, n: int) -> MarginPmf:
     Nodes on mu_n's grid share their tables along each axis, so one table
     is enumerated per axis value of p_g and the grid's weights are
     contracted with them: the binomial route's ``_mixed_law``, with this
-    table in place of the binomial pmf.  Only repeats are skipped: every
-    table still comes from all 2^{n_g} vote-vector products, so the oracle
-    stays independent of the binomial route.  Each table walks its vote
-    vectors in blocks (``_enumerated_count_table``) whose two arrays hold
-    at most ``ORACLE_BLOCK`` elements for grids of up to
-    ``ORACLE_BLOCK / 2^(n_g // 2)`` nodes, so a law at the size guard
-    needs a few MiB.  Intended to cross-check exact_margin_pmf on small
-    instances.
+    table in place of the binomial pmf, so a clamp-biased law over atoms
+    and boxes inside [-1, 1] is summed once at ``quadrature.DEFAULT_START``
+    nodes here too, and any other is refined.  Only repeats are skipped:
+    every table still comes from all 2^{n_g} vote-vector products, so the
+    oracle stays independent of the binomial route.  Each table bins its
+    vote vectors by the popcounts of their two halves of voters
+    (``_enumerated_count_table``), in blocks of at most ``ORACLE_BLOCK``
+    products for grids of up to ``ORACLE_BLOCK / 2^(n_g // 2)`` nodes, so
+    a law at the size guard needs a few MiB.  Intended to cross-check
+    exact_margin_pmf on small instances.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ResourceError(f"brute force enumerates 2^n configurations; n={n} > {BRUTE_FORCE_MAX_N}")

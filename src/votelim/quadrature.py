@@ -4,7 +4,11 @@ All integrands in this package are smooth (polynomials, binomial kernels,
 and exponentials of smooth functions) on compact boxes, so plain
 Gauss-Legendre with doubled node counts converges geometrically.  The
 adaptive driver compares two consecutive refinement levels and accepts
-once the change drops below the requested tolerance.
+once the change drops below the requested tolerance.  One caller skips
+it: ``models._mixed_law`` sums a clamp-biased law over atoms and boxes
+inside [-1, 1] with at most 127 voters a group once, at
+``DEFAULT_START`` nodes, since that rule integrates polynomials of degree
+up to 2 * ``DEFAULT_START`` - 1 exactly; every other integral doubles.
 
 The 1-D rules are stored, not computed: ``legendre_rules.npy`` holds, for
 each level in ``RULE_LEVELS``, the nonnegative half of what

@@ -251,6 +251,10 @@ def test_a_grid_that_cannot_give_a_verdict_exits_2_citing_its_line(tmp_path, cap
         ("thresholds.ks", float("nan")),
         ("thresholds.ks", -1),
         ("count", 1),
+        # a grid entry follows the rule of n: an integer-valued number, not a bool or a string
+        ("n_grid", [100.5, 1000]),
+        ("n_grid", ["100", 1000]),
+        ("n_grid", [True, 1000]),
     ],
 )
 def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
@@ -260,10 +264,11 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     else:
         doc[key] = value
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg.write_text(text)
     out = tmp_path / "o"
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "line " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: line {_key_line(text, key)}: ")
     assert not (out / "margins.npy").exists()
 
 
@@ -308,6 +313,25 @@ def test_an_integer_valued_float_groups_m_is_that_many_groups(tmp_path, kind):
         outputs.append((out / "margins.npy").read_bytes())
     assert outputs[1] == outputs[0]
     assert np.load(tmp_path / "o2.0" / "margins.npy").shape[1] == 2
+
+
+@pytest.mark.parametrize("name, kind, key", [
+    ("llt_baseline", "verify-llt", "n_grid"),
+    ("cwm_equivalence", "verify-cwm", "n_grid"),
+    ("cwm_equivalence", "verify-cwm", "concentration_grid"),
+])
+def test_integer_valued_float_grid_entries_give_the_shipped_reports(tmp_path, name, kind, key):
+    # the rule of n: 100.0 is the population 100
+    doc = shipped_doc(name)
+    doc[key] = [float(x) for x in doc[key]]
+    grid = getattr(config_from_dict(doc), key)
+    assert grid == tuple(shipped_doc(name)[key]) and all(type(x) is int for x in grid)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+    for path, out in ((CONFIGS / f"{name}.yaml", "shipped"), (cfg, "float")):
+        assert main([kind, "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    reports = [(tmp_path / out / "reports.jsonl").read_bytes() for out in ("shipped", "float")]
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from votelim import (
     PointMassMixture,
     PowerLawSchedule,
     Product,
+    QuadratureError,
     ResourceError,
     StaticSequence,
     UniformBox,
@@ -41,7 +42,7 @@ from votelim import (
 )
 from votelim import models, quadrature
 from votelim.config import load_config
-from votelim.measures import ExplicitSchedule, Mixture
+from votelim.measures import ExplicitSchedule, Mixture, _Gridded
 from votelim.models import SAMPLE_BLOCK, MarginPmf, MarginSample, group_margin_pmf
 from votelim.cwm import FreeEnergySurface, MeanFieldMixing
 from votelim.quadrature import binned_rule, grid_points, refine_until_stable
@@ -1067,8 +1068,9 @@ def test_group_factored_brute_force_matches_literal_enumeration(case):
 
 def test_tables_are_built_once_per_distinct_node_coordinate(monkeypatch):
     """On a level x level tensor grid each group's coordinate takes ``level``
-    values, so no table call may see more rows than that."""
-    model = contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75)
+    values, so no table call may see more rows than that.  The box is
+    tanh-biased, so both routes refine through two levels or more."""
+    model = contracted(UniformBox([-1.0, -1.0], [1.0, 1.0]), 0.75, bias=TANH)
     levels, rows = [], []
     real_nodes = UniformBox.quad_nodes
 
@@ -1092,6 +1094,100 @@ def test_tables_are_built_once_per_distinct_node_coordinate(monkeypatch):
     assert len(rows) >= 8  # both groups, at least two levels, both routes
     assert all(count <= level for level, count in rows)
     assert joint.max_abs_diff(brute) < 1e-12
+
+
+def _spy_node_sums(monkeypatch):
+    """Record every quadrature level a measure is read at, and the measure
+    and integrand of every ``_node_sum`` call."""
+    levels, sums = [], []
+    real_nodes, real_sum = _Gridded.quad_nodes, models._node_sum
+
+    def nodes(self, level):
+        levels.append(level)
+        return real_nodes(self, level)
+
+    def node_sum(measure, integrand, level):
+        sums.append((measure, integrand))
+        return real_sum(measure, integrand, level)
+
+    monkeypatch.setattr(_Gridded, "quad_nodes", nodes)
+    monkeypatch.setattr(models, "_node_sum", node_sum)
+    return levels, sums, real_sum
+
+
+#: (model, n) for every box model of the oracle matrix at n = 2..13, and a
+#: one-group box at n_g = 127, the largest size the 64-node rule is exact for
+ONE_PASS_CASES = [
+    pytest.param(model, n, id=f"{name}-n{n}")
+    for name, model in oracle_matrix() if name.startswith("uniform")
+    for n in range(max(2, 2 * model.groups.m), 14)
+] + [pytest.param(contracted(UNIFORM_1, 0.5), 127, id="uniform-a0.5-m1-n127")]
+
+
+@pytest.mark.parametrize("model, n", ONE_PASS_CASES)
+def test_a_clamped_box_law_is_summed_once_at_the_first_level(monkeypatch, model, n):
+    """A count table is a polynomial of degree n_g in each box coordinate
+    under clamp, so the 64-node rule is exact while n_g <= 127: each law
+    reads level 64 alone, and the refined sum of the same integrands moves
+    it by rounding only."""
+    levels, sums, real_sum = _spy_node_sums(monkeypatch)
+    for law in (exact_margin_pmf, brute_force_pmf) if n <= 13 else (exact_margin_pmf,):
+        levels.clear()
+        sums.clear()
+        got = law(model, n).probs
+        assert set(levels) == {quadrature.DEFAULT_START} and sums
+        # a factorized exact law is the outer product of its groups' laws
+        refined = [refine_until_stable(lambda level: real_sum(mu, f, level))[0] for mu, f in list(sums)]
+        assert np.max(np.abs(got - functools.reduce(np.multiply.outer, refined))) < 1e-14
+
+
+def _uniform_product_with_gaussian():
+    # the Gaussian's nodes stay inside (-1, 1), where the clamp has no kink
+    base = Product([UniformBox([-1.0], [1.0]), Gaussian([0.0], [[0.04]])])
+    return contracted(base, 0.5, groups=GROUPS_2)
+
+
+#: laws the one-pass rule does not cover: a route and its (model, n)
+REFINED_CASES = {
+    "box-n128": (exact_margin_pmf, contracted(UNIFORM_1, 0.5), 128),
+    "tanh-box-exact": (exact_margin_pmf, contracted(UNIFORM_1, 0.5, bias=TANH), 8),
+    "tanh-box-brute": (brute_force_pmf, contracted(UNIFORM_1, 0.5, bias=TANH), 8),
+    # eps_8 = 8^-0.15 leaves mu_8 = U[-0.37, 1.46], past the clamp's kink at 1
+    "box-past-1-exact": (exact_margin_pmf, contracted(UniformBox([-0.5], [2.0]), 0.15), 8),
+    "box-past-1-brute": (brute_force_pmf, contracted(UniformBox([-0.5], [2.0]), 0.15), 8),
+    "gaussian-factor-joint": (exact_margin_pmf, _joint(_uniform_product_with_gaussian()), 8),
+    "gaussian-factor-brute": (brute_force_pmf, _uniform_product_with_gaussian(), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINED_CASES))
+def test_a_law_outside_the_one_pass_rule_still_refines(monkeypatch, case):
+    law, model, n = REFINED_CASES[case]
+    levels, _, _ = _spy_node_sums(monkeypatch)
+    if "past-1" in case:
+        # the kink inside mu_8 slows Gauss-Legendre to algebraic convergence,
+        # so the refinement runs to the cap and gives up
+        assert model.mixing_measure(n).upper[0] > 1.0
+        with pytest.raises(QuadratureError, match="did not stabilize"):
+            law(model, n)
+        assert max(levels) == quadrature.DEFAULT_CAP
+    else:
+        law(model, n)
+    assert len(set(levels)) >= 2
+
+
+def test_an_oracle_table_whose_popcount_classes_span_several_blocks_matches_the_exact_route(monkeypatch):
+    """At n_g = 18 on 64 nodes a block holds 2^18 / (2^9 * 64) = 8 high-half
+    rows, while the high half's popcount classes hold up to C(9, 4) = 126."""
+    model = contracted(UNIFORM_1, 0.5)
+    assert models.ORACLE_BLOCK // (2**9 * 64) == 8 and math.comb(9, 4) == 126
+    calls = []
+    real = models._enumerated_count_table
+    monkeypatch.setattr(models, "_enumerated_count_table",
+                        lambda n_g, p: calls.append((n_g, len(p))) or real(n_g, p))
+    brute = brute_force_pmf(model, 18)
+    assert calls == [(18, 64)]
+    assert brute.max_abs_diff(exact_margin_pmf(model, 18)) < 1e-13
 
 
 def test_an_m1_oracle_op_builds_each_level_grid_once(monkeypatch):

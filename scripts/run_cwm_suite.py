@@ -54,9 +54,8 @@ def checks(args) -> int:
     print(f"\nconcentration outside [-{args.delta}, {args.delta}]:")
     for beta in args.betas:
         spec = CouplingSpec.single_group(beta)
-        profile = concentration_profile(spec, groups, args.conc_grid, args.delta)
-        tails = np.array([p.tail_mass for p in profile])
-        ns = np.array([p.n for p in profile], dtype=float)
+        tails = np.array(concentration_profile(spec, groups, args.conc_grid, args.delta))
+        ns = np.array(args.conc_grid, dtype=float)
         slope = np.polyfit(ns, np.log(tails), 1)[0]
         ok = ok and slope < 0
         pretty = ", ".join(f"{t:.3e}" for t in tails)

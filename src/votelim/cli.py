@@ -216,9 +216,8 @@ def _run_verify_cwm(cfg: ExperimentConfig, out_dir: Path) -> int:
             make_report(cfg.experiment, f"representation-equivalence-n{n}", disc, eq_threshold)
         )
     if cfg.delta is not None:
-        profile = concentration_profile(spec, groups, cfg.concentration_grid, cfg.delta)
-        tails = [p.tail_mass for p in profile]
-        ns = [p.n for p in profile]
+        ns = cfg.concentration_grid
+        tails = concentration_profile(spec, groups, ns, cfg.delta)
         if any(t <= 0 for t in tails):
             r2 = 0.0
         else:

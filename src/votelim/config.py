@@ -182,15 +182,37 @@ def _build_measure(node: _Doc):
     node.error(f"unknown measure variant {variant!r}", "variant")
 
 
+def _is_numbers(value) -> bool:
+    """A number or a list of numbers, as each per-group schedule value is: no strings or bools."""
+    return all(map(_is_number, value if isinstance(value, list) else [value]))
+
+
+def _check_numbers(node: _Doc, keys) -> None:
+    for key in keys:
+        if node.doc.get(key) is not None and not _is_numbers(node.doc[key]):
+            node.error(f"{key} must be a number or a list of numbers", key)
+
+
 def _build_schedule(node: _Doc, m: int):
     kind = node.require("kind")
     if kind == "power-law":
         _reject_unknown_keys(node, ("kind", "coefficient", "exponent"))
+        _check_numbers(node, ("coefficient", "exponent"))
         return node.wrap(
             lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"), m=m)
         )
     if kind == "explicit":
         _reject_unknown_keys(node, ("kind", "table", "regimes", "h"))
+        table = node.child("table")
+        if not isinstance(table.doc, dict):
+            table.error("expected a mapping of populations to eps lists")
+        # a key follows the rule of n; it and its eps are cited at the table's line
+        for n, eps in table.doc.items():
+            if not (_is_integer(n) and n > 0):
+                table.error(f"key {n!r} must be a positive integer population")
+            if not _is_numbers(eps):
+                table.error(f"eps of population {n} must be a number or a list of numbers")
+        _check_numbers(node, ("h",))
         return node.wrap(
             lambda: ExplicitSchedule(
                 node.require("table"), node.require("regimes"), node.doc.get("h")
@@ -288,7 +310,7 @@ def _llt_regime(model: DeFinettiModel) -> str | None:
         pass
     sequence = model.sequence
     if sequence.kind == "contracted":
-        regimes = sequence.schedule.regimes()
+        regimes = sequence.schedule.regimes
         return " and ".join(r for r in (CRITICAL, SUBCRITICAL) if r in regimes)
     return "mean-field" if sequence.kind == "curie-weiss" else "spread-out static"
 

@@ -326,16 +326,10 @@ def representation_equivalence_check(
     return gibbs_pmf(spec, groups, n).max_abs_diff(exact_margin_pmf(model, n))
 
 
-@dataclass(frozen=True)
-class ConcentrationPoint:
-    n: int
-    tail_mass: float
-
-
 def concentration_profile(
     spec: CouplingSpec, groups: GroupStructure, n_grid, delta: float
-) -> list[ConcentrationPoint]:
-    """Mixing-measure mass outside [-delta, delta]^M along an n grid.
+) -> list[float]:
+    """The mixing-measure masses outside [-delta, delta]^M, one per n of ``n_grid`` in its order.
 
     In high temperature the tail decays exponentially in n, so the log
     tail mass should fall on a near-straight line.  A tail mass below the
@@ -345,5 +339,4 @@ def concentration_profile(
     """
     if not 0 < delta < 1:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    surfaces = (FreeEnergySurface(spec, groups, int(n)) for n in n_grid)
-    return [ConcentrationPoint(surface.n, surface.compact_tail_mass(delta)) for surface in surfaces]
+    return [FreeEnergySurface(spec, groups, int(n)).compact_tail_mass(delta) for n in n_grid]

@@ -89,12 +89,13 @@ def limit_for(model: DeFinettiModel) -> LimitLaw:
     """The theorem-prescribed limit law of the normalized margin vector.
 
     A static point mass at the origin, the independent-voter baseline,
-    gives N(0, I).  A contracted sequence dispatches on its per-group
-    regimes: fast groups contribute independent standard Gaussian
+    gives N(0, I).  A contracted sequence dispatches on its schedule's
+    ``regimes``: fast groups contribute independent standard Gaussian
     coordinates, critical groups Gaussian noise convolved with the base
-    measure scaled by the critical constant h, subcritical groups the plain
-    base measure (their margins being normalized by eps * n_g).  A
-    spread-out static measure or a mean-field sequence is a ConfigError.
+    measure scaled by the schedule's critical constant ``h[g]``, subcritical
+    groups the plain base measure (their margins being normalized by
+    eps * n_g).  A critical group without a declared ``h``, a spread-out
+    static measure or a mean-field sequence is a ConfigError.
     """
     sequence = model.sequence
     if sequence.kind == "static":
@@ -108,22 +109,16 @@ def limit_for(model: DeFinettiModel) -> LimitLaw:
     if sequence.kind != "contracted":
         raise ConfigError(f"no dispatchable limit for a {sequence.kind} sequence")
     schedule = sequence.schedule
-    regimes = schedule.regimes()
-    h = schedule.critical_h()
+    regimes = schedule.regimes
     gauss_mask = tuple(r in (FAST, CRITICAL) for r in regimes)
     base_coords = tuple(g for g, r in enumerate(regimes) if r in (CRITICAL, SUBCRITICAL))
     if not base_coords:
         return LimitLaw.standard_gaussian(model.groups.m)
-    scale = []
-    for g in base_coords:
-        if regimes[g] == CRITICAL:
-            if h[g] is None:
-                raise ConfigError(
-                    f"group {g} is critical but its constant h is not declared"
-                )
-            scale.append(float(h[g]))
-        else:
-            scale.append(1.0)
+    if CRITICAL in regimes and schedule.h is None:
+        raise ConfigError(
+            f"group {regimes.index(CRITICAL)} is critical but its constant h is not declared"
+        )
+    scale = [schedule.h[g] if regimes[g] == CRITICAL else 1.0 for g in base_coords]
     base = sequence.base.marginal(base_coords).contract(scale)
     if all(r == CRITICAL for r in regimes):
         kind = "convolution"

@@ -538,8 +538,10 @@ def _per_group(values, m: int, what: str) -> tuple[float, ...]:
 class PowerLawSchedule:
     """Per-group contraction rates eps(n_g) = c_g * n_g**(-a_g).
 
-    Exponents classify the regime analytically: a > 1/2 is fast,
-    a = 1/2 critical (with critical constant h = c), a < 1/2 subcritical.
+    Exponents classify the regime analytically, once, into ``regimes``:
+    a > 1/2 is fast, a = 1/2 critical, a < 1/2 subcritical.  The critical
+    constant h = lim eps * sqrt(n_g) of a critical group is its coefficient,
+    so ``h`` is ``coefficients``; ``h[g]`` is read only where group g is critical.
     """
 
     def __init__(self, coefficients, exponents, m: int | None = None):
@@ -554,33 +556,25 @@ class PowerLawSchedule:
             raise ConfigError(
                 "power-law exponents must be positive so that eps_n -> 0"
             )
+        self.regimes = tuple(
+            FAST if a > CRITICAL_EXPONENT else CRITICAL if a == CRITICAL_EXPONENT else SUBCRITICAL
+            for a in self.exponents
+        )
+        self.h = self.coefficients
 
     def eps(self, n: int, group_sizes) -> np.ndarray:
         sizes = np.asarray(group_sizes, dtype=float)
         return np.asarray(self.coefficients) * sizes ** (-np.asarray(self.exponents))
-
-    def regimes(self) -> tuple[str, ...]:
-        out = []
-        for a in self.exponents:
-            if a > CRITICAL_EXPONENT:
-                out.append(FAST)
-            elif a == CRITICAL_EXPONENT:
-                out.append(CRITICAL)
-            else:
-                out.append(SUBCRITICAL)
-        return tuple(out)
-
-    def critical_h(self) -> tuple:
-        """Limit of eps * sqrt(n_g) per group; defined on critical groups only."""
-        return _critical_h(self.regimes(), self.coefficients)
 
 
 class ExplicitSchedule:
     """Tabulated eps vectors keyed by overall population size n.
 
     Regime classification from finitely many tabulated values is
-    undecidable, so the caller declares one regime tag per group (and the
-    positive critical constant h where applicable).
+    undecidable, so the caller declares one regime tag per group, kept as
+    ``regimes``, and the positive critical constants ``h``, one per group
+    or None.  ``h[g]`` is read only where group g is critical, so an ``h``
+    with no critical group is refused.
     """
 
     def __init__(self, table, regimes, h=None):
@@ -591,12 +585,14 @@ class ExplicitSchedule:
         if any(len(eps) != m for eps in self.table.values()):
             raise ConfigError("all tabulated eps vectors must share one length")
         self.m = m
-        self.declared = tuple(regimes)
-        if len(self.declared) != m or any(r not in REGIMES for r in self.declared):
+        self.regimes = tuple(regimes)
+        if len(self.regimes) != m or any(r not in REGIMES for r in self.regimes):
             raise ConfigError(f"regimes must be {m} tags from {REGIMES}")
         self.h = None if h is None else _per_group(h, m, "h")
         if self.h is not None and not all(v > 0 for v in self.h):
             raise ConfigError(f"h must be positive on every group, got {list(self.h)}")
+        if self.h is not None and CRITICAL not in self.regimes:
+            raise ConfigError("h is read only on critical groups, and no group is declared critical")
         for eps in self.table.values():
             if any(e <= 0 for e in eps):
                 raise ConfigError("tabulated eps values must be strictly positive")
@@ -612,14 +608,3 @@ class ExplicitSchedule:
             return np.asarray(self.table[int(n)], dtype=float)
         except KeyError:
             raise ConfigError(f"explicit schedule has no eps entry for n={n}")
-
-    def regimes(self) -> tuple[str, ...]:
-        return self.declared
-
-    def critical_h(self) -> tuple:
-        return _critical_h(self.regimes(), self.h or (None,) * self.m)
-
-
-def _critical_h(regimes, h) -> tuple:
-    """``h[g]`` on each critical group g, None on the others."""
-    return tuple(hv if r == CRITICAL else None for r, hv in zip(regimes, h))

@@ -197,7 +197,7 @@ class DeFinettiModel(_Immutable):
         sizes = np.asarray(self.groups.sizes(n), dtype=float)
         seq = self.sequence
         if seq.kind == "contracted":
-            regimes = seq.schedule.regimes()
+            regimes = seq.schedule.regimes
             eps = seq.schedule.eps(n, sizes)
             gamma = np.where(
                 np.asarray(regimes) == "subcritical", eps * sizes, np.sqrt(sizes)
@@ -348,16 +348,14 @@ def _factorizes(measure: BaseMeasure) -> bool:
 def _integrate(measure, integrand, polynomial: bool = False) -> np.ndarray:
     """``integrand(axes, weights)`` over mu's nodes; it must be linear in the weights.
 
-    An atomic measure is summed once, at any level.  Any other is summed
-    once at ``DEFAULT_START`` nodes when the caller knows the integrand is
-    a polynomial that this rule integrates exactly (``polynomial``, which
-    only ``_mixed_law`` sets), and otherwise refined until stable
+    One pass at ``DEFAULT_START`` nodes sums an atomic measure, whose atoms
+    ignore the level, and any measure whose integrand the caller knows to
+    be a polynomial that this rule integrates exactly (``polynomial``,
+    which only ``_mixed_law`` sets); any other is refined until stable
     (``refine_until_stable``).  Either way the sum is ``_node_sum``'s, so a
     mixture's components never share a grid.
     """
-    if _is_atomic(measure):
-        return _node_sum(measure, integrand, 0)
-    if polynomial:
+    if polynomial or _is_atomic(measure):
         return _node_sum(measure, integrand, DEFAULT_START)
     values, _ = refine_until_stable(lambda level: _node_sum(measure, integrand, level))
     return values
@@ -686,7 +684,6 @@ class AbsMarginEstimate:
 
     per_capita: tuple[float, ...]
     standard_error: tuple[float, ...]
-    mode: str
 
 
 def expected_abs_margin(
@@ -707,7 +704,7 @@ def expected_abs_margin(
         for g, n_g in enumerate(sizes):
             law = group_margin_pmf(model, n, g)
             values.append(float(np.abs(law.margin_axis(0)) @ law.probs) / n_g)
-        return AbsMarginEstimate(tuple(values), (0.0,) * len(sizes), "exact")
+        return AbsMarginEstimate(tuple(values), (0.0,) * len(sizes))
     if mode == "monte-carlo":
         if count is None or seed is None:
             raise ConfigError("monte-carlo mode needs count and seed")
@@ -719,7 +716,7 @@ def expected_abs_margin(
             per_cap = np.abs(sample.raw[:, g]) / float(n_g)
             means.append(float(per_cap.mean()))
             ses.append(float(per_cap.std(ddof=1)) / math.sqrt(count))
-        return AbsMarginEstimate(tuple(means), tuple(ses), "monte-carlo")
+        return AbsMarginEstimate(tuple(means), tuple(ses))
     raise ConfigError(f"unknown mode {mode!r}; expected 'exact' or 'monte-carlo'")
 
 

@@ -255,12 +255,25 @@ def test_a_grid_that_cannot_give_a_verdict_exits_2_citing_its_line(tmp_path, cap
         ("n_grid", [100.5, 1000]),
         ("n_grid", ["100", 1000]),
         ("n_grid", [True, 1000]),
+        # schedule numbers follow the same rules: a table key is cited at the table's line
+        ("schedule.table", {10000.5: [0.125, 0.0625]}),
+        ("schedule.table", {"10000": [0.125, 0.0625]}),
+        ("schedule.table", {True: [0.125, 0.0625]}),
+        ("schedule.table", {10000: ["0.125", 0.0625]}),
+        ("schedule.table", {10000: [True, 0.0625]}),
+        ("schedule.coefficient", "1.0"),
+        ("schedule.exponent", True),
     ],
 )
 def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     doc = yaml.safe_load((CONFIGS / "fast_clt.yaml").read_text())
     if key.startswith("thresholds."):
         doc["thresholds"][key.split(".")[1]] = value
+    elif key.startswith("schedule."):
+        sequence = doc["model"]["sequence"]
+        if key == "schedule.table":
+            sequence["schedule"] = {"kind": "explicit", "regimes": ["fast", "fast"]}
+        sequence["schedule"][key.split(".")[1]] = value
     else:
         doc[key] = value
     cfg = tmp_path / "bad.yaml"
@@ -615,9 +628,11 @@ _PROBES = [
 
 
 def _key_line(text, path):
-    """The line of a top-level key, or of ``thresholds.<name>``, in safe_dump's block style."""
-    pattern = rf"^  {path[len('thresholds.'):]}:" if path.startswith("thresholds.") else rf"^{path}:"
-    return text[: re.search(pattern, text, re.M).start()].count("\n") + 1
+    """The line of a top-level key, of ``thresholds.<name>`` or of ``schedule.<name>``
+    (``model.sequence.schedule.<name>``) in safe_dump's block style."""
+    parent, _, name = path.rpartition(".")
+    indent = {"": "", "thresholds": "  ", "schedule": "      "}[parent]
+    return text[: re.search(rf"^{indent}{name}:", text, re.M).start()].count("\n") + 1
 
 
 @pytest.mark.parametrize("kind, keys, thresholds, drop, blamed", [*_PROBES, *_untaken_cases()])
@@ -1237,6 +1252,34 @@ def test_a_nonpositive_explicit_h_exits_2_citing_the_schedule(tmp_path, capsys, 
         f"error: line {_line_of(text, 'schedule:')}: model.sequence.schedule: "
         f"h must be positive on every group, got [{h}]\n"
     )
+
+
+def test_an_explicit_h_without_a_critical_group_exits_2_citing_the_schedule(tmp_path, capsys):
+    # h is read only on critical groups, so here it would be silently ignored
+    doc = shipped_doc("subcritical_base")
+    doc["model"]["sequence"]["schedule"] = {
+        "kind": "explicit",
+        "table": {1000000: [0.125]},
+        "regimes": ["subcritical"],
+        "h": [3.0],
+    }
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "h.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {_line_of(text, 'schedule:')}: model.sequence.schedule: "
+        "h is read only on critical groups, and no group is declared critical\n"
+    )
+    assert not out.joinpath("margins.npy").exists()
+
+
+def test_an_integer_valued_float_table_key_is_that_population():
+    doc = shipped_doc("subcritical_base")
+    doc["model"]["sequence"]["schedule"] = {
+        "kind": "explicit", "table": {1000000.0: [0.125]}, "regimes": ["subcritical"]}
+    assert config_from_dict(doc).model.sequence.schedule.table == {1000000: (0.125,)}
 
 
 def _two_group_power_law(coefficient, exponent):

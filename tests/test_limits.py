@@ -143,6 +143,14 @@ def test_explicit_critical_without_h_is_an_error():
         limit_for(model)
 
 
+def test_a_missing_h_names_the_first_critical_group():
+    sched = ExplicitSchedule({100: [0.1, 0.1, 0.1]}, ["subcritical", "critical", "critical"])
+    box = UniformBox([-1.0] * 3, [1.0] * 3)
+    model = DeFinettiModel(GroupStructure(3, [0.2, 0.3, 0.5]), ContractedSequence(box, sched), CLAMP)
+    with pytest.raises(ConfigError, match="^group 1 is critical but its constant h is not declared$"):
+        limit_for(model)
+
+
 def test_explicit_with_declared_regimes_dispatches():
     from votelim import ContractedSequence, DeFinettiModel, CLAMP
 

@@ -307,15 +307,15 @@ def test_bias_map_limits():
 
 def test_power_law_regimes_are_total_and_correct():
     sched = PowerLawSchedule([1.0, 2.0, 0.5], [0.75, 0.5, 0.15])
-    assert sched.regimes() == ("fast", "critical", "subcritical")
-    assert sched.critical_h() == (None, 2.0, None)
+    assert sched.regimes == ("fast", "critical", "subcritical")
+    assert sched.h[1] == 2.0
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 3.0))
 @settings(max_examples=50)
 def test_regime_classification_total(c, a):
     sched = PowerLawSchedule(c, a)
-    assert sched.regimes()[0] in ("fast", "critical", "subcritical")
+    assert sched.regimes[0] in ("fast", "critical", "subcritical")
 
 
 def test_power_law_eps_values():
@@ -332,7 +332,7 @@ def test_power_law_rejects_nonpositive_exponent():
 
 def test_explicit_schedule_declares_regimes():
     sched = ExplicitSchedule({100: [0.1], 1000: [0.05]}, ["critical"], h=[1.0])
-    assert sched.regimes() == ("critical",)
+    assert sched.regimes == ("critical",)
     assert sched.eps(100, [100])[0] == 0.1
     with pytest.raises(ConfigError):
         sched.eps(500, [500])

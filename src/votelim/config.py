@@ -2,7 +2,8 @@
 
 One file describes one experiment (model, experiment kind, n or n grid,
 sample count, mandatory seed, thresholds); ``KINDS`` says which keys and
-thresholds each kind takes, and any other is an error.  Validation errors
+thresholds each kind takes, and any other is an error; ``VALUES`` says what
+each key's value must be, wherever the key appears.  Validation errors
 cite the line of the offending key when the config came from a file.  The config
 hash is the SHA-256 of the canonical JSON form of the effective document
 without ``out`` and ``workers`` (results are the same for any output
@@ -143,9 +144,9 @@ class _Doc:
     def wrap(self, fn, key=None):
         """Run a constructor, re-anchoring any ConfigError it raises.
 
-        A value of the wrong type, such as a string where a number belongs,
-        fails inside numpy or a comparison with TypeError or ValueError, and
-        is re-anchored the same way.
+        A value that passes its ``VALUES`` rules but not numpy, such as a
+        ragged list, fails there with TypeError or ValueError, and is
+        re-anchored the same way.
         """
         try:
             return fn()
@@ -156,53 +157,40 @@ class _Doc:
 def _build_measure(node: _Doc):
     variant = node.require("variant")
     if variant == "point-mass-mixture":
-        _reject_unknown_keys(node, ("variant", "atoms"))
+        _check_keys(node, ("variant", "atoms"))
         atoms = []
         for atom in node.entries("atoms"):
-            _reject_unknown_keys(atom, ("location", "weight"))
+            _check_keys(atom, ("location", "weight"))
             atoms.append((atom.require("location"), atom.require("weight")))
         return node.wrap(lambda: PointMassMixture(atoms), "atoms")
     if variant == "uniform-box":
-        _reject_unknown_keys(node, ("variant", "lower", "upper"))
+        _check_keys(node, ("variant", "lower", "upper"))
         return node.wrap(lambda: UniformBox(node.require("lower"), node.require("upper")))
     if variant == "gaussian":
-        _reject_unknown_keys(node, ("variant", "mean", "covariance"))
+        _check_keys(node, ("variant", "mean", "covariance"))
         return node.wrap(lambda: Gaussian(node.require("mean"), node.require("covariance")))
     if variant == "product":
-        _reject_unknown_keys(node, ("variant", "factors"))
+        _check_keys(node, ("variant", "factors"))
         factors = [_build_measure(factor) for factor in node.entries("factors")]
         return node.wrap(lambda: Product(factors), "factors")
     if variant == "mixture":
-        _reject_unknown_keys(node, ("variant", "components"))
+        _check_keys(node, ("variant", "components"))
         built = []
         for component in node.entries("components"):
-            _reject_unknown_keys(component, ("measure", "weight"))
+            _check_keys(component, ("measure", "weight"))
             built.append((_build_measure(component.child("measure")), component.require("weight")))
         return node.wrap(lambda: Mixture(built), "components")
     node.error(f"unknown measure variant {variant!r}", "variant")
 
 
-def _is_numbers(value) -> bool:
-    """A number or a list of numbers, as each per-group schedule value is: no strings or bools."""
-    return all(map(_is_number, value if isinstance(value, list) else [value]))
-
-
-def _check_numbers(node: _Doc, keys) -> None:
-    for key in keys:
-        if node.doc.get(key) is not None and not _is_numbers(node.doc[key]):
-            node.error(f"{key} must be a number or a list of numbers", key)
-
-
 def _build_schedule(node: _Doc, m: int):
     kind = node.require("kind")
     if kind == "power-law":
-        _reject_unknown_keys(node, ("kind", "coefficient", "exponent"))
-        _check_numbers(node, ("coefficient", "exponent"))
+        _check_keys(node, ("kind", "coefficient", "exponent"))
         return node.wrap(
-            lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"), m=m)
-        )
+            lambda: PowerLawSchedule(node.require("coefficient"), node.require("exponent"), m=m))
     if kind == "explicit":
-        _reject_unknown_keys(node, ("kind", "table", "regimes", "h"))
+        _check_keys(node, ("kind", "table", "regimes", "h"))
         table = node.child("table")
         if not isinstance(table.doc, dict):
             table.error("expected a mapping of populations to eps lists")
@@ -210,9 +198,8 @@ def _build_schedule(node: _Doc, m: int):
         for n, eps in table.doc.items():
             if not (_is_integer(n) and n > 0):
                 table.error(f"key {n!r} must be a positive integer population")
-            if not _is_numbers(eps):
+            if not _holds_numbers(eps):
                 table.error(f"eps of population {n} must be a number or a list of numbers")
-        _check_numbers(node, ("h",))
         return node.wrap(
             lambda: ExplicitSchedule(
                 node.require("table"), node.require("regimes"), node.doc.get("h")
@@ -222,7 +209,7 @@ def _build_schedule(node: _Doc, m: int):
 
 
 def _build_coupling(node: _Doc) -> CouplingSpec:
-    _reject_unknown_keys(node, ("beta", "j"))
+    _check_keys(node, ("beta", "j"))
     if "beta" in node.doc and "j" in node.doc:
         node.error("coupling takes either 'beta' or a matrix 'j', not both")
     if "beta" in node.doc:
@@ -233,27 +220,25 @@ def _build_coupling(node: _Doc) -> CouplingSpec:
 
 
 def build_model(node: _Doc) -> DeFinettiModel:
-    _reject_unknown_keys(node, ("groups", "bias_map", "sequence"))
+    _check_keys(node, ("groups", "bias_map", "sequence"))
     groups_node = node.child("groups")
-    _reject_unknown_keys(groups_node, ("m", "proportions"))
-    m = groups_node.require("m")
-    if not _is_integer(m):
-        groups_node.error("m must be an integer", "m")
-    groups = groups_node.wrap(lambda: GroupStructure(int(m), groups_node.require("proportions")))
+    _check_keys(groups_node, ("m", "proportions"))
+    groups = groups_node.wrap(
+        lambda: GroupStructure(int(groups_node.require("m")), groups_node.require("proportions")))
     bmap = node.wrap(lambda: bias_map(node.require("bias_map")), "bias_map")
     seq_node = node.child("sequence")
     kind = seq_node.require("kind")
     if kind == "static":
-        _reject_unknown_keys(seq_node, ("kind", "base"))
+        _check_keys(seq_node, ("kind", "base"))
         base = _build_measure(seq_node.child("base"))
         sequence = seq_node.wrap(lambda: StaticSequence(base), "base")
     elif kind == "contracted":
-        _reject_unknown_keys(seq_node, ("kind", "base", "schedule"))
+        _check_keys(seq_node, ("kind", "base", "schedule"))
         base = _build_measure(seq_node.child("base"))
         schedule = _build_schedule(seq_node.child("schedule"), groups.m)
         sequence = ContractedSequence(base, schedule)
     elif kind == "curie-weiss":
-        _reject_unknown_keys(seq_node, ("kind", "coupling"))
+        _check_keys(seq_node, ("kind", "coupling"))
         sequence = CurieWeissSequence(_build_coupling(seq_node.child("coupling")))
     else:
         seq_node.error(f"unknown sequence kind {kind!r}", "kind")
@@ -315,14 +300,6 @@ def _llt_regime(model: DeFinettiModel) -> str | None:
     return "mean-field" if sequence.kind == "curie-weiss" else "spread-out static"
 
 
-def _reject_unknown_keys(node: _Doc, known) -> None:
-    if not isinstance(node.doc, dict):
-        node.error("expected a mapping")
-    for key in node.doc:
-        if key not in known:
-            node.error(f"unknown key {key!r}; expected one of {tuple(known)}", key)
-
-
 def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
@@ -332,24 +309,63 @@ def _is_integer(value) -> bool:
     return _is_number(value, int) or (_is_number(value, float) and value.is_integer())
 
 
-def _check_thresholds(node: _Doc, known) -> None:
-    _reject_unknown_keys(node, known)
+def _holds_numbers(value, depth=1) -> bool:
+    """A number, or lists of numbers nested at most ``depth`` deep: no strings, bools or nulls."""
+    if isinstance(value, list):
+        return depth > 0 and all(_holds_numbers(item, depth - 1) for item in value)
+    return _is_number(value)
+
+
+_INTEGER = [(_is_integer, "must be an integer")]
+_GRID = [(lambda v: isinstance(v, list) and all(_is_integer(x) and x > 0 for x in v),
+          "must be a list of positive integers")]
+# a run against a threshold at or below 0 can only fail; r2 above 1 too
+_THRESHOLD = [(_is_number, "must be a number"),
+              (lambda v: 0 < v < math.inf, "must be positive and finite, got {}")]
+
+#: what each key's value must be, wherever the key appears: ordered (test,
+#: end of message) rules, the first that fails giving the error "<key> <end>"
+#: with the value in place of ``{}``; a null in a NULL_IS_ABSENT key is the key left out
+VALUES = {
+    "seed": [(lambda v: _is_integer(v) and v >= 0,
+              "must be a nonnegative integer (no wall-clock default is provided)")],
+    "workers": _INTEGER + [(lambda v: v >= 1, "must be at least 1")],
+    **dict.fromkeys(("n", "count", "m"), _INTEGER),
+    **dict.fromkeys(("n_grid", "concentration_grid"), _GRID),
+    # (-1, 1)^M holds all the mixing mass, so from delta = 1 on every tail is 0
+    "delta": [(lambda v: _is_number(v) and 0 < v < 1, "must be a positive number below 1")],
+    "input": [(lambda v: isinstance(v, str) and v != "", "must be a nonempty path")],
+    "out": [(lambda v: isinstance(v, str), "must be a path")],
+    "points": [(lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) and p[0] > 0 for p in v),
+        "must be a list of [population, margin] number pairs with population > 0")],
+    "target_law": [(lambda v: v in TARGET_LAWS, f"must be one of {TARGET_LAWS}")],
+    "alpha_range": [(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))
+                     and v[0] <= v[1], "must be two numbers lo <= hi")],
+    **dict.fromkeys(("ks", "cross_correlation", "llt", "equivalence", "correlation"), _THRESHOLD),
+    "r2": _THRESHOLD[:1] + [(lambda v: 0 < v <= 1, "must be in (0, 1], got {}")],
+    **dict.fromkeys(("proportions", "location", "lower", "upper", "mean", "coefficient",
+                     "exponent", "h"), [(_holds_numbers, "must be a number or a list of numbers")]),
+    **dict.fromkeys(("weight", "beta"), [(_is_number, "must be a number")]),
+    **dict.fromkeys(("covariance", "j"), [(lambda v: _holds_numbers(v, depth=2), "must be a "
+                                           "number or a list of numbers or of number lists")]),
+}
+NULL_IS_ABSENT = {"workers", "out", "n", "count", "n_grid", "concentration_grid", "delta",
+                  "points", "h"}
+
+
+def _check_keys(node: _Doc, known) -> None:
+    """Each key of the mapping ``node`` is one of ``known`` and keeps its ``VALUES`` rules."""
+    if not isinstance(node.doc, dict):
+        node.error("expected a mapping")
     for key, value in node.doc.items():
-        if key == "target_law":
-            if value not in TARGET_LAWS:
-                node.error(f"target_law must be one of {TARGET_LAWS}", key)
-        elif key == "alpha_range":
-            if not (
-                isinstance(value, list) and len(value) == 2
-                and all(map(_is_number, value)) and value[0] <= value[1]
-            ):
-                node.error("alpha_range must be two numbers lo <= hi", key)
-        elif not _is_number(value):
-            node.error(f"{key} must be a number", key)
-        elif not (0 < value < math.inf) or (key == "r2" and value > 1):
-            # a run against a threshold at or below 0 can only fail; r2 above 1 too
-            bound = "in (0, 1]" if key == "r2" else "positive and finite"
-            node.error(f"{key} must be {bound}, got {value}", key)
+        if key not in known:
+            node.error(f"unknown key {key!r}; expected one of {tuple(known)}", key)
+        if value is None and key in NULL_IS_ABSENT:
+            continue
+        for test, end in VALUES.get(key, ()):
+            if not test(value):
+                node.error(f"{key} {end.format(value)}", key)
 
 
 def _check_finite(root: _Doc) -> None:
@@ -374,43 +390,12 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     if not isinstance(experiment, str) or experiment not in KINDS:
         root.error(f"unknown experiment kind {experiment!r}; expected one of {tuple(KINDS)}", "experiment")
     kind = KINDS[experiment]
-    _reject_unknown_keys(root, kind.keys)
+    _check_keys(root, kind.keys)
     thresholds = doc.get("thresholds") or {}
     if not isinstance(thresholds, dict):
         root.error("expected a mapping of threshold names to values", "thresholds")
-    _check_thresholds(_Doc(thresholds, lines, "thresholds"), kind.thresholds)
-    delta = doc.get("delta")
-    # (-1, 1)^M holds all the mixing mass, so from delta = 1 on every tail is 0
-    if delta is not None and not (_is_number(delta) and 0 < delta < 1):
-        root.error("delta must be a positive number below 1", "delta")
-    grids = {}
-    for key in ("n_grid", "concentration_grid"):
-        grid = doc.get(key)
-        if grid is not None and not (
-            isinstance(grid, list) and all(_is_integer(x) and x > 0 for x in grid)
-        ):
-            root.error(f"{key} must be a list of positive integers", key)
-        grids[key] = tuple(int(x) for x in grid) if grid is not None else None
-    for key in ("n", "count", "workers"):
-        if doc.get(key) is not None and not _is_integer(doc[key]):
-            root.error(f"{key} must be an integer", key)
-    points = doc.get("points")
-    if points is not None and not (isinstance(points, list) and all(
-        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) and p[0] > 0
-        for p in points
-    )):
-        root.error("points must be a list of [population, margin] number pairs "
-                   "with population > 0", "points")
-    if "input" in doc and not (isinstance(doc["input"], str) and doc["input"]):
-        root.error("input must be a nonempty path", "input")
+    _check_keys(_Doc(thresholds, lines, "thresholds"), kind.thresholds)
     seed = root.require("seed")
-    if not (_is_integer(seed) and seed >= 0):
-        root.error(
-            "seed must be a nonnegative integer (no wall-clock default is provided)", "seed"
-        )
-    workers = int(doc["workers"]) if doc.get("workers") is not None else None
-    if workers is not None and workers < 1:
-        root.error("workers must be at least 1", "workers")
     # an empty value (a zero count, an empty grid) counts as absent
     for key in kind.required:
         if not doc.get(key):
@@ -420,10 +405,13 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
         given = [key for key in group if doc.get(key)]
         if group and len(given) not in counts:
             root.error(f"this experiment takes {rule} {group}", (given or group)[-1])
+    n, count, workers = (int(doc[key]) if doc.get(key) is not None else None
+                         for key in ("n", "count", "workers"))
+    n_grid, sizes = (tuple(map(int, doc[key])) if doc.get(key) is not None else None
+                     for key in ("n_grid", "concentration_grid"))
     # a grid on which a check cannot give a verdict: verify-llt and
     # correlation-decay read the n grid as an order, and a line fits any
     # two points of the concentration profile exactly
-    n_grid, sizes = grids["n_grid"], grids["concentration_grid"]
     if experiment in ("verify-llt", "correlation-decay"):
         if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
             root.error("n_grid must be strictly increasing", "n_grid")
@@ -448,24 +436,28 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     if "count" in kind.required:
         # verify-clt correlates every pair of groups, which takes two samples
         least = 2 if experiment == "verify-clt" and model.groups.m > 1 else 1
-        if doc["count"] < least:
+        if count < least:
             why = " for the cross-correlation of two groups" if least > 1 else ""
             root.error(f"count must be at least {least}{why}", "count")
-    n = int(doc["n"]) if doc.get("n") is not None else None
+    for key, populations in (("n", (n,) if n else ()), ("n_grid", n_grid or ()),
+                             ("concentration_grid", sizes or ())):
+        for population in populations if model else ():
+            # too small for its groups, an error at its key; past the guard, a ResourceError
+            root.wrap(lambda: model.groups.sizes(population), key)
     return ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
         raw=doc,
         model=model,
         n=n,
-        n_grid=grids["n_grid"] or ((n,) if n is not None else None),
-        count=int(doc["count"]) if doc.get("count") is not None else None,
+        n_grid=n_grid or ((n,) if n is not None else None),
+        count=count,
         workers=workers,
         out=doc.get("out"),
         thresholds=thresholds,
         input_path=doc.get("input"),
-        delta=delta,
-        concentration_grid=grids["concentration_grid"],
+        delta=doc.get("delta"),
+        concentration_grid=sizes,
         anchors=root.lines,
     )
 

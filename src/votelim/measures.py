@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from typing import Sequence
 
 import numpy as np
@@ -69,17 +70,18 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _check_weights(weights: np.ndarray, what: str) -> None:
-    if np.any(weights < 0):
+    # written so that a nan weight fails both tests
+    if not np.all(weights >= 0):
         raise ConfigError(f"{what} weights must be nonnegative")
-    if abs(float(weights.sum()) - 1.0) > WEIGHT_TOL:
+    if not abs(float(weights.sum()) - 1.0) <= WEIGHT_TOL:
         raise ConfigError(f"{what} weights must sum to 1 within {WEIGHT_TOL:g}")
 
 
 class _Immutable:
-    """Attributes are set once, in ``__init__`` through ``object.__setattr__``.
+    """Attributes are set once, in ``__init__`` through ``object.__setattr__`` or ``_set``.
 
-    Instances memoize what they compute from those attributes, so a later
-    assignment could make a memo stale; it raises instead.
+    Instances, and the models built on them, memoize what they compute from
+    those attributes, so a later assignment could make a memo stale; it raises instead.
     """
 
     def __setattr__(self, name, value):
@@ -87,6 +89,10 @@ class _Immutable:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _set(self, **attributes):
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
 
 
 class _Gridded(_Immutable):
@@ -535,7 +541,7 @@ def _per_group(values, m: int, what: str) -> tuple[float, ...]:
     return tuple(float(v) for v in arr)
 
 
-class PowerLawSchedule:
+class PowerLawSchedule(_Immutable):
     """Per-group contraction rates eps(n_g) = c_g * n_g**(-a_g).
 
     Exponents classify the regime analytically, once, into ``regimes``:
@@ -547,61 +553,61 @@ class PowerLawSchedule:
     def __init__(self, coefficients, exponents, m: int | None = None):
         if m is None:
             m = max(np.asarray(coefficients).size, np.asarray(exponents).size)
-        self.coefficients = _per_group(coefficients, m, "coefficients")
-        self.exponents = _per_group(exponents, m, "exponents")
-        self.m = m
-        if any(c <= 0 for c in self.coefficients):
+        coefficients = _per_group(coefficients, m, "coefficients")
+        exponents = _per_group(exponents, m, "exponents")
+        if any(c <= 0 for c in coefficients):
             raise ConfigError("power-law coefficients must be positive")
-        if any(a <= 0 for a in self.exponents):
+        if any(a <= 0 for a in exponents):
             raise ConfigError(
                 "power-law exponents must be positive so that eps_n -> 0"
             )
-        self.regimes = tuple(
+        regimes = tuple(
             FAST if a > CRITICAL_EXPONENT else CRITICAL if a == CRITICAL_EXPONENT else SUBCRITICAL
-            for a in self.exponents
+            for a in exponents
         )
-        self.h = self.coefficients
+        self._set(coefficients=coefficients, exponents=exponents, m=m, regimes=regimes,
+                  h=coefficients)
 
     def eps(self, n: int, group_sizes) -> np.ndarray:
         sizes = np.asarray(group_sizes, dtype=float)
         return np.asarray(self.coefficients) * sizes ** (-np.asarray(self.exponents))
 
 
-class ExplicitSchedule:
+class ExplicitSchedule(_Immutable):
     """Tabulated eps vectors keyed by overall population size n.
 
     Regime classification from finitely many tabulated values is
     undecidable, so the caller declares one regime tag per group, kept as
     ``regimes``, and the positive critical constants ``h``, one per group
     or None.  ``h[g]`` is read only where group g is critical, so an ``h``
-    with no critical group is refused.
+    with no critical group is refused.  ``table`` is a read-only mapping.
     """
 
     def __init__(self, table, regimes, h=None):
-        self.table = {int(n): tuple(float(e) for e in np.atleast_1d(eps)) for n, eps in table.items()}
-        if not self.table:
+        table = {int(n): tuple(float(e) for e in np.atleast_1d(eps)) for n, eps in table.items()}
+        if not table:
             raise ConfigError("explicit schedule table is empty")
-        m = len(next(iter(self.table.values())))
-        if any(len(eps) != m for eps in self.table.values()):
+        m = len(next(iter(table.values())))
+        if any(len(eps) != m for eps in table.values()):
             raise ConfigError("all tabulated eps vectors must share one length")
-        self.m = m
-        self.regimes = tuple(regimes)
-        if len(self.regimes) != m or any(r not in REGIMES for r in self.regimes):
+        regimes = tuple(regimes)
+        if len(regimes) != m or any(r not in REGIMES for r in regimes):
             raise ConfigError(f"regimes must be {m} tags from {REGIMES}")
-        self.h = None if h is None else _per_group(h, m, "h")
-        if self.h is not None and not all(v > 0 for v in self.h):
-            raise ConfigError(f"h must be positive on every group, got {list(self.h)}")
-        if self.h is not None and CRITICAL not in self.regimes:
+        h = None if h is None else _per_group(h, m, "h")
+        if h is not None and not all(v > 0 for v in h):
+            raise ConfigError(f"h must be positive on every group, got {list(h)}")
+        if h is not None and CRITICAL not in regimes:
             raise ConfigError("h is read only on critical groups, and no group is declared critical")
-        for eps in self.table.values():
+        for eps in table.values():
             if any(e <= 0 for e in eps):
                 raise ConfigError("tabulated eps values must be strictly positive")
-        ns = sorted(self.table)
-        seq = np.array([self.table[n] for n in ns])
+        ns = sorted(table)
+        seq = np.array([table[n] for n in ns])
         if len(ns) > 1 and (np.any(np.diff(seq, axis=0) > 0) or np.any(seq[-1] >= seq[0])):
             raise ConfigError(
                 "tabulated eps values must decrease: the schedule must satisfy eps_n -> 0"
             )
+        self._set(table=types.MappingProxyType(table), m=m, regimes=regimes, h=h)
 
     def eps(self, n: int, group_sizes) -> np.ndarray:
         try:

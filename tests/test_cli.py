@@ -21,7 +21,8 @@ from hypothesis import given, settings
 import votelim.cli as cli
 from votelim import ConfigError, DataError, LimitLaw, models
 from votelim.cli import ingest_margins, main, run
-from votelim.config import KINDS, canonical_json, config_from_dict, config_hash, load_config
+from votelim.config import (
+    KINDS, NULL_IS_ABSENT, VALUES, canonical_json, config_from_dict, config_hash, load_config)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -285,6 +286,75 @@ def test_bad_config_values_exit_2_before_sampling(tmp_path, capsys, key, value):
     assert not (out / "margins.npy").exists()
 
 
+_ATOM_0 = "model.sequence.base.atoms.0"
+_VECTOR_RULE = "must be a number or a list of numbers"
+
+
+@pytest.mark.parametrize("name, node, mapping, key, end", [
+    ("critical_clt", _ATOM_0, {"location": ["-2.0"], "weight": 0.5}, "location", _VECTOR_RULE),
+    ("critical_clt", _ATOM_0, {"location": [True], "weight": 0.5}, "location", _VECTOR_RULE),
+    ("critical_clt", _ATOM_0, {"location": None, "weight": 0.5}, "location", _VECTOR_RULE),
+    # a null weight once reached numpy's sampler as a nan probability
+    ("critical_clt", _ATOM_0, {"location": [-2.0], "weight": None}, "weight", "must be a number"),
+    ("cwm_equivalence", "model.sequence.coupling", {"beta": "0.5"}, "beta", "must be a number"),
+    ("cwm_equivalence", "model.sequence.coupling", {"beta": True}, "beta", "must be a number"),
+    ("cwm_equivalence", "model.sequence.coupling", {"j": [["0.5"]]}, "j",
+     "must be a number or a list of numbers or of number lists"),
+    ("critical_clt", "model.groups", {"m": 1, "proportions": ["1.0"]}, "proportions", _VECTOR_RULE),
+    ("subcritical_base", "model.sequence.base",
+     {"variant": "uniform-box", "lower": ["-1"], "upper": [1]}, "lower", _VECTOR_RULE),
+    ("subcritical_base", "model.sequence.base",
+     {"variant": "gaussian", "mean": [0.0], "covariance": [["1"]]}, "covariance",
+     "must be a number or a list of numbers or of number lists"),
+])
+def test_bad_model_leaves_exit_2_at_their_line(tmp_path, capsys, name, node, mapping, key, end):
+    doc = shipped_doc(name)
+    *parents, last = [int(part) if part.isdigit() else part for part in node.split(".")]
+    functools.reduce(operator.getitem, parents, doc)[last] = mapping
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([doc["experiment"], "--config", str(cfg), "--out", str(out)]) == 2
+    # the node's first line holding the key, as safe_dump writes it
+    line = text[: re.search(rf"^ *(- )?{key}:", text, re.M).start()].count("\n") + 1
+    where = re.sub(r"\.(\d+)", r"[\1]", node)
+    assert capsys.readouterr().err == f"error: line {line}: {where}.{key}: {key} {end}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("fast_clt", "n", 3),
+    ("critical_clt", "n", -5),
+    ("llt_baseline", "n_grid", [1, 100]),
+    ("cwm_equivalence", "n_grid", [1, 8]),
+    ("cwm_equivalence", "concentration_grid", [1, 20, 40]),
+])
+def test_a_population_too_small_for_its_groups_exits_2_at_its_line(tmp_path, capsys, name, key,
+                                                                    value):
+    doc = shipped_doc(name, **{key: value})
+    text = yaml.safe_dump(doc, sort_keys=False)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main([doc["experiment"], "--config", str(cfg), "--out", str(out)]) == 2
+    population, m = value[0] if isinstance(value, list) else value, doc["model"]["groups"]["m"]
+    assert capsys.readouterr().err == (
+        f"error: line {_key_line(text, key)}: {key}: population {population} cannot give "
+        f"every one of {m} groups at least 2 voters\n")
+    assert not out.exists()
+
+
+def test_a_population_past_the_guard_exits_3_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(shipped_doc("fast_clt", n=10**13), sort_keys=False))
+    out = tmp_path / "o"
+    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource guard: population 10000000000000 exceeds the overflow guard\n"
+    assert not (out / "manifest.json").exists()
+
+
 def _groups_m_doc(kind, m):
     """A two-group static simulate, or fast_clt (contracted), with ``groups.m`` set to ``m``."""
     if kind == "simulate":
@@ -389,6 +459,19 @@ def test_an_out_path_that_cannot_be_a_directory_exits_2_before_any_work(
     line = _line_of(text, "out:")
     assert err.startswith(f"error: line {line}: out: cannot create the output directory")
     assert blocker.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("out", [5, True, ["o"]], ids=["int", "bool", "list"])
+def test_an_out_that_is_no_path_exits_2_at_its_line(tmp_path, capsys, monkeypatch, out):
+    # Path(5) once raised a TypeError out of run; a null out stays the working directory
+    monkeypatch.chdir(tmp_path)
+    text = yaml.safe_dump(small_clt_doc(out=out), sort_keys=False)
+    (tmp_path / "c.yaml").write_text(text)
+    assert main(["verify-clt", "--config", "c.yaml"]) == 2
+    line = _line_of(text, "out:")
+    assert capsys.readouterr().err == f"error: line {line}: out: out must be a path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+    assert config_from_dict(small_clt_doc(out=None)).out is None
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
@@ -675,6 +758,24 @@ def test_readme_config_table_matches_the_kinds():
     readme = (ROOT / "README.md").read_text().split("### Config document")[1].split("\n### ")[0]
     rows = [line for line in readme.splitlines() if line.startswith("| `")]
     assert rows == [row(name, kind) for name, kind in KINDS.items()]
+
+
+def test_readme_value_table_matches_the_value_rules():
+    # each key has its row, once; keys with the same rules and the same null share a row
+    rows = {}
+    for key, rules in VALUES.items():
+        sig = (tuple(end for _, end in rules), key in NULL_IS_ABSENT)
+        rows.setdefault(sig, []).append(f"`{key}`")
+    expected = [
+        f"| {', '.join(keys)} | "
+        + "; ".join(end.removeprefix("must be ").replace(", got {}", "") for end in ends)
+        + f" | {'absent' if nullable else 'refused'} |"
+        for (ends, nullable), keys in rows.items()
+    ]
+    assert all(end.startswith("must be ") for rules in VALUES.values() for _, end in rules)
+    assert NULL_IS_ABSENT <= VALUES.keys()
+    readme = (ROOT / "README.md").read_text().split("### Config values")[1].split("\n### ")[0]
+    assert [line for line in readme.splitlines() if line.startswith("| `")] == expected
 
 
 def _model_doc(m, bias, sequence):

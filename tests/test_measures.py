@@ -10,7 +10,10 @@ from votelim import (
     CLAMP,
     TANH,
     ConfigError,
+    ContractedSequence,
+    DeFinettiModel,
     Gaussian,
+    GroupStructure,
     PointMassMixture,
     PowerLawSchedule,
     Product,
@@ -256,6 +259,18 @@ def test_weights_must_be_nonnegative():
         PointMassMixture([([0.0], 1.5), ([1.0], -0.5)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: PointMassMixture([([0.0], w)]),
+    lambda w: PointMassMixture([([0.0], w), ([1.0], 0.5)]),
+    lambda w: Mixture([(UniformBox([-1.0], [1.0]), w)]),
+    lambda w: Mixture([(UNIFORM_1, 0.5), (GAUSS_1, w)]),
+], ids=["atom", "atoms", "component", "components"])
+def test_a_nan_weight_is_refused(build):
+    # nan < 0 and |nan - 1| > tol are both False, so each test must be written to fail on nan
+    with pytest.raises(ConfigError, match="weights must be nonnegative"):
+        build(math.nan)
+
+
 def test_box_needs_lower_below_upper():
     with pytest.raises(ConfigError):
         UniformBox([1.0], [1.0])
@@ -388,6 +403,44 @@ def test_mixture_symmetry_via_paired_components():
 
 
 # -- immutability and the grid memo -------------------------------------------------
+
+IMMUTABLE_SCHEDULES = {
+    "power-law": lambda: PowerLawSchedule([1.0, 2.0], 0.75),
+    "explicit": lambda: ExplicitSchedule({100: [0.5], 200: [0.25]}, ["critical"], h=[1.0]),
+}
+
+
+@pytest.mark.parametrize("build", IMMUTABLE_SCHEDULES.values(), ids=IMMUTABLE_SCHEDULES.keys())
+def test_assigning_a_schedule_attribute_or_table_entry_raises(build):
+    schedule = build()
+    names = ["m", "regimes", "h", "extra"] + (["table"] if hasattr(schedule, "table") else
+                                              ["coefficients", "exponents"])
+    for name in names:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(schedule, name, ("bogus",))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(schedule, name)
+    if hasattr(schedule, "table"):
+        with pytest.raises(TypeError):
+            schedule.table[300] = (-3.0,)
+        with pytest.raises(TypeError):
+            del schedule.table[100]
+        assert schedule.table == {100: (0.5,), 200: (0.25,)}
+        assert schedule.eps(100, [100]).tolist() == [0.5]
+    assert schedule.regimes == build().regimes
+
+
+def test_a_model_keeps_the_schedule_its_memoized_mu_n_came_from():
+    schedule = PowerLawSchedule(1.0, 0.75)
+    model = DeFinettiModel(GroupStructure(1, [1.0]), ContractedSequence(UNIFORM_1, schedule), CLAMP)
+    before = model.mixing_measure(100)
+    with pytest.raises(AttributeError, match="immutable"):
+        schedule.coefficients = (2.0,)
+    # the memo and a fresh mu_n agree: both read coefficient 1
+    assert model.mixing_measure(100) is before
+    assert model.mixing_measure(101).upper[0] == pytest.approx(101 ** -0.75)
+    assert before.upper[0] == pytest.approx(100 ** -0.75)
+
 
 IMMUTABLE_MEASURES = {
     "atoms": DELTA_0,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import yaml
@@ -144,13 +145,12 @@ class _Doc:
     def wrap(self, fn, key=None):
         """Run a constructor, re-anchoring any ConfigError it raises.
 
-        A value that passes its ``VALUES`` rules but not numpy, such as a
-        ragged list, fails there with TypeError or ValueError, and is
-        re-anchored the same way.
+        A value that passes its ``VALUES`` rules but not numpy, a ragged
+        list, fails there with ValueError, and is re-anchored the same way.
         """
         try:
             return fn()
-        except (ConfigError, TypeError, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             self.error(str(exc), key)
 
 
@@ -349,9 +349,16 @@ VALUES = {
     **dict.fromkeys(("weight", "beta"), [(_is_number, "must be a number")]),
     **dict.fromkeys(("covariance", "j"), [(lambda v: _holds_numbers(v, depth=2), "must be a "
                                            "number or a list of numbers or of number lists")]),
+    "thresholds": [(lambda v: isinstance(v, dict), "must be a mapping of threshold names to values")],
+    # the names each may take stay with their owners, measures.bias_map and ExplicitSchedule
+    "bias_map": [(lambda v: isinstance(v, str), "must be a name")],
+    "regimes": [(lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
+                 "must be a list of regime names")],
 }
 NULL_IS_ABSENT = {"workers", "out", "n", "count", "n_grid", "concentration_grid", "delta",
-                  "points", "h"}
+                  "points", "h", "thresholds"}
+#: the keys whose numbers stay integers, exact at any size; every other number is read as a float
+_INTEGER_KEYS = {"seed", "workers", "n", "count", "m", "n_grid", "concentration_grid"}
 
 
 def _check_keys(node: _Doc, known) -> None:
@@ -369,19 +376,21 @@ def _check_keys(node: _Doc, known) -> None:
 
 
 def _check_finite(root: _Doc) -> None:
-    """Every number in the document is finite: an inf or nan is an error at its own line."""
+    """Every number read as a float is finite: any other is an error at its own line."""
 
-    def walk(value, path):
+    def walk(value, path, key):
         if isinstance(value, dict):
-            for key, item in value.items():
-                walk(item, f"{path}.{key}" if path else str(key))
+            for name, item in value.items():
+                walk(item, f"{path}.{name}" if path else str(name), name)
         elif isinstance(value, list):
             for idx, item in enumerate(value):
-                walk(item, f"{path}[{idx}]")
-        elif isinstance(value, float) and not math.isfinite(value):
-            root.error(f"must be a finite number, got {value}", path)
+                walk(item, f"{path}[{idx}]", key)
+        # nan compares false, and an integer compares with a float exactly
+        elif _is_number(value) and key not in _INTEGER_KEYS and not abs(value) <= sys.float_info.max:
+            got = value if isinstance(value, float) else f"an integer of {len(str(abs(value)))} digits"
+            root.error(f"must be a finite number, got {got}", path)
 
-    walk(root.doc, "")
+    walk(root.doc, "", None)
 
 
 def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
@@ -392,8 +401,6 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     kind = KINDS[experiment]
     _check_keys(root, kind.keys)
     thresholds = doc.get("thresholds") or {}
-    if not isinstance(thresholds, dict):
-        root.error("expected a mapping of threshold names to values", "thresholds")
     _check_keys(_Doc(thresholds, lines, "thresholds"), kind.thresholds)
     seed = root.require("seed")
     # an empty value (a zero count, an empty grid) counts as absent

@@ -357,8 +357,9 @@ VALUES = {
 }
 NULL_IS_ABSENT = {"workers", "out", "n", "count", "n_grid", "concentration_grid", "delta",
                   "points", "h", "thresholds"}
-#: the keys whose numbers stay integers, exact at any size; every other number is read as a float
-_INTEGER_KEYS = {"seed", "workers", "n", "count", "m", "n_grid", "concentration_grid"}
+#: the keys whose first rule asks for integers: their numbers stay exact at any
+#: size, and every other number is read as a float
+_INTEGER_KEYS = {key for key, rules in VALUES.items() if "integer" in rules[0][1]}
 
 
 def _check_keys(node: _Doc, known) -> None:

@@ -1460,14 +1460,15 @@ def _edited(base, edits):
 
 
 def _assert_refused(tmp_path, capsys, monkeypatch, base, edits, message, cited=None):
-    """The edited base exits 2 with its one error line and writes nothing but its config."""
+    """The edited base exits 2 at load, before run, with its one error line, and writes nothing."""
     kind, doc = _edited(base, edits)
     text = yaml.safe_dump(doc, sort_keys=False)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail(f"{edits} reached run"))
     Path("c.yaml").write_text(text)
-    assert main([kind, "--config", "c.yaml"]) == 2
+    assert main([kind, "--config", "c.yaml"]) == 2, edits
     cited = cited or list(edits)[-1]
-    assert capsys.readouterr().err == f"error: line {_line(text, cited)}: {cited}: {message}\n"
+    assert capsys.readouterr().err == f"error: line {_line(text, cited)}: {cited}: {message}\n", edits
     assert os.listdir() == ["c.yaml"]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .cwm import CouplingSpec, CurieWeissSequence
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .limits import limit_for
 from .measures import (
     CRITICAL,
@@ -36,6 +36,7 @@ from .measures import (
     bias_map,
 )
 from .models import ContractedSequence, DeFinettiModel, GroupStructure, StaticSequence
+from .verify import estimate_alpha
 
 
 @dataclass(frozen=True)
@@ -86,12 +87,17 @@ def config_hash(doc) -> str:
 
 
 def _yaml_line_map(root: yaml.Node | None) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers of a composed YAML document."""
+    """Map dotted key paths to 1-based line numbers of a composed YAML document.
+
+    A decimal integer longer than ``sys.get_int_max_str_digits()`` is an error at its line.
+    """
     lines: dict[str, int] = {}
+    limit = sys.get_int_max_str_digits()
 
     def walk(node, path):
         if isinstance(node, yaml.MappingNode):
             for key_node, value_node in node.value:
+                walk(key_node, path)
                 sub = f"{path}.{key_node.value}" if path else str(key_node.value)
                 lines[sub] = key_node.start_mark.line + 1
                 walk(value_node, sub)
@@ -100,6 +106,12 @@ def _yaml_line_map(root: yaml.Node | None) -> dict[str, int]:
                 sub = f"{path}[{idx}]"
                 lines[sub] = item.start_mark.line + 1
                 walk(item, sub)
+        elif node.tag == "tag:yaml.org,2002:int":
+            digits = node.value.lstrip("+-").replace("_", "")
+            # a leading 0 reads in base 2, 8 or 16, which Python converts at any length
+            if 0 < limit < len(digits) and digits.isdigit() and digits[0] != "0":
+                _Doc(None, {path: node.start_mark.line + 1}).error(
+                    f"an integer of {len(digits)} digits is past Python's limit of {limit} digits", path)
 
     if root is not None:
         walk(root, "")
@@ -143,14 +155,10 @@ class _Doc:
         return self.doc[key]
 
     def wrap(self, fn, key=None):
-        """Run a constructor, re-anchoring any ConfigError it raises.
-
-        A value that passes its ``VALUES`` rules but not numpy, a ragged
-        list, fails there with ValueError, and is re-anchored the same way.
-        """
+        """Run a constructor, re-anchoring any ConfigError it raises."""
         try:
             return fn()
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             self.error(str(exc), key)
 
 
@@ -309,11 +317,11 @@ def _is_integer(value) -> bool:
     return _is_number(value, int) or (_is_number(value, float) and value.is_integer())
 
 
-def _holds_numbers(value, depth=1) -> bool:
-    """A number, or lists of numbers nested at most ``depth`` deep: no strings, bools or nulls."""
-    if isinstance(value, list):
-        return depth > 0 and all(_holds_numbers(item, depth - 1) for item in value)
-    return _is_number(value)
+def _holds_numbers(value, rows=False) -> bool:
+    """A number or list of numbers (no strings, bools or nulls); with ``rows``, also equal-length number lists."""
+    if rows and isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+        return len(set(map(len, value))) == 1 and all(map(_holds_numbers, value))
+    return _is_number(value) or isinstance(value, list) and all(map(_is_number, value))
 
 
 _INTEGER = [(_is_integer, "must be an integer")]
@@ -347,8 +355,8 @@ VALUES = {
     **dict.fromkeys(("proportions", "location", "lower", "upper", "mean", "coefficient",
                      "exponent", "h"), [(_holds_numbers, "must be a number or a list of numbers")]),
     **dict.fromkeys(("weight", "beta"), [(_is_number, "must be a number")]),
-    **dict.fromkeys(("covariance", "j"), [(lambda v: _holds_numbers(v, depth=2), "must be a "
-                                           "number or a list of numbers or of number lists")]),
+    **dict.fromkeys(("covariance", "j"), [(lambda v: _holds_numbers(v, rows=True), "must be a number, "
+                                           "a list of numbers or a list of number lists of one length")]),
     "thresholds": [(lambda v: isinstance(v, dict), "must be a mapping of threshold names to values")],
     # the names each may take stay with their owners, measures.bias_map and ExplicitSchedule
     "bias_map": [(lambda v: isinstance(v, str), "must be a name")],
@@ -437,6 +445,12 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     model = build_model(root.child("model")) if "model" in kind.required else None
     if kind.sequence and model.sequence.kind != kind.sequence:
         root.error(f"{experiment} needs a {kind.sequence} sequence", "model")
+    coupling = model.sequence.coupling if model and model.sequence.kind == "curie-weiss" else None
+    # mu_n has a density unless the coupling is zero; the concentration profile always reads one
+    if coupling is not None and (sizes or not coupling.is_zero):
+        root.wrap(coupling.check_density, "model.sequence.coupling")
+    if experiment == "verify-clt" and thresholds.get("target_law") != "gaussian":
+        root.wrap(lambda: limit_for(model), "model")
     regime = _llt_regime(model) if experiment == "verify-llt" else None
     if regime:
         root.error(f"verify-llt compares the lattice law with the N(0, I) density, "
@@ -450,8 +464,14 @@ def config_from_dict(doc: dict, lines: dict | None = None) -> ExperimentConfig:
     for key, populations in (("n", (n,) if n else ()), ("n_grid", n_grid or ()),
                              ("concentration_grid", sizes or ())):
         for population in populations if model else ():
-            # too small for its groups, an error at its key; past the guard, a ResourceError
-            root.wrap(lambda: model.groups.sizes(population), key)
+            # too small for its groups or missing from an explicit table, an
+            # error at its key; past the guard, a ResourceError
+            root.wrap(lambda: (model.groups.sizes(population), model.mixing_measure(population)), key)
+    if doc.get("points"):
+        try:
+            estimate_alpha(doc["points"])
+        except DataError as exc:
+            root.error(str(exc), "points")
     return ExperimentConfig(
         experiment=experiment,
         seed=int(seed),
@@ -488,6 +508,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         loader = yaml.SafeLoader(text)
         node = loader.get_single_node()
+        lines = _yaml_line_map(node)
         doc = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}")
@@ -495,9 +516,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     given = {key: value for key, value in (overrides or {}).items() if value is not None}
     doc.update(given)
-    lines = {
-        path: line for path, line in _yaml_line_map(node).items()
-        if path.split(".")[0].split("[")[0] not in given
-    }
+    lines = {path: line for path, line in lines.items() if path.split(".")[0].split("[")[0] not in given}
     lines.update({key: f"--{key}" for key in given})
     return config_from_dict(doc, lines)

@@ -13,7 +13,7 @@ variables, used for concentration-of-measure profiles.
 
 The mixing density exists in the high-temperature regime only, where the
 free energy is convex with its unique minimum at the origin; the regime is
-checked once, when ``FreeEnergySurface`` is built.
+checked by ``CouplingSpec.check_density``, at load and in ``FreeEnergySurface``.
 """
 
 from __future__ import annotations
@@ -77,6 +77,14 @@ class CouplingSpec(_Immutable):
         """True when I - J is (strictly) positive definite."""
         return bool(np.linalg.eigvalsh(np.eye(self.m) - self.j).min() > 0.0)
 
+    def check_density(self) -> None:
+        """Raise a ConfigError unless mu_n has its density exp(-n F) / Z: J and I - J positive definite."""
+        if not self.is_positive_definite:
+            raise ConfigError("the mixing density needs a positive definite coupling")
+        if not self.is_high_temperature:
+            raise ConfigError("the mixing density needs the high-temperature regime "
+                              "(identity minus coupling positive definite)")
+
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
     # |x| + log1p(e^{-2|x|}) - log 2, stable for large |x|
@@ -90,7 +98,7 @@ class FreeEnergySurface(_Gridded):
     Q = sqrt(alpha) J^{-1} sqrt(alpha) with alpha_g = n_g / n, the only
     convention under which the mixing density exp(-n F) reproduces the
     Gibbs measure.  F(0) = 0, F is even, and in the high-temperature
-    regime, checked once here, it is convex with the origin as unique
+    regime, checked here, it is convex with the origin as unique
     global minimizer, which yields the Gaussian tail bound behind the
     integration box and the sampler's envelope.
 
@@ -103,19 +111,13 @@ class FreeEnergySurface(_Gridded):
     """
 
     def __init__(self, spec: CouplingSpec, groups: GroupStructure, n: int):
-        if not spec.is_positive_definite:
-            raise ConfigError("the mixing density needs a positive definite coupling")
+        spec.check_density()
         if spec.m != groups.m:
             raise ConfigError("coupling size does not match the group count")
         sizes = groups.sizes(n)
         alpha = np.asarray(sizes, dtype=float) / n
         root_alpha = np.sqrt(alpha)
         q_matrix = root_alpha[:, None] * np.linalg.inv(spec.j) * root_alpha[None, :]
-        if not spec.is_high_temperature:
-            raise ConfigError(
-                "the mixing density needs the high-temperature regime "
-                "(identity minus coupling positive definite)"
-            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", groups.m)
         object.__setattr__(self, "alpha", _readonly(alpha))

@@ -9,6 +9,7 @@ import operator
 import os
 import platform
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import scipy
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import votelim.cli as cli
 import votelim.config
@@ -98,13 +99,7 @@ def test_missing_model_sections_are_anchored_errors():
 
 def test_resource_guard_exit_code(tmp_path, capsys):
     cfg = tmp_path / "huge.yaml"
-    doc = {
-        "experiment": "verify-llt",
-        "seed": 1,
-        "model": small_clt_doc()["model"],
-        "n_grid": [10**8, 10**9],
-    }
-    cfg.write_text(yaml.safe_dump(doc))
+    cfg.write_text(yaml.safe_dump(_llt_doc(1, "clamp", _box_power(1.0, 0.75), [10**8, 10**9])))
     assert main(["verify-llt", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "resource guard" in capsys.readouterr().err
 
@@ -166,16 +161,7 @@ def test_a_population_past_the_guard_exits_3_before_any_output(tmp_path, capsys)
 
 def _groups_m_doc(kind, m):
     """A two-group static simulate, or fast_clt (contracted), with ``groups.m`` set to ``m``."""
-    if kind == "simulate":
-        doc = small_simulate_doc()
-        doc["model"] = {
-            "groups": {"m": m, "proportions": [0.5, 0.5]},
-            "bias_map": "clamp",
-            "sequence": {"kind": "static", "base": {
-                "variant": "point-mass-mixture", "atoms": [{"location": [0.0, 0.0], "weight": 1.0}]}},
-        }
-        return doc
-    doc = shipped_doc("fast_clt")
+    doc = _static(_DELTA0_M2, m=2) if kind == "simulate" else shipped_doc("fast_clt")
     doc["model"]["groups"]["m"] = m
     return doc
 
@@ -333,6 +319,10 @@ def _refuse_nan(constant):
 # 400 examples draw every flag value at least twice (hypothesis 6.155.2)
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_mutated_shipped_docs())
+# a zero coupling with a concentration profile was once refused from inside run, at no line
+@example(("verify-cwm", shipped_doc("cwm_equivalence", model={
+    "groups": {"m": 1, "proportions": [1.0]}, "bias_map": "tanh",
+    "sequence": {"kind": "curie-weiss", "coupling": {"beta": 0}}}), None))
 def test_a_mutated_shipped_document_exits_with_its_code_and_at_most_one_error_line(case):
     kind, doc, flag = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -364,6 +354,9 @@ def test_a_mutated_shipped_document_exits_with_its_code_and_at_most_one_error_li
             return
         if flag and _flag_refused(*flag):
             assert code == 2 and err.startswith(f"error: {flag[0]}: "), err
+        elif code == 2 and not flag:
+            # a document error is refused at load, at its line
+            assert err.startswith("error: line "), err
         assert code in (0, 1, 2, 3)
         assert err == "" or (err.startswith(("error: ", "resource guard: ")) and err.count("\n") == 1
                              and err.endswith("\n")), err
@@ -481,6 +474,8 @@ def _contracted(schedule):
 
 
 _UNIFORM = {"variant": "uniform-box", "lower": [-1], "upper": [1]}
+_DELTA0 = {"variant": "point-mass-mixture", "atoms": [{"location": [0.0], "weight": 1.0}]}
+_DELTA0_M2 = {"variant": "point-mass-mixture", "atoms": [{"location": [0.0, 0.0], "weight": 1.0}]}
 _ATOMS = {"variant": "point-mass-mixture",
           "atoms": [{"location": [-0.5], "weight": 0.5}, {"location": [0.5], "weight": 0.5}]}
 _GAUSSIAN = {"variant": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
@@ -832,24 +827,7 @@ def test_estimate_alpha_command(tmp_path, capsys):
 
 
 def test_verify_clt_baseline_static_delta0(tmp_path):
-    doc = {
-        "experiment": "verify-clt",
-        "seed": 42,
-        "model": {
-            "groups": {"m": 1, "proportions": [1.0]},
-            "bias_map": "clamp",
-            "sequence": {
-                "kind": "static",
-                "base": {
-                    "variant": "point-mass-mixture",
-                    "atoms": [{"location": [0.0], "weight": 1.0}],
-                },
-            },
-        },
-        "n": 10**4,
-        "count": 10**5,
-        "thresholds": {"ks": 0.01},
-    }
+    doc = small_clt_doc(model=_static(_DELTA0)["model"], n=10**4, count=10**5, thresholds={"ks": 0.01})
     out = tmp_path / "baseline"
     assert run(config_from_dict(doc), out) == 0
     report = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
@@ -881,25 +859,12 @@ def test_a_one_element_power_law_applies_to_every_group(coefficient, exponent, e
     assert (schedule.m, schedule.coefficients, schedule.exponents) == (2, (0.5, 0.5), exponents)
 
 
-@pytest.mark.parametrize("model", [_static(_UNIFORM), _CW_BETA], ids=["spread-out-static", "curie-weiss"])
-def test_verify_clt_without_a_limit_law_samples_nothing(tmp_path, capsys, model):
-    # the target law is resolved before sampling, so no orphan margins.npy is left
-    cfg = tmp_path / "nolimit.yaml"
-    cfg.write_text(yaml.safe_dump(small_clt_doc(model=model["model"])))
-    out = tmp_path / "o"
-    assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "limit" in capsys.readouterr().err
-    assert not (out / "margins.npy").exists()
-
-
-_DELTA0 = {"variant": "point-mass-mixture", "atoms": [{"location": [0.0], "weight": 1.0}]}
-
 #: case -> (static base, group count, whether it is the point mass at the origin)
 _ORIGIN_CASES = {
     "one-atom": (_DELTA0, 1, True),
     "two-atoms": ({"variant": "point-mass-mixture",
                    "atoms": [{"location": [0.0], "weight": 0.5}, {"location": [0.0], "weight": 0.5}]}, 1, True),
-    "atom-m2": ({"variant": "point-mass-mixture", "atoms": [{"location": [0.0, 0.0], "weight": 1.0}]}, 2, True),
+    "atom-m2": (_DELTA0_M2, 2, True),
     "product": ({"variant": "product", "factors": [_DELTA0, _DELTA0]}, 2, True),
     "mixture": ({"variant": "mixture",
                  "components": [{"measure": _DELTA0, "weight": 0.5}, {"measure": _DELTA0, "weight": 0.5}]}, 1, True),
@@ -937,33 +902,12 @@ def test_static_target_law_is_gaussian_only_at_the_origin(tmp_path, capsys, case
 
 
 def test_nested_product_mixture_measure_from_config(tmp_path):
+    narrow = {"variant": "uniform-box", "lower": [-0.2], "upper": [0.2]}
+    mixture = {"variant": "mixture",
+               "components": [{"measure": _ATOMS, "weight": 0.5}, {"measure": narrow, "weight": 0.5}]}
     doc = small_clt_doc(count=3000, thresholds={"ks": 0.08, "cross_correlation": 0.05})
     doc["model"]["groups"] = {"m": 2, "proportions": [0.5, 0.5]}
-    doc["model"]["sequence"]["base"] = {
-        "variant": "product",
-        "factors": [
-            {"variant": "uniform-box", "lower": [-1], "upper": [1]},
-            {
-                "variant": "mixture",
-                "components": [
-                    {
-                        "measure": {
-                            "variant": "point-mass-mixture",
-                            "atoms": [
-                                {"location": [-0.5], "weight": 0.5},
-                                {"location": [0.5], "weight": 0.5},
-                            ],
-                        },
-                        "weight": 0.5,
-                    },
-                    {
-                        "measure": {"variant": "uniform-box", "lower": [-0.2], "upper": [0.2]},
-                        "weight": 0.5,
-                    },
-                ],
-            },
-        ],
-    }
+    doc["model"]["sequence"]["base"] = {"variant": "product", "factors": [_UNIFORM, mixture]}
     assert yaml.safe_load(yaml.safe_dump(doc)) == doc
     assert run(config_from_dict(doc), tmp_path / "nested") == 0
 
@@ -1059,12 +1003,13 @@ _DELETE = object()  # an edit that removes its key
 _BIG = 10**400  # an integer of 401 digits, past the largest float (about 1.8e308)
 _B, _S, _C = "model.sequence.base", "model.sequence.schedule", "model.sequence.coupling"
 _VECTOR = "must be a number or a list of numbers"
-_MATRIX = "must be a number or a list of numbers or of number lists"
+_MATRIX = "must be a number, a list of numbers or a list of number lists of one length"
 _SEED = "seed must be a nonnegative integer (no wall-clock default is provided)"
 _HUGE = "must be a finite number, got an integer of 401 digits"
 _THRESHOLDS = "thresholds must be a mapping of threshold names to values"
-_RAGGED = ("setting an array element with a sequence. The requested array has an inhomogeneous "
-           "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.")
+_HOT = "the mixing density needs the high-temperature regime (identity minus coupling positive definite)"
+_SINGULAR = "the mixing density needs a positive definite coupling"
+_LONG_LITERAL = f"an integer of 5000 digits is past Python's limit of {sys.get_int_max_str_digits()} digits"
 
 
 def _unknown(key, known):
@@ -1306,6 +1251,32 @@ _REFUSALS = {
         _llt_refusal("critical-and-subcritical", 2, "clamp", _box_power(2.0, [0.5, 0.15], m=2),
                      [100, 1000], "critical and subcritical"),
     ],
+    # the hypotheses of the limit laws and of the alpha fit, once refused from
+    # inside run, after it had cleared the output directory, at no line
+    "test_a_document_a_run_cannot_take_exits_2_at_load": [
+        ("no-limit-spread-out-static", "subcritical_base", {"model": _static(_UNIFORM)["model"]},
+         "no dispatchable limit for a spread-out static mixing measure; "
+         "set thresholds.target_law: gaussian to compare against the normal law"),
+        ("no-limit-curie-weiss", "verify-clt", {"model": _CW_BETA["model"]},
+         "no dispatchable limit for a curie-weiss sequence"),
+        ("no-limit-critical-without-h", "subcritical_base", {_S: _explicit({1000000: [0.001]}, ["critical"])},
+         "group 0 is critical but its constant h is not declared", "model"),
+        ("explicit-without-n", "subcritical_base", {_S: _explicit({400: [0.1]}, ["subcritical"])},
+         "explicit schedule has no eps entry for n=1000000", "n"),
+        ("explicit-without-n_grid", "subcritical_decay",
+         {_S: _explicit({100: [0.1], 1000: [0.03]}, ["critical"], h=[1.0])},
+         "explicit schedule has no eps entry for n=10000", "n_grid"),
+        ("coupling-low-temperature", "cwm_equivalence", {f"{_C}.beta": 1.5}, _HOT, _C),
+        # a zero coupling mixes with a point mass, but has no density to profile
+        ("coupling-zero-with-profile", "cwm_equivalence", {f"{_C}.beta": 0}, _SINGULAR, _C),
+        ("coupling-singular", _CW_J, {f"{_C}.j": [[0.5, 0.5], [0.5, 0.5]]}, _SINGULAR, _C),
+        ("coupling-simulate-low-temperature", _CW_BETA, {f"{_C}.beta": 2.0}, _HOT, _C),
+        ("points-one-population", "estimate-alpha", {"points": [[100, 0.1], [100, 0.2]]},
+         "alpha estimation needs at least 2 distinct population sizes"),
+        ("points-negative-margin", "estimate-alpha", {"points": [[100, -0.1], [1000, 0.01]]},
+         "alpha estimation needs strictly positive margins"),
+        ("points-one-point", "estimate-alpha", {"points": [[100, 0.1]]}, "alpha estimation needs at least 2 points"),
+    ],
     "test_validation_error_cites_line_and_invariant": [
         (None, "verify-clt", {f"{_S}.exponent": -0.75},
          "power-law exponents must be positive so that eps_n -> 0", _S),
@@ -1371,10 +1342,12 @@ _REFUSALS = {
          "regimes must be 1 tags from ('fast', 'critical', 'subcritical')"),
         ("table-list", "verify-clt", {_S: _explicit([0.1], ["fast"])},
          "expected a mapping of populations to eps lists", f"{_S}.table"),
-        # a ragged list passes its value rule and fails in numpy, cited at its node
+        # ragged or mixed-depth rows once failed in numpy, with its text, at the node's line
         ("ragged-covariance", _static(_GAUSSIAN, bias="tanh"), {f"{_B}.covariance": [[1.0], [1.0, 2.0]]},
-         _RAGGED, _B),
-        ("ragged-j", _CW_J, {f"{_C}.j": [[0.5, 0.1], [0.1]]}, _RAGGED),
+         f"covariance {_MATRIX}"),
+        ("ragged-j", _CW_J, {f"{_C}.j": [[0.5, 0.1], [0.1]]}, f"j {_MATRIX}"),
+        ("mixed-depth-covariance", _static(_GAUSSIAN, bias="tanh"), {f"{_B}.covariance": [1, [2]]},
+         f"covariance {_MATRIX}"),
         # a number read as a float that no float holds once ended in an OverflowError traceback
         *((f"huge-{path.rpartition('.')[2]}", base, {path: value}, _HUGE) for base, path, value in [
             ("fast_clt", f"{_S}.coefficient", _BIG), ("fast_clt", f"{_S}.exponent", _BIG),
@@ -1504,7 +1477,7 @@ def _error_patterns():
 
 def test_every_value_rule_and_config_refusal_has_a_case():
     cases = [(_parts(case[4] if len(case) > 4 else list(case[2])[-1])[-1], case[3])
-             for cases in _REFUSALS.values() for case in cases]
+             for cases in _REFUSALS.values() for case in cases] + [("seed", _LONG_LITERAL)]
     for key, rules in VALUES.items():
         for _, end in rules:
             pattern = re.escape(f"{key} {end}").replace(re.escape("{}"), ".+")
@@ -1513,6 +1486,31 @@ def test_every_value_rule_and_config_refusal_has_a_case():
     assert len(patterns) > 20
     for pattern in patterns:
         assert any(re.fullmatch(pattern, message) for _, message in cases), pattern
+
+
+def test_an_integer_literal_longer_than_python_reads_exits_2_at_its_line(tmp_path, capsys, monkeypatch):
+    # written by hand, as Python turns no such integer into a string; --seed cannot mend a file not read
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("reached run"))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(small_clt_doc(), sort_keys=False).replace("seed: 42", "seed: " + "7" * 5000))
+    assert main(["verify-clt", "--config", str(cfg), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: line 2: seed: {_LONG_LITERAL}\n"
+    # in base 16 Python reads it at any length
+    cfg.write_text(yaml.safe_dump(small_clt_doc(seed=0), sort_keys=False).replace("seed: 0", "seed: 0x" + "f" * 5000))
+    assert load_config(cfg).seed == 16**5000 - 1
+
+
+def test_a_refused_document_leaves_a_finished_run_untouched(tmp_path, capsys):
+    out, good, bad = tmp_path / "o", tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text(yaml.safe_dump(small_clt_doc()))
+    # verify-clt has no limit law to compare a spread-out static base with
+    bad.write_text(yaml.safe_dump(small_clt_doc(model=_static(_UNIFORM)["model"])))
+    assert main(["verify-clt", "--config", str(good), "--out", str(out)]) == 0
+    finished = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(finished) == ["manifest.json", "margins.npy", "reports.jsonl", "summary.csv"]
+    assert main(["verify-clt", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == finished
 
 
 def test_a_null_in_a_key_that_may_be_absent_is_the_key_left_out():
